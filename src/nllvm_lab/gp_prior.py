@@ -19,7 +19,7 @@ before failing loudly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky
@@ -214,7 +214,6 @@ def prior_draw_density(
     *,
     n_knots: int = 64,
     seed: int = 0,
-    m: Optional[int] = None,
 ) -> GridDensity:
     """One draw from the induced prior on densities.
 
@@ -224,5 +223,4 @@ def prior_draw_density(
     a = sample_rescale(cfg, rng)
     draw = sample_path(cfg, a, n_knots, rng, seed=seed)
     sigma = sample_sigma(cfg, rng)
-    kwargs = {} if m is None else {"m": m}
-    return mixture_density(draw.transfer(), sigma, spec, **kwargs)
+    return mixture_density(draw.transfer(), sigma, spec)

@@ -2,9 +2,9 @@
 
 The variational density is the same object the sampler targets: a latent
 eta ~ U(0,1) pushed through a transfer function mu and smoothed by Gaussian
-noise, q(theta) = integral phi_sigma(theta - mu(eta)) deta.  In one
-dimension the implicit density is made fully explicit by quadrature, so the
-tempered variational objective
+noise, q(theta) = integral phi_sigma(theta - mu(eta)) deta.  With mu
+piecewise linear the implicit density has a closed form (a sum of normal CDF
+differences over the knot segments), so the tempered variational objective
 
     alpha * E_q[-sum_i log p(y_i | theta)] + KL(q || prior)
 
@@ -143,11 +143,9 @@ def normal_quantile_transfer(
     return TransferFunction(knots, m + tau * norm.ppf(levels))
 
 
-def q_density(
-    params: VariationalParams, spec: GridSpec, *, m: int = 2048, refine: bool = True
-) -> GridDensity:
+def q_density(params: VariationalParams, spec: GridSpec) -> GridDensity:
     """The explicit density of the implicit family member ``params``."""
-    return mixture_density(params.mu, params.sigma, spec, m=m, refine=refine)
+    return mixture_density(params.mu, params.sigma, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -261,8 +259,6 @@ def practical_objective(
     *,
     spec: Optional[GridSpec] = None,
     loglik: Optional[np.ndarray] = None,
-    m: int = 2048,
-    refine: bool = True,
 ) -> float:
     """The tempered variational objective alpha * fit + KL(q || prior).
 
@@ -277,7 +273,7 @@ def practical_objective(
         raise ValueError("data must be non-empty")
     if spec is None:
         spec = model.prior_density.spec
-    q = q_density(params, spec, m=m, refine=refine)
+    q = q_density(params, spec)
     grid = q.grid
     prior_vals = _prior_on(model, grid)
     _check_support(q, prior_vals)
@@ -438,8 +434,7 @@ def optimize(
         )
         try:
             return practical_objective(
-                params, model, data, alpha,
-                spec=spec, loglik=loglik, m=512, refine=False,
+                params, model, data, alpha, spec=spec, loglik=loglik
             )
         except (CoverageError, SupportError):
             return math.inf
@@ -516,8 +511,8 @@ def optimize(
 class RestrictedFamily:
     """Precomputed density matrix of the mean x tau comparator grid.
 
-    Building the members is the expensive part (each is a quantile-mixture
-    quadrature), so the family is constructed once per (spec, grid) and
+    Building the members is the expensive part (each is a 513-knot
+    quantile mixture), so the family is constructed once per (spec, grid) and
     reused across data replicates; ``min_kl`` against a posterior is then a
     matrix-vector product.
     """
@@ -539,7 +534,7 @@ class RestrictedFamily:
                     mu=normal_quantile_transfer(m_val, tau),
                     log_sigma=math.log(spec.sigma_n),
                 )
-                dens = q_density(params, grid_spec, m=1024, refine=False)
+                dens = q_density(params, grid_spec)
                 members.append(dens.values)
                 labels.append((float(m_val), float(tau)))
         self.members = np.asarray(members)
@@ -652,7 +647,7 @@ def risk_bound_rhs(
     if mass <= 0.0:
         raise ResolutionError(
             f"KL neighborhood at eps={eps:.4g} carries no prior mass on the "
-            f"grid (spacing {model.prior_density.spacing:.3e}); refine the grid"
+            f"grid (spacing {model.prior_density.spacing:.3e}); use a finer grid"
         )
     mass = min(mass, 1.0)
     log_inv_mass = math.log(1.0 / mass)

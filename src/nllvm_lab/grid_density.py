@@ -217,9 +217,7 @@ def convolve_gaussian(f: GridDensity, sigma: float) -> GridDensity:
             f"convolution lost {loss:.3e} of the mass at the window edges; "
             "widen the domain"
         )
-    out = GridDensity(f.lo, f.hi, np.maximum(raw, 0.0))
-    out.mass_loss = loss
-    return out
+    return GridDensity(f.lo, f.hi, np.maximum(raw, 0.0), mass_loss=loss)
 
 
 # --- divergences -----------------------------------------------------------

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy import special
 from scipy.linalg import cho_solve, solve_triangular
 
 from ._runtime import parallel_map, seeded_rng
@@ -31,12 +32,10 @@ from .gp_prior import (
 )
 from .grid_density import HELLINGER_SQ, GridDensity, GridSpec, divergence
 from .reports import SlopeReport, slope_fit
-from .transfer_map import TransferFunction, mixture_density
+from .transfer_map import FLAT_RISE, TransferFunction, mixture_density, segment_masses
 
 logger = logging.getLogger(__name__)
 
-_LATENT_GRID = 512
-_UNDERFLOW_LOG = -745.0  # below this, exp() is exactly 0.0 in float64
 _ADAPT_WINDOW = 50
 _STEP_BOUNDS = (1e-3, 2.0)
 
@@ -116,41 +115,44 @@ def _residual_loglik(state: NLLVMState, data: np.ndarray) -> float:
 
 
 def update_latents(
-    state: NLLVMState,
-    data: np.ndarray,
-    rng: np.random.Generator,
-    *,
-    grid_points: int = _LATENT_GRID,
+    state: NLLVMState, data: np.ndarray, rng: np.random.Generator
 ) -> NLLVMState:
-    """Resample every latent from its full conditional on [0,1].
+    """Resample every latent from its exact full conditional on [0,1].
 
     The conditional density of eta_i is proportional to
-    phi_sigma(y_i - mu(eta_i)).  It is approximated as piecewise constant
-    over ``grid_points`` equal cells (evaluated at cell midpoints) and
-    sampled by exact inverse-CDF, including continuous placement inside the
-    chosen cell.  If the conditional underflows to zero everywhere the draw
-    falls back to a uniform with a logged warning.
+    phi_sigma(y_i - mu(eta_i)).  With mu linear between knots it is a
+    mixture over knot segments with the masses of :func:`segment_masses`,
+    and within a segment a normal truncated to [v_k, v_{k+1}] in mu-space,
+    mapped back to x linearly.  One uniform per datum picks the segment by
+    inverse CDF and, rescaled, inverts the truncated normal on the side of
+    the segment where the normal CDF is small; a flat segment is uniform in
+    x.  If every segment mass underflows to zero the draw falls back to a
+    uniform with a logged warning.
     """
     data = np.asarray(data, dtype=float)
-    edges = np.linspace(0.0, 1.0, grid_points + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    width = 1.0 / grid_points
-    mu_mid = _mu_at(state, mids)
-
-    logw = -((data[:, None] - mu_mid[None, :]) ** 2) / (2.0 * state.sigma**2)
-    rowmax = logw.max(axis=1)
-    dead = rowmax < _UNDERFLOW_LOG
-    w = np.exp(logw - np.maximum(rowmax, _UNDERFLOW_LOG)[:, None])
-    cum = np.cumsum(w, axis=1)
+    mu = state.transfer()
+    masses = segment_masses(mu, state.sigma, data)
+    cum = np.cumsum(masses, axis=1)
     total = cum[:, -1]
+    dead = total <= 0.0
 
     u = rng.random(data.size)
     r = u * total
-    idx = np.minimum((cum < r[:, None]).sum(axis=1), grid_points - 1)
-    prev = np.where(idx > 0, np.take_along_axis(cum, np.maximum(idx - 1, 0)[:, None], 1)[:, 0], 0.0)
-    cell_w = np.take_along_axis(w, idx[:, None], 1)[:, 0]
-    frac = np.clip((r - prev) / np.maximum(cell_w, 1e-300), 0.0, 1.0)
-    eta = edges[idx] + frac * width
+    seg = np.minimum((cum < r[:, None]).sum(axis=1), masses.shape[1] - 1)
+    prev = np.where(seg > 0, np.take_along_axis(cum, np.maximum(seg - 1, 0)[:, None], 1)[:, 0], 0.0)
+    mass = masses[np.arange(data.size), seg]
+    w = np.clip((r - prev) / np.maximum(mass, 1e-300), 0.0, 1.0)
+
+    # standardized residuals at the chosen segment's ends; where both sit
+    # above zero, work with -z so that the CDF values stay small
+    za = (data - mu.values[seg]) / state.sigma
+    zb = (data - mu.values[seg + 1]) / state.sigma
+    side = np.where(za + zb > 0.0, -1.0, 1.0)
+    pa, pb = special.ndtr(side * za), special.ndtr(side * zb)
+    z = side * special.ndtri(pa + w * (pb - pa))
+    flat = (np.abs(np.diff(mu.values)) / state.sigma < FLAT_RISE)[seg]
+    frac = np.where(flat, w, (za - z) / np.where(flat, 1.0, za - zb))
+    eta = mu.knots[seg] + np.clip(frac, 0.0, 1.0) * np.diff(mu.knots)[seg]
 
     if np.any(dead):
         logger.warning(
@@ -408,19 +410,16 @@ def _full_log_post(
     )
 
 
-def predictive_density(
-    samples: PosteriorSamples, spec: GridSpec, *, m: int = 2048
-) -> GridDensity:
+def predictive_density(samples: PosteriorSamples, spec: GridSpec) -> GridDensity:
     """Posterior predictive density: the average of per-state mixtures.
 
-    Each state's mixture uses fixed m-point midpoint quadrature (no
-    adaptive refinement): the per-state quadrature error is orders of
-    magnitude below the Monte Carlo spread that the ensemble average is
-    already carrying.
+    Each state's mixture is the exact closed form of
+    :func:`mixture_density`, so the only error left is the Monte Carlo
+    spread of the ensemble average.
     """
     acc = np.zeros(spec.n)
     for state in samples.states:
-        dens = mixture_density(state.transfer(), state.sigma, spec, m=m, refine=False)
+        dens = mixture_density(state.transfer(), state.sigma, spec)
         acc += dens.values
     return GridDensity(spec.lo, spec.hi, acc / len(samples.states))
 
@@ -451,7 +450,6 @@ def contraction_experiment(
     thin: int = 5,
     n_knots: int = 32,
     rescale: Optional[float] = None,
-    predictive_m: int = 1024,
 ) -> SlopeReport:
     """Squared-Hellinger decay of the posterior predictive as n grows.
 
@@ -502,7 +500,7 @@ def contraction_experiment(
         hi = max(f0.hi, max(float(s.mu_values.max()) for s in samples.states) + 8 * sig_cap)
         n_grid = min(8192, int(round((hi - lo) / f0.spacing)) + 1)
         wide = GridSpec(lo, hi, n_grid)
-        pred = predictive_density(samples, wide, m=predictive_m)
+        pred = predictive_density(samples, wide)
         f0_wide = GridDensity(lo, hi, f0.pdf_at(wide.points()))
         return divergence(HELLINGER_SQ, pred, f0_wide)
 

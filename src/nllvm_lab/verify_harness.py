@@ -100,8 +100,8 @@ def check_hellinger_bound(trials: int = 200, seed: int = 0) -> CheckReport:
         mu1 = TransferFunction(knots, chol @ rng.standard_normal(n_knots))
         mu2 = TransferFunction(knots, chol @ rng.standard_normal(n_knots))
         s1, s2 = rng.uniform(0.05, 0.5, size=2)
-        f1 = mixture_density(mu1, s1, spec, refine=False)
-        f2 = mixture_density(mu2, s2, spec, refine=False)
+        f1 = mixture_density(mu1, s1, spec)
+        f2 = mixture_density(mu2, s2, spec)
         lhs = divergence(HELLINGER_SQ, f1, f2)
         gap = mu1.sup_distance(mu2)
         ssum = s1**2 + s2**2
@@ -290,7 +290,7 @@ def l1_support_search(
     tried = 0
     for s in sig:
         tried += 1
-        f = mixture_density(mu0, s, wide.spec, refine=False)
+        f = mixture_density(mu0, s, wide.spec)
         l1 = divergence(L1, f, wide)
         if l1 < best_l1:
             best_l1, best_sigma = l1, float(s)

@@ -202,7 +202,7 @@ def test_c07_quantile_pushforward_equals_smoothing(acceptance_log):
     from nllvm_lab.grid_density import convolve_gaussian
 
     for sigma in (0.05, 0.1):
-        mix = mixture_density(mu0, sigma, wide, m=8192, refine=False)
+        mix = mixture_density(mu0, sigma, wide)
         conv = convolve_gaussian(f0w, sigma)
         gaps.append(float(np.max(np.abs(mix.values - conv.values))))
     ok = all(g < 2e-3 for g in gaps)

@@ -9,7 +9,10 @@ names embedded in the config.
 from __future__ import annotations
 
 import json
+import os
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +28,9 @@ from nllvm_lab.cli import (
     load_csv,
     main,
 )
+
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture()
@@ -309,8 +315,23 @@ class TestMainEndToEnd:
         assert "line 3" in capsys.readouterr().err
 
     def test_console_script_help(self):
+        # the declared entry point, run as the installed script would run it,
+        # with the package imported from src/ rather than from an install
+        import tomllib  # Python >= 3.11
+
+        with open(ROOT / "pyproject.toml", "rb") as fh:
+            scripts = tomllib.load(fh)["project"]["scripts"]
+        assert scripts["nllvm-lab"] == "nllvm_lab.cli:main"
+        module, func = scripts["nllvm-lab"].split(":")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
+        )
         proc = subprocess.run(
-            ["nllvm-lab", "--help"], capture_output=True, text=True
+            [sys.executable, "-c",
+             f"import sys; from {module} import {func}; sys.exit({func}())",
+             "--help"],
+            capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0
         assert "estimate" in proc.stdout

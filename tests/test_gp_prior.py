@@ -249,7 +249,7 @@ class TestPriorDrawDensity:
     def test_draw_is_normalized_density(self):
         cfg = GPPriorConfig(rescale_dist=FixedRescale(5.0))
         out = prior_draw_density(
-            cfg, GridSpec(-30.0, 30.0, 4096), np.random.default_rng(1), m=512
+            cfg, GridSpec(-30.0, 30.0, 4096), np.random.default_rng(1)
         )
         assert out.integral() == pytest.approx(1.0, abs=1e-12)
         assert np.all(out.values >= 0)
@@ -257,6 +257,6 @@ class TestPriorDrawDensity:
     def test_reproducible(self):
         cfg = GPPriorConfig(rescale_dist=FixedRescale(5.0))
         spec = GridSpec(-30.0, 30.0, 2048)
-        a = prior_draw_density(cfg, spec, np.random.default_rng(9), m=512)
-        b = prior_draw_density(cfg, spec, np.random.default_rng(9), m=512)
+        a = prior_draw_density(cfg, spec, np.random.default_rng(9))
+        b = prior_draw_density(cfg, spec, np.random.default_rng(9))
         np.testing.assert_array_equal(a.values, b.values)

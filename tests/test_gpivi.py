@@ -330,7 +330,7 @@ class TestRestrictedFamily:
         member = VariationalParams(
             normal_quantile_transfer(m_val, tau), math.log(0.3)
         )
-        dens = q_density(member, family.grid_spec, m=1024, refine=False)
+        dens = q_density(member, family.grid_spec)
         assert abs(family.min_kl(dens)) < 1e-10
 
     def test_grid_mismatch_rejected(self, family, nn):

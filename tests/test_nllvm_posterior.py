@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.stats import kstest
 
 from nllvm_lab.gp_prior import FixedRescale, GammaRescale, GPPriorConfig
 from nllvm_lab.grid_density import GridSpec
@@ -92,6 +93,31 @@ class TestUpdateLatents:
         a = update_latents(state, data, np.random.default_rng(3))
         b = update_latents(state, data, np.random.default_rng(3))
         np.testing.assert_array_equal(a.eta, b.eta)
+
+    @pytest.mark.parametrize(
+        "values, y",
+        [
+            (np.sin(np.linspace(0.0, 4.0, 16)), 0.3),  # inside range(mu)
+            (np.sin(np.linspace(0.0, 4.0, 16)), 1.0 + 4 * 0.1),  # 4 sigma above
+            (np.sin(np.linspace(0.0, 4.0, 16)), 1.0 + 15 * 0.1),  # 15 sigma above
+            (np.r_[np.linspace(0.0, 0.5, 6), np.full(5, 0.5), np.linspace(0.5, 1.0, 5)], 0.52),
+        ],
+        ids=["inside", "above", "far-above", "flat"],
+    )
+    def test_exact_conditional_passes_ks(self, values, y):
+        # one call draws 20000 independent latents for the same y; the
+        # analytic conditional CDF is a fine-grid cumulative sum of
+        # phi_sigma(y - mu(x)), scaled by its maximum so it cannot underflow
+        sigma = 0.1
+        n = 20000
+        state = NLLVMState(values, sigma, np.full(n, 0.5), 0.0)
+        eta = update_latents(state, np.full(n, y), np.random.default_rng(11)).eta
+        edges = np.linspace(0.0, 1.0, (1 << 18) + 1)
+        logw = -0.5 * ((y - state.transfer()(0.5 * (edges[:-1] + edges[1:]))) / sigma) ** 2
+        cdf = np.concatenate([[0.0], np.cumsum(np.exp(logw - logw.max()))])
+        cdf /= cdf[-1]
+        result = kstest(eta, lambda x: np.interp(x, edges, cdf))
+        assert result.pvalue > 0.01
 
     def test_underflow_falls_back_to_uniform(self, caplog):
         # data 40 sigma away from the whole transfer range underflows
@@ -209,7 +235,7 @@ class TestPredictiveDensity:
         samples = PosteriorSamples([state], {"sigma": 0.5}, {}, 0)
         spec = GridSpec(-3.0, 4.0, 1024)
         pred = predictive_density(samples, spec)
-        direct = mixture_density(state.transfer(), 0.3, spec, m=2048, refine=False)
+        direct = mixture_density(state.transfer(), 0.3, spec)
         np.testing.assert_array_equal(pred.values, direct.values)
 
     def test_two_states_average(self):
@@ -217,9 +243,9 @@ class TestPredictiveDensity:
         s2 = NLLVMState(np.linspace(-0.5, 0.5, 32), 0.4, np.array([0.5]), 0.0)
         samples = PosteriorSamples([s1, s2], {"sigma": 0.5}, {}, 0)
         spec = GridSpec(-4.0, 4.0, 1024)
-        pred = predictive_density(samples, spec, m=512)
-        d1 = mixture_density(s1.transfer(), 0.3, spec, m=512, refine=False)
-        d2 = mixture_density(s2.transfer(), 0.4, spec, m=512, refine=False)
+        pred = predictive_density(samples, spec)
+        d1 = mixture_density(s1.transfer(), 0.3, spec)
+        d2 = mixture_density(s2.transfer(), 0.4, spec)
         np.testing.assert_allclose(
             pred.values, 0.5 * (d1.values + d2.values), atol=1e-15
         )

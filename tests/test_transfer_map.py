@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 from scipy.stats import norm
 
 from nllvm_lab.grid_density import GridDensity, GridSpec, convolve_gaussian, smooth_bump
@@ -22,6 +23,7 @@ from nllvm_lab.transfer_map import (
     induced_histogram,
     mixture_density,
     quantile_of,
+    segment_masses,
 )
 
 
@@ -142,14 +144,100 @@ class TestMixtureDensity:
         with pytest.raises(ValueError, match="positive"):
             mixture_density(mu, -0.1, GridSpec(-2.0, 2.0, 256))
 
-    def test_refinement_agrees_with_fixed_quadrature(self):
+    def test_exact_kernel_agrees_with_fixed_quadrature(self):
         mu = TransferFunction(
             np.linspace(0.0, 1.0, 17), np.sin(np.linspace(0.0, 2.5, 17))
         )
         spec = GridSpec(-3.0, 4.0, 1024)
-        fixed = mixture_density(mu, 0.2, spec, m=8192, refine=False)
-        refined = mixture_density(mu, 0.2, spec, refine=True)
-        assert np.max(np.abs(fixed.values - refined.values)) < 1e-5
+        fixed = _midpoint_mixture(mu, 0.2, spec.points(), 8192)
+        exact = mixture_density(mu, 0.2, spec)
+        assert np.max(np.abs(fixed - exact.values)) < 1e-5
+
+
+def _midpoint_mixture(mu, sigma, y, m):
+    """Reference: m-point midpoint quadrature of int phi_sigma(y - mu(x)) dx."""
+    t = mu((np.arange(m) + 0.5) / m)
+    acc = np.zeros_like(y)
+    for start in range(0, m, 4096):
+        block = t[start : start + 4096]
+        acc += np.exp(-0.5 * ((y[:, None] - block[None, :]) / sigma) ** 2).sum(axis=1)
+    return acc / (m * math.sqrt(2.0 * math.pi) * sigma)
+
+
+def _gp_transfer(rng, n_knots):
+    """A random GP path with a flat, a near-flat and a falling stretch."""
+    knots = np.linspace(0.0, 1.0, n_knots)
+    cov = np.exp(-0.5 * ((knots[:, None] - knots[None, :]) * 6.0) ** 2)
+    chol = np.linalg.cholesky(cov + 1e-8 * np.eye(n_knots))
+    v = chol @ rng.standard_normal(n_knots)
+    k = n_knots // 4
+    v[k : k + 3] = v[k]  # two flat segments
+    v[2 * k + 1] = v[2 * k] + 1e-9  # a near-flat segment
+    return TransferFunction(knots, v)
+
+
+class TestSegmentMasses:
+    """The closed-form Phi-difference kernel against midpoint quadrature."""
+
+    @pytest.mark.parametrize("n_knots", [17, 65])
+    def test_masses_match_midpoint_reference(self, n_knots):
+        # 2^16 midpoints split evenly over the segments give a per-segment
+        # reference; GP paths are non-monotone
+        rng = np.random.default_rng(n_knots)
+        m = 1 << 16
+        per_seg = m // (n_knots - 1)
+        for sigma in (0.05, 0.3):
+            mu = _gp_transfer(rng, n_knots)
+            y = np.linspace(mu.lo - 8 * sigma, mu.hi + 8 * sigma, 257)
+            t = mu((np.arange(m) + 0.5) / m).reshape(n_knots - 1, per_seg)
+            ref = np.exp(-0.5 * ((y[:, None, None] - t[None]) / sigma) ** 2).sum(axis=2)
+            ref /= m * math.sqrt(2.0 * math.pi) * sigma
+            masses = segment_masses(mu, sigma, y)
+            assert masses.shape == (y.size, n_knots - 1)
+            assert np.max(np.abs(masses - ref)) < 1e-6
+
+    def test_flat_segment_is_its_normal_limit(self):
+        mu = TransferFunction(np.array([0.0, 0.25, 0.5, 1.0]), np.array([0.0, 1.0, 1.0, 1.0 + 1e-9]))
+        y = np.linspace(-1.0, 2.0, 31)
+        masses = segment_masses(mu, 0.2, y)
+        np.testing.assert_allclose(masses[:, 1], 0.25 * norm.pdf(y, 1.0, 0.2), rtol=1e-12)
+        np.testing.assert_allclose(masses[:, 2], 0.5 * norm.pdf(y, 1.0 + 5e-10, 0.2), rtol=1e-10)
+
+    def test_tail_keeps_relative_accuracy(self):
+        # y at least 10 sigma beyond range(mu): both Phi values of every
+        # segment are within 1e-23 of 1 (or of 0), and the density is
+        # compared in log space with a log-sum-exp midpoint reference
+        mu = TransferFunction(
+            np.linspace(0.0, 1.0, 17), 0.5 * np.sin(np.linspace(0.0, 2.5, 17))
+        )
+        sigma = 0.2
+        y = np.array([mu.hi + 10 * sigma, mu.hi + 25 * sigma, mu.lo - 10 * sigma, mu.lo - 25 * sigma])
+        m = 1 << 16
+        t = mu((np.arange(m) + 0.5) / m)
+        log_ref = logsumexp(-0.5 * ((y[:, None] - t[None, :]) / sigma) ** 2, axis=1)
+        log_ref -= math.log(m * math.sqrt(2.0 * math.pi) * sigma)
+        dens = segment_masses(mu, sigma, y).sum(axis=1)
+        assert np.all(dens > 0)
+        np.testing.assert_allclose(np.log(dens), log_ref, rtol=0, atol=1e-6)
+
+    def test_mixture_is_the_row_sum_of_segment_masses(self):
+        # the window reaches 60 sigma past range(mu), where the mixture
+        # skips evaluation; the skipped points must be the exact zeros
+        mu = _gp_transfer(np.random.default_rng(9), 33)
+        sigma = 0.05
+        spec = GridSpec(mu.lo - 60 * sigma, mu.hi + 60 * sigma, 1500)
+        rows = segment_masses(mu, sigma, spec.points()).sum(axis=1)
+        assert np.sum(rows == 0.0) > 300
+        out = mixture_density(mu, sigma, spec)
+        np.testing.assert_array_equal(out.values, GridDensity(spec.lo, spec.hi, rows).values)
+
+    def test_mass_conserved_on_minimal_window(self):
+        rng = np.random.default_rng(5)
+        sigma = 0.1
+        mu = _gp_transfer(rng, 64)
+        spec = GridSpec(mu.lo - 8 * sigma, mu.hi + 8 * sigma, 2048)
+        out = mixture_density(mu, sigma, spec)
+        assert abs(out.mass_loss) < 1e-9
 
 
 class TestInducedHistogram:
@@ -166,6 +254,15 @@ class TestInducedHistogram:
         hist = induced_histogram(TransferFunction.constant(0.3), n_bins=4)
         assert hist.masses.sum() == pytest.approx(1.0)
         assert hist.bin_edges[-1] > hist.bin_edges[0]
+
+    def test_non_monotone_transfer_matches_fine_sampling(self):
+        mu = TransferFunction(
+            np.array([0.0, 0.2, 0.5, 0.6, 1.0]), np.array([0.0, 1.0, 1.0, 0.3, 0.8])
+        )
+        hist = induced_histogram(mu, n_bins=7)
+        n = 1 << 20
+        counts, _ = np.histogram(mu((np.arange(n) + 0.5) / n), bins=hist.bin_edges)
+        np.testing.assert_allclose(hist.masses, counts / n, atol=1e-5)
 
     def test_bin_count_validated(self):
         with pytest.raises(ValueError, match="n_bins"):
