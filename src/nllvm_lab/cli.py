@@ -291,7 +291,7 @@ def _cmd_vi(cfg: RunConfig):
         data,
         params["alpha"],
         knots=params["knots"],
-        opt=OptConfig(iters=params["iters"], seed=cfg.seed),
+        opt=OptConfig(iters=params["iters"]),
     )
     spec = model.prior_density.spec
     q = q_density(result.params, spec)

@@ -284,20 +284,14 @@ def practical_objective(
     return alpha * fit + kl
 
 
-def psi_diagnostic(
+def _fit_term_and_kl(
     params: VariationalParams,
     model: BayesModel,
     data,
     alpha: float,
-    *,
-    spec: Optional[GridSpec] = None,
-) -> float:
-    """Model-fit term plus alpha^{-1} KL(q || prior), for simulation studies.
-
-    The model-fit term is E_q of the summed log-likelihood ratio against
-    theta_star, so it needs the true parameter and is not a training
-    objective; the regularizer enters with a plus sign.
-    """
+    spec: Optional[GridSpec],
+) -> tuple:
+    """E_q of the summed log-likelihood ratio against theta_star, and KL(q || prior)."""
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0,1), got {alpha}")
     data = np.asarray(data, dtype=float)
@@ -312,7 +306,24 @@ def psi_diagnostic(
     kl = kl_values(q.values, prior_vals, q.spacing)
     loglik = total_loglik(model, data, grid)
     l_star = float(np.sum(model.log_likelihood(model.theta_star, data)))
-    fit_term = l_star - float(trapezoid(q.values * loglik, dx=q.spacing))
+    return l_star - float(trapezoid(q.values * loglik, dx=q.spacing)), kl
+
+
+def psi_diagnostic(
+    params: VariationalParams,
+    model: BayesModel,
+    data,
+    alpha: float,
+    *,
+    spec: Optional[GridSpec] = None,
+) -> float:
+    """Model-fit term plus alpha^{-1} KL(q || prior), for simulation studies.
+
+    The model-fit term is E_q of the summed log-likelihood ratio against
+    theta_star, so it needs the true parameter and is not a training
+    objective; the regularizer enters with a plus sign.
+    """
+    fit_term, kl = _fit_term_and_kl(params, model, data, alpha, spec)
     return fit_term + kl / alpha
 
 
@@ -325,12 +336,7 @@ def model_fit_term(
     spec: Optional[GridSpec] = None,
 ) -> float:
     """The diagnostic minus its regularizer (the pure likelihood-ratio term)."""
-    psi = psi_diagnostic(params, model, data, alpha, spec=spec)
-    if spec is None:
-        spec = model.prior_density.spec
-    q = q_density(params, spec)
-    kl = kl_values(q.values, _prior_on(model, q.grid), q.spacing)
-    return psi - kl / alpha
+    return _fit_term_and_kl(params, model, data, alpha, spec)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -339,11 +345,9 @@ def model_fit_term(
 
 @dataclass(frozen=True)
 class OptConfig:
-    """Optimizer knobs; ``init`` overrides the model-supplied initializer."""
+    """Optimizer knobs: the cap on coordinate-descent sweeps."""
 
     iters: int = 60
-    seed: int = 0
-    init: Optional[VariationalParams] = None
 
 
 @dataclass(eq=False)
@@ -377,7 +381,7 @@ def _default_init(
     )
 
 
-def _work_window(init: VariationalParams, knots: int, n_grid: int = 1024) -> GridSpec:
+def _work_window(init: VariationalParams, n_grid: int = 1024) -> GridSpec:
     values = init.mu.values
     sigma = init.sigma
     scale = max(sigma, float(np.std(values)), 1e-4)
@@ -411,15 +415,13 @@ def optimize(
         raise ValueError("data must be non-empty")
     opt = opt or OptConfig()
 
-    if opt.init is not None:
-        init = opt.init
-    elif model.init_guess is not None:
+    if model.init_guess is not None:
         init = model.init_guess(data, alpha, knots)
     else:
         init = _default_init(model, data, alpha, knots)
 
     knot_grid = init.mu.knots
-    spec = _work_window(init, knots)
+    spec = _work_window(init)
     grid = spec.points()
     loglik = total_loglik(model, data, grid)
     sigma_lo = 2.0 * spec.spacing
@@ -735,7 +737,11 @@ def normal_mean_model(
     def init_guess(data, alpha, knots):
         data = np.asarray(data, float)
         m0 = float(np.clip(data.mean(), -prior_halfwidth + 0.05, prior_halfwidth - 0.05))
-        s0 = sigma / math.sqrt(max(1.0, alpha * data.size))
+        # ten spreads inside the flat prior's edge keep q's start within its support
+        s0 = min(
+            sigma / math.sqrt(max(1.0, alpha * data.size)),
+            (prior_halfwidth - abs(m0)) / 10.0,
+        )
         tau = s0 / math.sqrt(2.0)
         return VariationalParams(
             mu=normal_quantile_transfer(m0, tau, n_knots=knots),

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -62,7 +62,11 @@ class McmcConfig:
 
 @dataclass(eq=False)
 class NLLVMState:
-    """One point of the (mu, sigma, eta) chain."""
+    """One point of the (mu, sigma, eta) chain.
+
+    ``log_post`` is the unnormalized log posterior that :func:`fit_mcmc`
+    sets on every kept state; the update steps carry it over unchanged.
+    """
 
     mu_values: np.ndarray
     sigma: float
@@ -103,15 +107,10 @@ class PosteriorSamples:
                 raise ValueError(f"acceptance rate for {name} out of [0,1]: {rate}")
 
 
-def _mu_at(state: NLLVMState, x: np.ndarray) -> np.ndarray:
+def _residual_ss(state: NLLVMState, data: np.ndarray) -> float:
     knots = np.linspace(0.0, 1.0, state.mu_values.size)
-    return np.interp(x, knots, state.mu_values)
-
-
-def _residual_loglik(state: NLLVMState, data: np.ndarray) -> float:
-    resid = data - _mu_at(state, state.eta)
-    n = data.size
-    return float(-n * math.log(state.sigma) - resid @ resid / (2.0 * state.sigma**2))
+    resid = data - np.interp(state.eta, knots, state.mu_values)
+    return float(resid @ resid)
 
 
 def update_latents(
@@ -163,22 +162,23 @@ def update_latents(
         )
         eta = np.where(dead, u, eta)
 
-    new = replace(state, eta=eta)
-    delta = _residual_loglik(new, data) - _residual_loglik(state, data)
-    return replace(new, log_post=state.log_post + delta)
+    return replace(state, eta=eta)
 
 
-def _interp_design(eta: np.ndarray, n_knots: int) -> np.ndarray:
-    """Dense n x k matrix W with (W @ mu)[i] = linear interp of mu at eta_i."""
-    spacing = 1.0 / (n_knots - 1)
-    pos = np.clip(eta, 0.0, 1.0) / spacing
+def _tridiagonal_gram(eta: np.ndarray, data: np.ndarray, n_knots: int) -> tuple:
+    """W^T W and W^T y for the linear-interpolation design W of the latents.
+
+    Row i of W holds 1 - t_i and t_i at the knots left and right of eta_i,
+    so W^T W is tridiagonal; both are summed per knot with bincount.
+    """
+    pos = eta * (n_knots - 1)
     left = np.minimum(pos.astype(int), n_knots - 2)
     t = pos - left
-    w = np.zeros((eta.size, n_knots))
-    rows = np.arange(eta.size)
-    w[rows, left] = 1.0 - t
-    w[rows, left + 1] = t
-    return w
+    s = 1.0 - t
+    diag = np.bincount(left, s * s, n_knots) + np.bincount(left + 1, t * t, n_knots)
+    off = np.bincount(left, s * t, n_knots - 1)
+    wty = np.bincount(left, s * data, n_knots) + np.bincount(left + 1, t * data, n_knots)
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1), wty
 
 
 def update_transfer(
@@ -186,53 +186,23 @@ def update_transfer(
     data: np.ndarray,
     cfg: GPPriorConfig,
     rng: np.random.Generator,
-    *,
-    rescale: Optional[float] = None,
-    kernel_chol: Optional[np.ndarray] = None,
+    k_inv: np.ndarray,
 ) -> NLLVMState:
     """Gibbs draw of the transfer values from the GP-regression conditional.
 
     Given the latents, the model is a Gaussian regression of y on mu at the
     interpolated latent positions, so the conditional of the knot values is
-    Gaussian with precision K^-1 + W^T W / sigma^2.
+    Gaussian with precision K^-1 + W^T W / sigma^2 and mean
+    prec^-1 W^T y / sigma^2.  ``k_inv`` is K^-1 on the knots, fixed for a
+    run; with no data the draw comes from the prior.
     """
     data = np.asarray(data, dtype=float)
     k = state.mu_values.size
-    knots = np.linspace(0.0, 1.0, k)
-    if rescale is None:
-        if not isinstance(cfg.rescale_dist, FixedRescale):
-            raise ValueError("rescale must be given explicitly for a non-fixed prior")
-        rescale = cfg.rescale_dist.value
-    if kernel_chol is None:
-        kernel_chol = _chol_with_escalation(
-            se_kernel(knots, knots, cfg.variance, rescale), cfg.jitter
-        )
-
+    gram, wty = _tridiagonal_gram(state.eta, data, k)
+    prec_chol = _chol_with_escalation(k_inv + gram / state.sigma**2, cfg.jitter)
+    mean = cho_solve((prec_chol, True), wty / state.sigma**2)
     z = rng.standard_normal(k)
-    if data.size == 0:
-        mu_new = kernel_chol @ z
-    else:
-        w = _interp_design(state.eta, k)
-        k_inv = cho_solve((kernel_chol, True), np.eye(k))
-        prec = k_inv + w.T @ w / state.sigma**2
-        prec_chol = _chol_with_escalation(prec, cfg.jitter)
-        mean = cho_solve((prec_chol, True), w.T @ data / state.sigma**2)
-        mu_new = mean + solve_triangular(prec_chol.T, z, lower=False)
-
-    old_quad = _gp_quad(state.mu_values, kernel_chol)
-    new = replace(state, mu_values=mu_new)
-    delta = (
-        _gp_quad(mu_new, kernel_chol)
-        - old_quad
-        + _residual_loglik(new, data)
-        - _residual_loglik(state, data)
-    )
-    return replace(new, log_post=state.log_post + delta)
-
-
-def _gp_quad(mu: np.ndarray, kernel_chol: np.ndarray) -> float:
-    v = solve_triangular(kernel_chol, mu, lower=True)
-    return float(-0.5 * (v @ v))
+    return replace(state, mu_values=mean + solve_triangular(prec_chol.T, z, lower=False))
 
 
 def _sigma_logtarget(
@@ -263,8 +233,7 @@ def update_sigma(
     acceptance by comparing sigma values.
     """
     data = np.asarray(data, dtype=float)
-    resid = data - _mu_at(state, state.eta)
-    ss = float(resid @ resid)
+    ss = _residual_ss(state, data)
     n = data.size
 
     log_prop = math.log(state.sigma) + step * rng.standard_normal()
@@ -276,10 +245,7 @@ def update_sigma(
         - math.log(state.sigma)
     )
     if math.log(1.0 - rng.random()) < log_ratio:
-        delta = _sigma_logtarget(prop, ss, n, cfg.sigma_prior) - _sigma_logtarget(
-            state.sigma, ss, n, cfg.sigma_prior
-        )
-        return replace(state, sigma=prop, log_post=state.log_post + delta)
+        return replace(state, sigma=prop)
     return state
 
 
@@ -335,9 +301,9 @@ def fit_mcmc(
     kernel_chol = _chol_with_escalation(
         se_kernel(knots, knots, cfg.variance, rescale), cfg.jitter
     )
+    k_inv = cho_solve((kernel_chol, True), np.eye(n_knots))
 
     state = _initial_state(data, n_knots, init_mu, init_sigma)
-    state = replace(state, log_post=_full_log_post(state, data, cfg, kernel_chol))
 
     step = 0.1
     kept = []
@@ -346,9 +312,7 @@ def fit_mcmc(
     for it in range(1, mcmc.iters + 1):
         try:
             state = update_latents(state, data, rng)
-            state = update_transfer(
-                state, data, cfg, rng, rescale=rescale, kernel_chol=kernel_chol
-            )
+            state = update_transfer(state, data, cfg, rng, k_inv)
             prev_sigma = state.sigma
             state = update_sigma(state, data, cfg, rng, step=step)
         except (ValueError, ArithmeticError) as exc:
@@ -401,12 +365,9 @@ def _full_log_post(
     cfg: GPPriorConfig,
     kernel_chol: np.ndarray,
 ) -> float:
-    a, b = cfg.sigma_prior
-    return (
-        _gp_quad(state.mu_values, kernel_chol)
-        - (a + 1.0) * math.log(state.sigma)
-        - b / state.sigma
-        + _residual_loglik(state, data)
+    v = solve_triangular(kernel_chol, state.mu_values, lower=True)
+    return float(-0.5 * (v @ v)) + _sigma_logtarget(
+        state.sigma, _residual_ss(state, data), data.size, cfg.sigma_prior
     )
 
 

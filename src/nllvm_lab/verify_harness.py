@@ -37,6 +37,7 @@ from .gpivi import (
     RestrictedFamily,
     RestrictedFamilySpec,
     UnsupportedError,
+    _work_window,
     kl_ball_mask,
     normal_normal_model,
     optimize,
@@ -479,11 +480,7 @@ def hellinger_risk_experiment(
         rng = seeded_rng(seed, "hellinger-risk", n, rep)
         data = model.sample_data(rng, n)
         fit = optimize(model, data, alpha, knots=knots, opt=OptConfig(iters=opt_iters))
-        values = fit.params.mu.values
-        scale = max(fit.params.sigma, float(np.std(values)), 1e-4)
-        center = 0.5 * (float(values.min()) + float(values.max()))
-        half = max(20.0 * scale, 0.5 * float(np.ptp(values)) + 10.0 * scale)
-        qspec = GridSpec(center - half, center + half, 2048)
+        qspec = _work_window(fit.params, n_grid=2048)
         q = mixture_density(fit.params.mu, fit.params.sigma, qspec)
         renyi_half = per_datum_renyi(model, 0.5, q.grid)
         h2 = 1.0 - np.exp(-renyi_half / 2.0)

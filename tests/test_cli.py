@@ -248,6 +248,19 @@ class TestMainEndToEnd:
             "theta", "variational_density", "posterior_density",
         ]
 
+    def test_vi_normal_mean_default_flags(self, tmp_path):
+        # the flat prior on [-1, 1] with default flags: the start must put
+        # no q mass outside the prior's support, or the fit cannot begin
+        rng = np.random.default_rng(1)
+        csv = tmp_path / "nm.csv"
+        csv.write_text("\n".join(f"{v:.6f}" for v in rng.normal(0.3, 1.0, 30)) + "\n")
+        out = tmp_path / "nm.json"
+        rc = main(["vi", "--data", str(csv), "--model", "normal-mean", "--out", str(out)])
+        assert rc == 0
+        metrics = json.loads(out.read_text())["metrics"]
+        assert metrics["model"] == "normal-mean"
+        assert np.isfinite(metrics["objective"])
+
     def test_vi_logistic_uses_quadrature_posterior(self, tmp_path):
         rng = np.random.default_rng(2)
         csv = tmp_path / "logit.csv"

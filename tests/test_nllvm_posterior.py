@@ -8,6 +8,8 @@ Oracles
 * With latents pinned at the knots, tiny noise, and repeated
   observations, the GP-regression conditional pulls the drawn knot
   values onto the regression targets.
+* The per-knot sums behind the transfer step's tridiagonal W^T W and W^T y
+  equal the products of a dense interpolation design W.
 * The posterior predictive of a single-state ensemble is exactly that
   state's location mixture.
 """
@@ -16,14 +18,22 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve
 from scipy.stats import kstest
 
-from nllvm_lab.gp_prior import FixedRescale, GammaRescale, GPPriorConfig
+from nllvm_lab.gp_prior import (
+    FixedRescale,
+    GammaRescale,
+    GPPriorConfig,
+    _chol_with_escalation,
+    se_kernel,
+)
 from nllvm_lab.grid_density import GridSpec
 from nllvm_lab.nllvm_posterior import (
     McmcConfig,
     NLLVMState,
     PosteriorSamples,
+    _tridiagonal_gram,
     contraction_experiment,
     fit_mcmc,
     predictive_density,
@@ -128,8 +138,28 @@ class TestUpdateLatents:
         assert 0.0 <= new.eta[0] <= 1.0
 
 
+def _k_inv(cfg: GPPriorConfig, n_knots: int) -> np.ndarray:
+    knots = np.linspace(0.0, 1.0, n_knots)
+    kernel = se_kernel(knots, knots, cfg.variance, cfg.rescale_dist.value)
+    return cho_solve((_chol_with_escalation(kernel, cfg.jitter), True), np.eye(n_knots))
+
+
 class TestUpdateTransfer:
     """GP-regression conditional for the knot values."""
+
+    @pytest.mark.parametrize("n_knots", [2, 3, 16, 64])
+    def test_tridiagonal_gram_matches_dense_design(self, n_knots):
+        # random latents plus the edge cases: exactly 0, exactly 1 and
+        # exactly on an interior knot
+        rng = np.random.default_rng(n_knots)
+        knots = np.linspace(0.0, 1.0, n_knots)
+        eta = np.r_[rng.random(200), 0.0, 1.0, knots[n_knots // 2], knots[1]]
+        data = rng.normal(0.0, 1.0, eta.size)
+        # dense reference: row i interpolates the knot values at eta_i
+        w = np.stack([np.interp(eta, knots, col) for col in np.eye(n_knots)], axis=1)
+        gram, wty = _tridiagonal_gram(eta, data, n_knots)
+        np.testing.assert_allclose(gram, w.T @ w, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(wty, w.T @ data, rtol=1e-12, atol=0.0)
 
     def test_informative_data_pins_the_curve(self, cfg):
         # latents sit exactly on the knots, each observed 10 times with
@@ -141,22 +171,17 @@ class TestUpdateTransfer:
         data = np.tile(target, 10)
         for seed in (0, 1):
             drawn = update_transfer(
-                state, data, cfg, np.random.default_rng(seed), rescale=5.0
+                state, data, cfg, np.random.default_rng(seed), _k_inv(cfg, nk)
             )
             assert np.max(np.abs(drawn.mu_values - target)) < 0.05
 
     def test_empty_data_gives_prior_draw(self, cfg):
         state = NLLVMState(np.zeros(16), 0.1, np.array([]), 0.0)
-        a = update_transfer(state, np.array([]), cfg, np.random.default_rng(2))
-        b = update_transfer(state, np.array([]), cfg, np.random.default_rng(2))
+        k_inv = _k_inv(cfg, 16)
+        a = update_transfer(state, np.array([]), cfg, np.random.default_rng(2), k_inv)
+        b = update_transfer(state, np.array([]), cfg, np.random.default_rng(2), k_inv)
         np.testing.assert_array_equal(a.mu_values, b.mu_values)
         assert np.std(a.mu_values) > 0
-
-    def test_non_fixed_rescale_needs_explicit_value(self):
-        gamma_cfg = GPPriorConfig(rescale_dist=GammaRescale(2.0, 0.1))
-        state = NLLVMState(np.zeros(16), 0.1, np.array([0.5]), 0.0)
-        with pytest.raises(ValueError, match="rescale"):
-            update_transfer(state, np.array([0.3]), gamma_cfg, np.random.default_rng(0))
 
 
 class TestUpdateSigma:
