@@ -14,7 +14,7 @@ density-ratio estimation anywhere.
 The module also ships the quantities used by the risk analysis: KL
 neighborhoods of the true parameter, prior mass of those neighborhoods, the
 per-datum Renyi risk of a fitted q, and the restricted Gaussian-family
-minimum KL to an exact posterior.
+minimum KL to an exact Gaussian posterior.
 """
 
 from __future__ import annotations
@@ -511,12 +511,18 @@ def optimize(
 
 
 class RestrictedFamily:
-    """Precomputed density matrix of the mean x tau comparator grid.
+    """The mean x tau comparator lattice, summarized by one member per tau.
 
-    Building the members is the expensive part (each is a 513-knot
-    quantile mixture), so the family is constructed once per (spec, grid) and
-    reused across data replicates; ``min_kl`` against a posterior is then a
-    matrix-vector product.
+    A member is the 513-knot N(m, tau^2) quantile transfer with noise
+    sigma_n.  Members that share tau are translates of one base member g_tau,
+    built at the window's centre c where it has the most room, so against a
+    Gaussian posterior N(a, b^2) each lattice KL has the closed form
+
+        KL(m, tau) = int g log g + log(2 pi b^2) / 2
+                     + (V + (m - c + m1 - a)^2) / (2 b^2)
+
+    in three grid-trapezoid numbers per tau: int g log g (log floored at
+    DENSITY_FLOOR), the mean m1 and the variance V of g_tau.
     """
 
     N_MEANS = 41
@@ -527,57 +533,30 @@ class RestrictedFamily:
         self.grid_spec = grid_spec
         self.means = np.linspace(-spec.M, spec.M, self.N_MEANS)
         self.taus = np.geomspace(spec.sigma_n, math.sqrt(spec.c0) * spec.sigma_n, self.N_TAUS)
-        grid = grid_spec.points()
-        members = []
-        labels = []
-        for m_val in self.means:
-            for tau in self.taus:
-                params = VariationalParams(
-                    mu=normal_quantile_transfer(m_val, tau),
-                    log_sigma=math.log(spec.sigma_n),
-                )
-                dens = q_density(params, grid_spec)
-                members.append(dens.values)
-                labels.append((float(m_val), float(tau)))
-        self.members = np.asarray(members)
-        self.labels = labels
-        # trapezoid weights let entropy and cross terms become dot products
-        w = np.full(grid.size, grid_spec.spacing)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        self._weights = w
-        logm = np.log(np.maximum(self.members, DENSITY_FLOOR))
-        self._neg_entropy = (self.members * logm) @ w
+        self._center = 0.5 * (grid_spec.lo + grid_spec.hi)
+        grid, h = grid_spec.points(), grid_spec.spacing
+        base = np.array([
+            mixture_density(
+                normal_quantile_transfer(self._center, tau), spec.sigma_n, grid_spec
+            ).values
+            for tau in self.taus
+        ])
+        self._neg_entropy = trapezoid(base * np.log(np.maximum(base, DENSITY_FLOOR)), dx=h)
+        self._mean = trapezoid(base * grid, dx=h)
+        self._var = trapezoid(base * (grid - self._mean[:, None]) ** 2, dx=h)
 
-    def min_kl(self, posterior: GridDensity) -> float:
-        """min over members of KL(member || posterior) on the shared grid."""
-        if posterior.spec != self.grid_spec:
-            raise ValueError("posterior grid does not match the family grid")
-        logp = np.log(np.maximum(posterior.values, DENSITY_FLOOR))
-        kls = self._neg_entropy - self.members @ (self._weights * logp)
-        return float(kls.min())
-
-
-def restricted_min_kl(
-    spec: RestrictedFamilySpec,
-    model: BayesModel,
-    data,
-    *,
-    grid_spec: Optional[GridSpec] = None,
-    family: Optional[RestrictedFamily] = None,
-) -> float:
-    """Minimum KL from the comparator family to the exact posterior."""
-    if model.exact_posterior is None:
-        raise UnsupportedError(
-            f"model {model.name!r} has no exact posterior; the restricted-family "
-            "diagnostic needs one"
+    def min_kl(self, post_mean: float, post_sd: float) -> float:
+        """min over the lattice of KL(member || N(post_mean, post_sd^2))."""
+        if not post_sd > 0:
+            raise ValueError(f"post_sd must be positive, got {post_sd}")
+        var = post_sd**2
+        offset = self.means[:, None] - self._center + self._mean - post_mean
+        kls = (
+            self._neg_entropy
+            + 0.5 * math.log(2.0 * math.pi * var)
+            + (self._var + offset**2) / (2.0 * var)
         )
-    if family is None:
-        if grid_spec is None:
-            grid_spec = model.prior_density.spec
-        family = RestrictedFamily(spec, grid_spec)
-    posterior = model.exact_posterior(np.asarray(data, float), spec=family.grid_spec)
-    return family.min_kl(posterior)
+        return float(kls.min())
 
 
 # ---------------------------------------------------------------------------

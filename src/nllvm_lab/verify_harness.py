@@ -39,7 +39,6 @@ from .gpivi import (
     UnsupportedError,
     _work_window,
     kl_ball_mask,
-    normal_normal_model,
     optimize,
     per_datum_renyi,
     risk_bound_rhs,
@@ -184,6 +183,18 @@ def check_logsup_bound(
     )
 
 
+def _conjugate_posterior(
+    sums, n: int, obs_sigma: float, prior_mu: float, prior_sigma: float
+):
+    """Conjugate posterior (mean, variance) of a normal mean.
+
+    ``n`` draws with sum ``sums`` (an array for several data sets), noise
+    ``obs_sigma``, prior N(prior_mu, prior_sigma^2).
+    """
+    var = 1.0 / (n / obs_sigma**2 + 1.0 / prior_sigma**2)
+    return (sums / obs_sigma**2 + prior_mu / prior_sigma**2) * var, var
+
+
 def chi2_limit_experiment(
     n: int,
     reps: int,
@@ -208,7 +219,6 @@ def chi2_limit_experiment(
         raise ValueError(f"need n >= 1000, got {n}")
     rng = seeded_rng(seed, "chi2-limit", n)
 
-    post_var = 1.0 / (n / obs_sigma**2 + 1.0 / prior_sigma**2)
     oracle_var = obs_sigma**2 / n
 
     kls = np.empty(reps)
@@ -216,8 +226,9 @@ def chi2_limit_experiment(
     for start in range(0, reps, chunk):
         size = min(chunk, reps - start)
         draws = rng.normal(theta_star, obs_sigma, size=(size, n))
-        sums = draws.sum(axis=1)
-        post_mean = (sums / obs_sigma**2 + prior_mu / prior_sigma**2) * post_var
+        post_mean, post_var = _conjugate_posterior(
+            draws.sum(axis=1), n, obs_sigma, prior_mu, prior_sigma
+        )
         kls[start : start + size] = (
             0.5 * math.log(post_var / oracle_var)
             + (oracle_var + (theta_star - post_mean) ** 2) / (2.0 * post_var)
@@ -352,6 +363,16 @@ def _witness_regularization(
     return reg, mass
 
 
+def _sample_sizes(n_list: Sequence[int], reps: int) -> list[int]:
+    """``n_list`` as ints, after checking that it and ``reps`` are usable."""
+    if reps < 1:
+        raise ValueError(f"reps must be >= 1, got {reps}")
+    n_arr = [int(n) for n in n_list]
+    if not n_arr or min(n_arr) < 1:
+        raise ValueError(f"n_list needs sample sizes >= 1, got {n_arr}")
+    return n_arr
+
+
 def risk_bound_experiment(
     model: BayesModel,
     n_list: Sequence[int],
@@ -380,9 +401,9 @@ def risk_bound_experiment(
         )
     if model.sample_data is None:
         raise UnsupportedError("model has no data sampler")
+    n_arr = _sample_sizes(n_list, reps)
     if eps_rule is None:
         eps_rule = lambda n: 1.0 / math.sqrt(n)
-    n_arr = [int(n) for n in n_list]
 
     per_n = {}
     worst = -math.inf
@@ -472,7 +493,7 @@ def hellinger_risk_experiment(
     """
     if model.sample_data is None:
         raise UnsupportedError("model has no data sampler")
-    n_arr = [int(n) for n in sorted(n_list)]
+    n_arr = sorted(_sample_sizes(n_list, reps))
     tasks = [(n, rep) for n in n_arr for rep in range(reps)]
 
     def one(task) -> float:
@@ -518,17 +539,14 @@ def restricted_min_kl_experiment(
 
     For the conjugate Gaussian model at several sample sizes, the 95th
     percentile (over data replicates) of the minimum KL from the restricted
-    family to the exact posterior must stay within ``ratio_cap`` times its
-    value at the smallest n — boundedness, not decay.
+    family to the exact posterior N(a, b^2) (data N(0, sigma_model^2), prior
+    N(0, prior_sigma^2)) must stay within ``ratio_cap`` times its value at
+    the smallest n — boundedness, not decay.
     """
-    model = normal_normal_model(
-        sigma=sigma_model,
-        prior_mu=0.0,
-        prior_sigma=prior_sigma,
-        theta_star=0.0,
-    )
+    if not (sigma_model > 0 and prior_sigma > 0):
+        raise ValueError("sigma_model and prior_sigma must be positive")
     gspec = GridSpec(-2.0 * m_bound, 2.0 * m_bound, grid_n)
-    n_arr = [int(n) for n in n_list]
+    n_arr = _sample_sizes(n_list, reps)
 
     percentiles = []
     for n in n_arr:
@@ -539,9 +557,11 @@ def restricted_min_kl_experiment(
         rng = seeded_rng(seed, "restricted-min-kl", n)
         vals = np.empty(reps)
         for rep in range(reps):
-            data = model.sample_data(rng, n)
-            posterior = model.exact_posterior(data, spec=gspec)
-            vals[rep] = family.min_kl(posterior)
+            data = sigma_model * rng.standard_normal(n)
+            post_mean, post_var = _conjugate_posterior(
+                data.sum(), n, sigma_model, 0.0, prior_sigma
+            )
+            vals[rep] = family.min_kl(post_mean, math.sqrt(post_var))
         percentiles.append(float(np.percentile(vals, 95)))
 
     base = percentiles[0]

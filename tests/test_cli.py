@@ -314,6 +314,22 @@ class TestMainEndToEnd:
 
         assert run("a") == run("b")
 
+    def test_reports_identical_across_thread_counts(self, tmp_path, monkeypatch):
+        # risk-bound runs its replicates on the parallel_map pool
+        def run(threads: str) -> dict:
+            monkeypatch.setenv("NLLVM_LAB_THREADS", threads)
+            out = tmp_path / f"threads{threads}.json"
+            rc = main(["verify", "risk-bound", "--n-list", "50,100", "--reps", "2",
+                       "--out", str(out)])
+            raw = json.loads(out.read_text())
+            assert rc == (0 if raw["pass"] else 1)
+            raw.pop("runtime_ms")
+            raw["config"].pop("output_path")
+            raw["metrics"].pop("plot_csv")
+            return raw
+
+        assert run("1") == run("2")
+
     def test_runtime_failure_exits_one(self, tmp_path, capsys):
         rc = main(["estimate", "--data", str(tmp_path / "absent.csv"),
                    "--out", str(tmp_path / "o.json")])

@@ -21,6 +21,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import trapezoid
 from scipy.stats import norm
 
@@ -47,12 +49,18 @@ from nllvm_lab.gpivi import (
     psi_diagnostic,
     q_density,
     quadrature_posterior,
-    restricted_min_kl,
     risk_bound_rhs,
     risk_integral,
     total_loglik,
 )
-from nllvm_lab.grid_density import GridSpec, ResolutionError, kl_values
+from nllvm_lab.grid_density import (
+    DENSITY_FLOOR,
+    GridDensity,
+    GridSpec,
+    ResolutionError,
+    kl_values,
+)
+from nllvm_lab.transfer_map import mixture_density
 
 
 @pytest.fixture(scope="module")
@@ -315,6 +323,28 @@ class TestOptimize:
         assert a.params.log_sigma == b.params.log_sigma
 
 
+def _member_matrix_min_kl(family: RestrictedFamily):
+    """Reference: all 41 x 9 members tabulated, KL to a grid posterior."""
+    gs, sigma_n = family.grid_spec, family.spec.sigma_n
+    members = np.array([
+        mixture_density(normal_quantile_transfer(m, tau), sigma_n, gs).values
+        for m in family.means
+        for tau in family.taus
+    ])
+    w = np.full(gs.n, gs.spacing)
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    neg_entropy = (members * np.log(np.maximum(members, DENSITY_FLOOR))) @ w
+    grid = gs.points()
+
+    def min_kl(a: float, b: float) -> float:
+        post = GridDensity(gs.lo, gs.hi, np.exp(-((grid - a) ** 2) / (2.0 * b**2)))
+        logp = np.log(np.maximum(post.values, DENSITY_FLOOR))
+        return float((neg_entropy - members @ (w * logp)).min())
+
+    return min_kl
+
+
 @pytest.fixture(scope="module")
 def family() -> RestrictedFamily:
     spec = RestrictedFamilySpec(M=1.0, sigma_n=0.3, c0=2.0)
@@ -322,34 +352,42 @@ def family() -> RestrictedFamily:
 
 
 class TestRestrictedFamily:
-    """Comparator-family minimum KL."""
+    """Comparator-family minimum KL to a Gaussian posterior."""
 
-    def test_member_attains_zero(self, family):
-        # the KL from a family member to itself is zero on the shared grid
-        m_val, tau = family.labels[200]
-        member = VariationalParams(
-            normal_quantile_transfer(m_val, tau), math.log(0.3)
-        )
-        dens = q_density(member, family.grid_spec)
-        assert abs(family.min_kl(dens)) < 1e-10
-
-    def test_grid_mismatch_rejected(self, family, nn):
-        other = nn.exact_posterior(np.array([0.3]), spec=GridSpec(-8.0, 8.0, 512))
-        with pytest.raises(ValueError, match="grid"):
-            family.min_kl(other)
+    # (sigma_n, window): the symmetric fixture, and a window off-centre by
+    # one M, whose base member therefore has mean m1 = 1 rather than 0; both
+    # leave >= 4 M between the lattice and the window edges
+    @pytest.mark.parametrize(
+        "sigma_n, grid_spec",
+        [(0.3, GridSpec(-8.0, 8.0, 1024)), (0.15, GridSpec(-5.0, 7.0, 512))],
+        ids=["centred", "off-centre"],
+    )
+    def test_matches_member_matrix(self, sigma_n, grid_spec):
+        spec = RestrictedFamilySpec(M=1.0, sigma_n=sigma_n, c0=2.0)
+        family = RestrictedFamily(spec, grid_spec)
+        reference = _member_matrix_min_kl(family)
+        for a in (-1.0, -0.55, 0.0, 0.37, 1.0):
+            for b in (0.3 * sigma_n, sigma_n, 2.0 * sigma_n):
+                assert family.min_kl(a, b) == pytest.approx(reference(a, b), rel=1e-10, abs=0)
 
     def test_family_shape(self, family):
-        assert family.members.shape == (
-            RestrictedFamily.N_MEANS * RestrictedFamily.N_TAUS,
-            1024,
-        )
+        assert family.means.shape == (RestrictedFamily.N_MEANS,)
+        assert family.means[[0, -1]].tolist() == [-1.0, 1.0]
+        assert family.taus.shape == (RestrictedFamily.N_TAUS,)
         assert family.taus[0] == pytest.approx(0.3)
         assert family.taus[-1] == pytest.approx(0.3 * math.sqrt(2.0))
 
-    def test_needs_exact_posterior(self):
-        spec = RestrictedFamilySpec(M=1.0, sigma_n=0.3, c0=2.0)
-        with pytest.raises(UnsupportedError, match="exact posterior"):
-            restricted_min_kl(spec, logistic_model(), np.array([1.0, 0.0]))
+    def test_nonpositive_sd_rejected(self, family):
+        with pytest.raises(ValueError, match="post_sd"):
+            family.min_kl(0.0, 0.0)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        a=st.floats(-1.0, 1.0),
+        log_b=st.floats(math.log(1e-6), math.log(1e3)),
+    )
+    def test_min_kl_non_negative(self, family, a, log_b):
+        assert family.min_kl(a, math.exp(log_b)) >= 0.0
 
 
 class TestRiskQuantities:

@@ -12,6 +12,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.stats import kstest, norm
 
 from nllvm_lab.grid_density import (
@@ -269,6 +272,30 @@ class TestDivergenceClosedForms:
         assert set(DIVERGENCE_KINDS) == {
             "kl", "v", "hellinger_sq", "l1", "sup_log_ratio", "renyi",
         }
+
+
+@st.composite
+def _density_pair(draw) -> tuple:
+    """Two arbitrary non-negative densities, zeros allowed, on one grid."""
+    n = draw(st.integers(16, 64))
+    values = hnp.arrays(np.float64, n, elements=st.floats(0.0, 1e3))
+    p, q = draw(values), draw(values)
+    assume(p.sum() > 0 and q.sum() > 0)
+    return GridDensity(0.0, 1.0, p), GridDensity(0.0, 1.0, q)
+
+
+class TestDivergenceAxioms:
+    """Range axioms of the divergences on arbitrary grid densities."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(pair=_density_pair())
+    def test_ranges(self, pair):
+        p, q = pair
+        assert divergence(KL, p, q) >= 0.0
+        assert divergence(V, p, q) >= 0.0
+        h2 = divergence(HELLINGER_SQ, p, q)
+        assert -1e-12 <= h2 <= 1.0
+        assert divergence(L1, p, q) <= 2.0 + 1e-12
 
 
 class TestKlValues:

@@ -12,6 +12,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import trapezoid
 from scipy.special import logsumexp
 from scipy.stats import norm
 
@@ -195,6 +198,24 @@ class TestSegmentMasses:
             masses = segment_masses(mu, sigma, y)
             assert masses.shape == (y.size, n_knots - 1)
             assert np.max(np.abs(masses - ref)) < 1e-6
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        values=st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=20),
+        sigma=st.floats(0.05, 1.0),
+    )
+    def test_rows_are_mixture_density(self, values, sigma):
+        # any path, rises and falls alike: masses are non-negative and each
+        # row sums to the mixture's value up to its normalization
+        mu = TransferFunction(np.linspace(0.0, 1.0, len(values)), np.array(values))
+        spec = GridSpec(mu.lo - 10.0 * sigma, mu.hi + 10.0 * sigma, 256)
+        masses = segment_masses(mu, sigma, spec.points())
+        assert np.all(masses >= 0.0)
+        rows = masses.sum(axis=1)
+        dens = mixture_density(mu, sigma, spec)
+        np.testing.assert_allclose(
+            dens.values * trapezoid(rows, dx=spec.spacing), rows, rtol=1e-12, atol=0
+        )
 
     def test_flat_segment_is_its_normal_limit(self):
         mu = TransferFunction(np.array([0.0, 0.25, 0.5, 1.0]), np.array([0.0, 1.0, 1.0, 1.0 + 1e-9]))

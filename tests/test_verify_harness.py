@@ -130,6 +130,12 @@ class TestRiskBoundExperiment:
         with pytest.raises(UnsupportedError, match="exact"):
             risk_bound_experiment(normal_mean_model(), [50], 0.5, reps=2)
 
+    def test_empty_sizes_rejected(self):
+        with pytest.raises(ValueError, match="reps"):
+            risk_bound_experiment(normal_normal_model(), [50], 0.5, reps=0)
+        with pytest.raises(ValueError, match="n_list"):
+            risk_bound_experiment(normal_normal_model(), [50, 0], 0.5, reps=2)
+
     def test_single_n_mini_run(self):
         report = risk_bound_experiment(
             normal_normal_model(), [50], 0.5, reps=2, seed=0, opt_iters=15
@@ -166,6 +172,12 @@ class TestHellingerRiskExperiment:
         with pytest.raises(UnsupportedError, match="sampler"):
             hellinger_risk_experiment(blind, (50, 200), reps=1)
 
+    def test_empty_sizes_rejected(self):
+        with pytest.raises(ValueError, match="reps"):
+            hellinger_risk_experiment(normal_normal_model(), (50, 200), reps=0)
+        with pytest.raises(ValueError, match="n_list"):
+            hellinger_risk_experiment(normal_normal_model(), (0, 200), reps=1)
+
     def test_mini_run_decays(self):
         report = hellinger_risk_experiment(
             normal_normal_model(),
@@ -184,6 +196,18 @@ class TestHellingerRiskExperiment:
 
 class TestRestrictedMinKlExperiment:
     """Stochastic boundedness of the comparator-family minimum KL."""
+
+    def test_empty_sizes_rejected(self):
+        with pytest.raises(ValueError, match="reps"):
+            restricted_min_kl_experiment(n_list=(100,), reps=0)
+        with pytest.raises(ValueError, match="n_list"):
+            restricted_min_kl_experiment(n_list=(0, 100), reps=1)
+
+    def test_nonpositive_scales_rejected(self):
+        with pytest.raises(ValueError, match="positive"):
+            restricted_min_kl_experiment(n_list=(100,), reps=1, sigma_model=0.0)
+        with pytest.raises(ValueError, match="positive"):
+            restricted_min_kl_experiment(n_list=(100,), reps=1, prior_sigma=-1.0)
 
     def test_mini_run_is_bounded(self):
         report = restricted_min_kl_experiment(
