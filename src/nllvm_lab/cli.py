@@ -555,7 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
     vi.add_argument("--model", choices=_MODELS, default="normal-normal")
     vi.add_argument("--alpha", type=float, default=0.99, help="risk order in (0,1)")
     vi.add_argument("--knots", type=int, default=16, help="transfer knot count")
-    vi.add_argument("--iters", type=int, default=60, help="coordinate-descent sweeps")
+    vi.add_argument("--iters", type=int, default=60, help="L-BFGS-B iterations (at least 1)")
     vi.add_argument("--obs-sigma", type=float, default=1.0, help="observation scale")
     vi.add_argument("--prior-mu", type=float, default=0.0, help="prior mean")
     vi.add_argument("--prior-sigma", type=float, default=1.0, help="prior scale")

@@ -25,6 +25,8 @@ from typing import Any, Callable, Optional
 
 import numpy as np
 from scipy.integrate import trapezoid
+from scipy.optimize import minimize
+from scipy.special import softmax
 from scipy.stats import norm
 
 from .grid_density import (
@@ -34,14 +36,14 @@ from .grid_density import (
     ResolutionError,
     kl_values,
 )
-from .transfer_map import CoverageError, TransferFunction, mixture_density
+from .transfer_map import TransferFunction, mixture_density
 
 DEFAULT_D_CONST = 2.0
 _QUAD_Y_POINTS = 4097
 _ABS_CONTINUITY_TOL = 1e-8
-_FD_REL_STEP = 1e-4
-_MAX_HALVINGS = 30
-_REL_OBJ_TOL = 1e-8
+# q puts less than a tenth of the support tolerance beyond this many sigma of
+# range(mu), which also meets the 1e-4 coverage check of mixture_density
+_MARGIN_Z = float(norm.isf(0.1 * _ABS_CONTINUITY_TOL))
 MIN_OPT_KNOTS = 8
 MAX_OPT_KNOTS = 256
 
@@ -251,6 +253,31 @@ def _check_support(q: GridDensity, prior_vals: np.ndarray) -> None:
         )
 
 
+def _fit_and_kl(
+    params: VariationalParams,
+    model: BayesModel,
+    data,
+    alpha: float,
+    spec: Optional[GridSpec],
+    loglik: Optional[np.ndarray] = None,
+) -> tuple:
+    """E_q of the summed log-likelihood and KL(q || prior), by quadrature on ``spec``."""
+    if not (0.0 < alpha < 1.0):
+        raise ValueError(f"alpha must lie in (0,1), got {alpha}")
+    data = np.asarray(data, dtype=float)
+    if data.size == 0:
+        raise ValueError("data must be non-empty")
+    if spec is None:
+        spec = model.prior_density.spec
+    q = q_density(params, spec)
+    prior_vals = _prior_on(model, q.grid)
+    _check_support(q, prior_vals)
+    kl = kl_values(q.values, prior_vals, q.spacing)
+    if loglik is None:
+        loglik = total_loglik(model, data, q.grid)
+    return float(trapezoid(q.values * loglik, dx=q.spacing)), kl
+
+
 def practical_objective(
     params: VariationalParams,
     model: BayesModel,
@@ -266,47 +293,8 @@ def practical_objective(
     regularized model-fit functional; all expectations are quadratures
     against the explicit q density on ``spec`` (default: the prior's grid).
     """
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must lie in (0,1), got {alpha}")
-    data = np.asarray(data, dtype=float)
-    if data.size == 0:
-        raise ValueError("data must be non-empty")
-    if spec is None:
-        spec = model.prior_density.spec
-    q = q_density(params, spec)
-    grid = q.grid
-    prior_vals = _prior_on(model, grid)
-    _check_support(q, prior_vals)
-    kl = kl_values(q.values, prior_vals, q.spacing)
-    if loglik is None:
-        loglik = total_loglik(model, data, grid)
-    fit = -float(trapezoid(q.values * loglik, dx=q.spacing))
-    return alpha * fit + kl
-
-
-def _fit_term_and_kl(
-    params: VariationalParams,
-    model: BayesModel,
-    data,
-    alpha: float,
-    spec: Optional[GridSpec],
-) -> tuple:
-    """E_q of the summed log-likelihood ratio against theta_star, and KL(q || prior)."""
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must lie in (0,1), got {alpha}")
-    data = np.asarray(data, dtype=float)
-    if data.size == 0:
-        raise ValueError("data must be non-empty")
-    if spec is None:
-        spec = model.prior_density.spec
-    q = q_density(params, spec)
-    grid = q.grid
-    prior_vals = _prior_on(model, grid)
-    _check_support(q, prior_vals)
-    kl = kl_values(q.values, prior_vals, q.spacing)
-    loglik = total_loglik(model, data, grid)
-    l_star = float(np.sum(model.log_likelihood(model.theta_star, data)))
-    return l_star - float(trapezoid(q.values * loglik, dx=q.spacing)), kl
+    expected_loglik, kl = _fit_and_kl(params, model, data, alpha, spec, loglik)
+    return alpha * -expected_loglik + kl
 
 
 def psi_diagnostic(
@@ -323,8 +311,9 @@ def psi_diagnostic(
     theta_star, so it needs the true parameter and is not a training
     objective; the regularizer enters with a plus sign.
     """
-    fit_term, kl = _fit_term_and_kl(params, model, data, alpha, spec)
-    return fit_term + kl / alpha
+    expected_loglik, kl = _fit_and_kl(params, model, data, alpha, spec)
+    l_star = float(np.sum(model.log_likelihood(model.theta_star, np.asarray(data, float))))
+    return l_star - expected_loglik + kl / alpha
 
 
 def model_fit_term(
@@ -336,7 +325,9 @@ def model_fit_term(
     spec: Optional[GridSpec] = None,
 ) -> float:
     """The diagnostic minus its regularizer (the pure likelihood-ratio term)."""
-    return _fit_term_and_kl(params, model, data, alpha, spec)[0]
+    expected_loglik, _ = _fit_and_kl(params, model, data, alpha, spec)
+    l_star = float(np.sum(model.log_likelihood(model.theta_star, np.asarray(data, float))))
+    return l_star - expected_loglik
 
 
 # ---------------------------------------------------------------------------
@@ -345,9 +336,13 @@ def model_fit_term(
 
 @dataclass(frozen=True)
 class OptConfig:
-    """Optimizer knobs: the cap on coordinate-descent sweeps."""
+    """Optimizer knobs: the cap on L-BFGS-B iterations."""
 
     iters: int = 60
+
+    def __post_init__(self) -> None:
+        if self.iters < 1:
+            raise ValueError(f"iters must be at least 1, got {self.iters}")
 
 
 @dataclass(eq=False)
@@ -390,6 +385,59 @@ def _work_window(init: VariationalParams, n_grid: int = 1024) -> GridSpec:
     return GridSpec(center - half, center + half, n_grid)
 
 
+@dataclass(frozen=True)
+class _FeasibleMap:
+    """Unconstrained coordinates of the members whose mass stays in [lo, hi].
+
+    A point x holds ``knots + 1`` increment logits and log sigma; its knot
+    values lo + z sigma + (hi - lo - 2 z sigma) * cumsum(softmax(logits))[:-1]
+    increase inside [lo + z sigma, hi - z sigma] with z = ``_MARGIN_Z``, so
+    every x whose log sigma lies in ``log_sigma_bounds`` passes both the
+    coverage and the support check.  [lo, hi] is the work window cut to the
+    prior's support.
+    """
+
+    spec: GridSpec
+    knots: np.ndarray
+    lo: float
+    hi: float
+
+    @classmethod
+    def around(cls, init: VariationalParams, model: BayesModel) -> "_FeasibleMap":
+        spec = _work_window(init)
+        prior = model.prior_density
+        support = prior.grid[prior.values > DENSITY_FLOOR]
+        lo, hi = max(spec.lo, float(support[0])), min(spec.hi, float(support[-1]))
+        return cls(spec, init.mu.knots, lo, hi)
+
+    @property
+    def log_sigma_bounds(self) -> tuple:
+        sigma_hi = min(
+            0.5 * (self.spec.hi - self.spec.lo),
+            0.999 * (self.hi - self.lo) / (2.0 * _MARGIN_Z),
+        )
+        return math.log(2.0 * self.spec.spacing), math.log(sigma_hi)
+
+    def params(self, x: np.ndarray) -> VariationalParams:
+        margin = _MARGIN_Z * math.exp(x[-1])
+        steps = np.cumsum(softmax(x[:-1]))[:-1]
+        values = self.lo + margin + (self.hi - self.lo - 2.0 * margin) * steps
+        return VariationalParams(TransferFunction(self.knots, values), float(x[-1]))
+
+    def coords(self, params: VariationalParams) -> np.ndarray:
+        """The x that :meth:`params` maps to ``params``; raises if there is none."""
+        sigma_lo, sigma_hi = self.log_sigma_bounds
+        if not sigma_lo <= params.log_sigma <= sigma_hi:
+            raise ValueError("initialization is infeasible for the objective")
+        margin = _MARGIN_Z * params.sigma
+        u = (params.mu.values - self.lo - margin) / (self.hi - self.lo - 2.0 * margin)
+        increments = np.diff(u, prepend=0.0, append=1.0)
+        if not np.all(increments > 0):
+            raise ValueError("initialization is infeasible for the objective")
+        logits = np.log(increments)
+        return np.append(logits - logits.mean(), params.log_sigma)
+
+
 def optimize(
     model: BayesModel,
     data,
@@ -397,14 +445,13 @@ def optimize(
     knots: int = 16,
     opt: Optional[OptConfig] = None,
 ) -> OptimizeResult:
-    """Coordinate descent on (transfer knot values, log sigma).
+    """L-BFGS-B on the tempered objective over (transfer knot values, log sigma).
 
-    Each coordinate takes a central finite-difference slope (relative step
-    1e-4) and a backtracking line search (halving, at most 30); knot values
-    are sorted ascending after every sweep.  Terminates when the relative
-    objective change over a sweep drops below 1e-8 ("converged") or when a
-    sweep makes no progress at a larger change ("stalled"); either way the
-    best parameters seen are returned.  The procedure is deterministic.
+    The search runs in the coordinates of :class:`_FeasibleMap`, where the
+    only constraint is a box on log sigma, with scipy's finite-difference
+    gradient and at most ``opt.iters`` iterations.  ``converged`` is scipy's
+    status 0, ``stalled`` its status 2 (the line search failed) and
+    ``n_sweeps`` the iteration count.  The procedure is deterministic.
     """
     if not (MIN_OPT_KNOTS <= knots <= MAX_OPT_KNOTS):
         raise ValueError(
@@ -420,89 +467,27 @@ def optimize(
     else:
         init = _default_init(model, data, alpha, knots)
 
-    knot_grid = init.mu.knots
-    spec = _work_window(init)
-    grid = spec.points()
-    loglik = total_loglik(model, data, grid)
-    sigma_lo = 2.0 * spec.spacing
-    sigma_hi = 0.5 * (spec.hi - spec.lo)
+    feasible = _FeasibleMap.around(init, model)
+    loglik = total_loglik(model, data, feasible.spec.points())
 
     def objective(x: np.ndarray) -> float:
-        sigma = math.exp(min(float(x[-1]), 50.0))
-        if not (sigma_lo <= sigma <= sigma_hi):
-            return math.inf
-        params = VariationalParams(
-            mu=TransferFunction(knot_grid, x[:-1]), log_sigma=float(x[-1])
+        return practical_objective(
+            feasible.params(x), model, data, alpha, spec=feasible.spec, loglik=loglik
         )
-        try:
-            return practical_objective(
-                params, model, data, alpha, spec=spec, loglik=loglik
-            )
-        except (CoverageError, SupportError):
-            return math.inf
 
-    x = np.concatenate([init.mu.values, [init.log_sigma]])
-    fx = objective(x)
-    if not math.isfinite(fx):
-        raise ValueError("initialization is infeasible for the objective")
-    best_x, best_f = x.copy(), fx
-    steps = np.full(x.size, 0.25)
-
-    converged = stalled = False
-    sweeps = 0
-    for _ in range(opt.iters):
-        sweeps += 1
-        f_before = fx
-        improved = False
-        for i in range(x.size):
-            h = _FD_REL_STEP * max(abs(x[i]), 1.0)
-            xp, xm = x.copy(), x.copy()
-            xp[i] += h
-            xm[i] -= h
-            g = (objective(xp) - objective(xm)) / (2.0 * h)
-            if not math.isfinite(g) or g == 0.0:
-                continue
-            s = steps[i]
-            for attempt in range(_MAX_HALVINGS + 1):
-                cand = x.copy()
-                cand[i] -= s * g
-                fc = objective(cand)
-                if fc < fx:
-                    x, fx = cand, fc
-                    if attempt == 0:
-                        steps[i] = min(s * 2.0, 1e3)
-                    else:
-                        steps[i] = s
-                    improved = True
-                    break
-                s *= 0.5
-        # monotone projection: the transfer is a quantile-like map
-        order = np.sort(x[:-1])
-        if not np.array_equal(order, x[:-1]):
-            x = np.concatenate([order, [x[-1]]])
-            fx = objective(x)
-        if fx < best_f:
-            best_x, best_f = x.copy(), fx
-        rel = abs(f_before - fx) / max(abs(fx), 1.0)
-        if rel < _REL_OBJ_TOL:
-            converged = True
-            break
-        if not improved:
-            stalled = True
-            break
-
-    params = VariationalParams(
-        mu=TransferFunction(knot_grid, best_x[:-1]), log_sigma=float(best_x[-1])
-    )
-    final_obj = practical_objective(
-        params, model, data, alpha, spec=spec, loglik=loglik
+    res = minimize(
+        objective,
+        feasible.coords(init),
+        method="L-BFGS-B",
+        bounds=[(None, None)] * (knots + 1) + [feasible.log_sigma_bounds],
+        options={"maxiter": opt.iters},
     )
     return OptimizeResult(
-        params=params,
-        objective=float(min(final_obj, best_f)),
-        converged=converged,
-        stalled=stalled,
-        n_sweeps=sweeps,
+        params=feasible.params(res.x),
+        objective=float(res.fun),
+        converged=res.status == 0,
+        stalled=res.status == 2,
+        n_sweeps=int(res.nit),
     )
 
 

@@ -314,7 +314,7 @@ def test_c13_hellinger_risk_parametric_decay(acceptance_log):
 
 
 def test_c14_variational_fit_recovers_conjugate_posterior(acceptance_log):
-    """Coordinate descent lands on the exact tempered posterior when one exists."""
+    """L-BFGS-B lands on the exact tempered posterior when one exists."""
     t0 = time.perf_counter()
     nn = normal_normal_model()
     data = nn.sample_data(np.random.default_rng(14), 100)

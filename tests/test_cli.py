@@ -261,6 +261,16 @@ class TestMainEndToEnd:
         assert metrics["model"] == "normal-mean"
         assert np.isfinite(metrics["objective"])
 
+    @pytest.mark.parametrize("iters", ["0", "-3"])
+    def test_vi_iters_below_one_rejected(self, tmp_path, capsys, iters):
+        csv = tmp_path / "vi.csv"
+        csv.write_text("0.1\n0.4\n0.2\n")
+        out = tmp_path / "vi.json"
+        rc = main(["vi", "--data", str(csv), "--iters", iters, "--out", str(out)])
+        assert rc == 1
+        assert "nllvm-lab: error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_vi_logistic_uses_quadrature_posterior(self, tmp_path):
         rng = np.random.default_rng(2)
         csv = tmp_path / "logit.csv"

@@ -23,11 +23,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.integrate import trapezoid
 from scipy.stats import norm
 
 from nllvm_lab.gpivi import (
     BayesModel,
+    _FeasibleMap,
     KLBallSpec,
     OptConfig,
     RestrictedFamily,
@@ -60,7 +62,7 @@ from nllvm_lab.grid_density import (
     ResolutionError,
     kl_values,
 )
-from nllvm_lab.transfer_map import mixture_density
+from nllvm_lab.transfer_map import TransferFunction, mixture_density
 
 
 @pytest.fixture(scope="module")
@@ -286,8 +288,21 @@ class TestObjective:
         assert kl1 > 0
 
 
+def _feasible_case(model: BayesModel) -> tuple:
+    data = model.sample_data(np.random.default_rng(5), 200)
+    init = model.init_guess(data, 0.9, 16)
+    return model, data, init, _FeasibleMap.around(init, model)
+
+
+# the flat prior's edge binds at theta* = 0.9; the work window binds otherwise
+_FEASIBLE_CASES = {
+    "normal-mean-edge": _feasible_case(normal_mean_model(theta_star=0.9)),
+    "normal-normal": _feasible_case(normal_normal_model()),
+}
+
+
 class TestOptimize:
-    """Deterministic coordinate descent."""
+    """Deterministic L-BFGS-B over the feasible parametrization."""
 
     def test_knot_bounds_and_empty_data(self, nn):
         with pytest.raises(ValueError, match="knots"):
@@ -321,6 +336,44 @@ class TestOptimize:
         assert a.objective == b.objective
         np.testing.assert_array_equal(a.params.mu.values, b.params.mu.values)
         assert a.params.log_sigma == b.params.log_sigma
+
+    def test_iters_below_one_rejected(self):
+        for iters in (0, -3):
+            with pytest.raises(ValueError, match="iters"):
+                OptConfig(iters=iters)
+        assert OptConfig(iters=1).iters == 1
+
+    @pytest.mark.parametrize("name", sorted(_FEASIBLE_CASES))
+    def test_coords_invert_params(self, name):
+        model, data, init, feasible = _FEASIBLE_CASES[name]
+        back = feasible.params(feasible.coords(init))
+        np.testing.assert_allclose(back.mu.values, init.mu.values, rtol=0, atol=1e-12)
+        assert back.log_sigma == init.log_sigma
+
+    def test_infeasible_init_raises(self):
+        model, data, init, feasible = _FEASIBLE_CASES["normal-mean-edge"]
+        assert feasible.hi == 1.0 < feasible.spec.hi
+        # a start whose top knot sits on the flat prior's edge
+        shifted = VariationalParams(
+            TransferFunction(init.mu.knots, init.mu.values + (1.0 - init.mu.hi)),
+            init.log_sigma,
+        )
+        with pytest.raises(ValueError, match="infeasible"):
+            feasible.coords(shifted)
+
+    @pytest.mark.parametrize("name", sorted(_FEASIBLE_CASES))
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(
+        logits=hnp.arrays(np.float64, 17, elements=st.floats(-30.0, 30.0)),
+        frac=st.floats(0.0, 1.0),
+    )
+    def test_every_point_is_feasible(self, name, logits, frac):
+        # what the optimizer can visit passes the coverage and support checks
+        model, data, init, feasible = _FEASIBLE_CASES[name]
+        lo, hi = feasible.log_sigma_bounds
+        params = feasible.params(np.append(logits, lo + frac * (hi - lo)))
+        value = practical_objective(params, model, data, 0.9, spec=feasible.spec)
+        assert math.isfinite(value)
 
 
 def _member_matrix_min_kl(family: RestrictedFamily):

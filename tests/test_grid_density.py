@@ -72,6 +72,18 @@ class TestGridDensity:
         g = GridDensity(-2.0, 2.0, vals)
         assert g.integral() == pytest.approx(1.0, abs=1e-12)
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        values=st.integers(16, 64).flatmap(
+            lambda n: hnp.arrays(np.float64, n, elements=st.floats(1e-300, 1e300))
+        ),
+        lo=st.floats(-100.0, 100.0),
+        width=st.floats(1e-3, 1e3),
+    )
+    def test_arbitrary_positive_values_integrate_to_one(self, values, lo, width):
+        g = GridDensity(lo, lo + width, values)
+        assert g.integral() == pytest.approx(1.0, rel=1e-12)
+
     def test_rejects_negative_values_with_index(self):
         vals = np.ones(64)
         vals[17] = -0.5
@@ -296,6 +308,17 @@ class TestDivergenceAxioms:
         h2 = divergence(HELLINGER_SQ, p, q)
         assert -1e-12 <= h2 <= 1.0
         assert divergence(L1, p, q) <= 2.0 + 1e-12
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        pair=_density_pair(),
+        alphas=st.lists(st.floats(0.01, 0.99), min_size=2, max_size=5),
+    )
+    def test_renyi_non_decreasing_in_alpha(self, pair, alphas):
+        p, q = pair
+        assume(np.any((p.values > 0) & (q.values > 0)))
+        d = [divergence(RENYI, p, q, alpha=a) for a in sorted(alphas)]
+        assert np.all(np.diff(d) >= -1e-10 * (1.0 + np.abs(d[1:])))
 
 
 class TestKlValues:
