@@ -30,6 +30,10 @@ COVERAGE_MASS_TOL = 1e-4
 # digits to cancellation; the flat limit used instead errs by about
 # rise^2 * |z^2 - 1| / 24 relative.
 FLAT_RISE = 1e-5
+# Below this rise (in units of sigma) the closed-form mass derivatives lose
+# about 1e-16 / rise^2 relative to cancellation; the midpoint series used
+# instead errs by about rise^4 / 4000, so both stay near 1e-12 at the switch.
+_SERIES_RISE = 1e-2
 # Beyond this many sigma from range(mu) every segment mass underflows to
 # exactly 0.0 (the last nonzero float64 values are near 38.5 sigma).
 _ZERO_RADIUS = 40.0
@@ -140,6 +144,68 @@ def segment_masses(mu: TransferFunction, sigma: float, y: np.ndarray) -> np.ndar
         z = (y[:, None] - mid[None, :]) / sigma
         out[:, flat] = np.exp(-0.5 * z * z) * (dx[flat] / (_SQRT_2PI * sigma))
     return out
+
+
+def mixture_vjp(
+    mu: TransferFunction, sigma: float, spec: GridSpec, r: np.ndarray
+) -> tuple:
+    """``(sum_i r_i df_i/dv, sum_i r_i df_i/dsigma)`` for the unnormalized mixture.
+
+    f_i is the row sum of :func:`segment_masses` at grid point i of ``spec``
+    (0.0 beyond ``_ZERO_RADIUS`` sigma, as in :func:`mixture_density`) and v
+    the knot values.  With a = (y - v_k) / sigma, b = (y - v_{k+1}) / sigma,
+    delta = a - b and E = (Phi(a) - Phi(b)) / delta, segment k's mass is
+    dx_k / sigma * E, so
+
+        dm/dv_k = -dx_k / sigma^2 * (phi(a) - E) / delta
+        dm/dv_{k+1} = -dx_k / sigma^2 * (E - phi(b)) / delta
+        dm/dsigma = dx_k / sigma^2 * (phi'(a) - phi'(b)) / delta.
+
+    These divided differences cancel as delta -> 0, so segments rising less
+    than ``_SERIES_RISE`` sigma take their Taylor series about the midpoint;
+    flat segments (``FLAT_RISE``) take delta = 0, the derivative of the flat
+    limit that :func:`segment_masses` evaluates.
+    """
+    y = spec.points()
+    live = np.abs(y - np.clip(y, mu.lo, mu.hi)) < _ZERO_RADIUS * sigma
+    y, r = y[live], np.asarray(r, dtype=float)[live]
+    v = mu.values
+    scale = np.diff(mu.knots) / sigma**2
+    delta = np.diff(v) / sigma
+    series = np.abs(delta) < _SERIES_RISE
+    delta[np.abs(delta) < FLAT_RISE] = 0.0
+
+    z = (y[:, None] - v[None, :]) / sigma
+    phi = np.exp(-0.5 * z * z) / _SQRT_2PI
+    r_phi = r @ phi
+    r_dphi = -(r @ (z * phi))
+    r_e = (r @ segment_masses(mu, sigma, y)) / (scale * sigma)
+    d = np.where(series, 1.0, delta)
+    grad_lo = -scale * (r_phi[:-1] - r_e) / d
+    grad_hi = -scale * (r_e - r_phi[1:]) / d
+    grad_sigma = scale * (r_dphi[:-1] - r_dphi[1:]) / d
+
+    if series.any():
+        # phi^(n)(c) = (-1)^n He_n(c) phi(c) at the midpoint c; the terms
+        # dropped are O(delta^4) relative
+        d, s = delta[series], scale[series]
+        c = (y[:, None] - 0.5 * (v[:-1] + v[1:])[series]) / sigma
+        pc = np.exp(-0.5 * c * c) / _SQRT_2PI
+        c2 = c * c
+        rp1, rp2, rp3, rp4 = (
+            r @ (h * pc)
+            for h in (c, c2 - 1.0, c * (c2 - 3.0), c2 * (c2 - 6.0) + 3.0)
+        )
+        even = -rp1 / 2.0 - rp3 * d**2 / 48.0
+        odd = rp2 * d / 12.0 + rp4 * d**3 / 480.0
+        grad_lo[series] = -s * (even + odd)
+        grad_hi[series] = -s * (even - odd)
+        grad_sigma[series] = s * (rp2 + rp4 * d**2 / 24.0)
+
+    grad_v = np.zeros(v.size)
+    grad_v[:-1] += grad_lo
+    grad_v[1:] += grad_hi
+    return grad_v, float(grad_sigma.sum())
 
 
 def mixture_density(mu: TransferFunction, sigma: float, spec: GridSpec) -> GridDensity:

@@ -1,4 +1,4 @@
-"""Shared fixtures and the acceptance-summary terminal hook.
+"""Shared fixtures, the Hypothesis profile and the acceptance-summary hook.
 
 The acceptance tests record one line per criterion into a session-global
 list; ``pytest_terminal_summary`` prints the collected lines as a dedicated
@@ -10,9 +10,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 from scipy.stats import norm
 
 from nllvm_lab.grid_density import GridDensity, GridSpec
+
+# every property test is reproducible and free of wall-clock limits; each
+# test keeps its own max_examples
+settings.register_profile("nllvm-lab", deadline=None, derandomize=True)
+settings.load_profile("nllvm-lab")
 
 _ACCEPTANCE_LINES: list[tuple[int, str]] = []
 

@@ -340,6 +340,21 @@ class TestMainEndToEnd:
 
         assert run("1") == run("2")
 
+    def test_estimate_identical_across_thread_counts(self, normal_csv, tmp_path, monkeypatch):
+        def run(threads: str) -> tuple:
+            monkeypatch.setenv("NLLVM_LAB_THREADS", threads)
+            out = tmp_path / f"est{threads}.json"
+            assert main(["estimate", "--data", str(normal_csv), "--iters", "60",
+                         "--burn", "20", "--thin", "4", "--grid", "256",
+                         "--out", str(out)]) == 0
+            raw = json.loads(out.read_text())
+            raw.pop("runtime_ms")
+            raw["config"].pop("output_path")
+            sidecar = raw["metrics"].pop("plot_csv")
+            return raw, (tmp_path / sidecar).read_text()
+
+        assert run("1") == run("2")
+
     def test_runtime_failure_exits_one(self, tmp_path, capsys):
         rc = main(["estimate", "--data", str(tmp_path / "absent.csv"),
                    "--out", str(tmp_path / "o.json")])

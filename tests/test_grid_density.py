@@ -72,7 +72,7 @@ class TestGridDensity:
         g = GridDensity(-2.0, 2.0, vals)
         assert g.integral() == pytest.approx(1.0, abs=1e-12)
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=60)
     @given(
         values=st.integers(16, 64).flatmap(
             lambda n: hnp.arrays(np.float64, n, elements=st.floats(1e-300, 1e300))
@@ -299,7 +299,7 @@ def _density_pair(draw) -> tuple:
 class TestDivergenceAxioms:
     """Range axioms of the divergences on arbitrary grid densities."""
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=60)
     @given(pair=_density_pair())
     def test_ranges(self, pair):
         p, q = pair
@@ -309,7 +309,7 @@ class TestDivergenceAxioms:
         assert -1e-12 <= h2 <= 1.0
         assert divergence(L1, p, q) <= 2.0 + 1e-12
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=60)
     @given(
         pair=_density_pair(),
         alphas=st.lists(st.floats(0.01, 0.99), min_size=2, max_size=5),

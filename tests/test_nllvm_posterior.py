@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import cho_solve
 from scipy.stats import kstest
 
@@ -160,6 +162,25 @@ class TestUpdateTransfer:
         gram, wty = _tridiagonal_gram(eta, data, n_knots)
         np.testing.assert_allclose(gram, w.T @ w, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(wty, w.T @ data, rtol=1e-12, atol=0.0)
+
+    @settings(max_examples=60)
+    @given(
+        n_knots=st.integers(2, 64),
+        points=st.lists(
+            st.tuples(st.floats(0.0, 1.0), st.floats(-10.0, 10.0)), min_size=1, max_size=100
+        ),
+    )
+    def test_tridiagonal_gram_matches_dense_design_for_any_latents(self, n_knots, points):
+        # to 1e-12 of the largest entry: a latent within rounding of a knot
+        # leaves a weight of order 1e-16 whose own relative error is large
+        eta, data = np.array(points).T
+        knots = np.linspace(0.0, 1.0, n_knots)
+        w = np.stack([np.interp(eta, knots, col) for col in np.eye(n_knots)], axis=1)
+        gram, wty = _tridiagonal_gram(eta, data, n_knots)
+        dense = w.T @ w
+        np.testing.assert_allclose(gram, dense, rtol=0, atol=1e-12 * np.abs(dense).max())
+        scale = (np.abs(w).T @ np.abs(data)).max()
+        np.testing.assert_allclose(wty, w.T @ data, rtol=0, atol=1e-12 * scale)
 
     def test_informative_data_pins_the_curve(self, cfg):
         # latents sit exactly on the knots, each observed 10 times with

@@ -20,11 +20,13 @@ from scipy.stats import norm
 
 from nllvm_lab.grid_density import GridDensity, GridSpec, convolve_gaussian, smooth_bump
 from nllvm_lab.transfer_map import (
+    FLAT_RISE,
     CoverageError,
     MixingHistogram,
     TransferFunction,
     induced_histogram,
     mixture_density,
+    mixture_vjp,
     quantile_of,
     segment_masses,
 )
@@ -199,7 +201,7 @@ class TestSegmentMasses:
             assert masses.shape == (y.size, n_knots - 1)
             assert np.max(np.abs(masses - ref)) < 1e-6
 
-    @settings(max_examples=40, deadline=None, derandomize=True)
+    @settings(max_examples=40)
     @given(
         values=st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=20),
         sigma=st.floats(0.05, 1.0),
@@ -259,6 +261,61 @@ class TestSegmentMasses:
         spec = GridSpec(mu.lo - 8 * sigma, mu.hi + 8 * sigma, 2048)
         out = mixture_density(mu, sigma, spec)
         assert abs(out.mass_loss) < 1e-9
+
+    @settings(max_examples=40)
+    @given(
+        values=st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=20),
+        sigma=st.floats(0.05, 1.0),
+    )
+    def test_mass_conserved_on_any_minimal_window(self, values, sigma):
+        # the window is exactly range(mu) +- 8 sigma, at least 16 points per sigma
+        mu = TransferFunction(np.linspace(0.0, 1.0, len(values)), np.array(values))
+        spec = GridSpec(mu.lo - 8.0 * sigma, mu.hi + 8.0 * sigma, 2048)
+        assert abs(mixture_density(mu, sigma, spec).mass_loss) < 1e-9
+
+
+def _vjp_path(rng, n_knots, sigma):
+    """A GP path with flat segments (rise 0 and 1e-9) and near-flat ones
+    rising 2e-4 sigma, -8e-3 sigma and 1e-3 sigma."""
+    v = _gp_transfer(rng, n_knots).values
+    k = n_knots // 4
+    for j, rise in ((3 * k, 2e-4), (3 * k + 1, -8e-3), (3 * k + 3, 1e-3)):
+        v[j + 1] = v[j] + rise * sigma
+    return TransferFunction(np.linspace(0.0, 1.0, n_knots), v)
+
+
+class TestMixtureVjp:
+    """Weighted derivatives of the unnormalized mixture in the knots and sigma."""
+
+    @pytest.mark.parametrize("n_knots", [17, 65])
+    @pytest.mark.parametrize("sigma", [0.05, 0.3])
+    def test_matches_central_differences(self, n_knots, sigma):
+        rng = np.random.default_rng(n_knots)
+        mu = _vjp_path(rng, n_knots, sigma)
+        rise = np.abs(np.diff(mu.values)) / sigma
+        assert np.sum(rise < FLAT_RISE) >= 3 and np.sum((rise > FLAT_RISE) & (rise < 1e-2)) == 3
+        assert np.any(np.diff(mu.values) < -1e-2 * sigma)
+        spec = GridSpec(mu.lo - 10.0 * sigma, mu.hi + 10.0 * sigma, 400)
+        r = rng.standard_normal(spec.n)
+
+        def weighted(p):
+            path = TransferFunction(mu.knots, p[:-1])
+            return segment_masses(path, p[-1], spec.points()).sum(axis=1) @ r
+
+        grad_v, grad_sigma = mixture_vjp(mu, sigma, spec, r)
+        # fourth-order central differences.  A knot moves by at most 8e-6
+        # sigma, so no segment crosses FLAT_RISE; sigma scales every rise
+        # alike, so its step can be larger and beat the rounding of the
+        # near-flat masses
+        p = np.append(mu.values, sigma)
+        steps = np.diag(np.append(np.full(mu.values.size, 4e-6), 1e-4) * sigma)
+        fd = np.array([
+            (8.0 * (weighted(p + e) - weighted(p - e))
+             - (weighted(p + 2.0 * e) - weighted(p - 2.0 * e))) / (12.0 * e.max())
+            for e in steps
+        ])
+        err = np.abs(np.append(grad_v, grad_sigma) - fd)
+        assert np.max(err) <= 1e-6 * np.max(np.abs(fd))
 
 
 class TestInducedHistogram:
