@@ -47,12 +47,15 @@ def seeded_rng(seed: int, *labels: object) -> np.random.Generator:
 
 
 def worker_count(n_tasks: int | None = None) -> int:
-    """Worker cap from NLLVM_LAB_THREADS (default: logical cores)."""
+    """Worker cap from NLLVM_LAB_THREADS (default: logical cores).
+
+    A value that is not an integer raises ``ValueError``; 0 or less means 1.
+    """
     raw = os.environ.get("NLLVM_LAB_THREADS", "")
     try:
         cap = int(raw) if raw else (os.cpu_count() or 1)
     except ValueError:
-        cap = os.cpu_count() or 1
+        raise ValueError(f"NLLVM_LAB_THREADS must be an integer, got {raw!r}") from None
     cap = max(1, cap)
     if n_tasks is not None:
         cap = min(cap, max(1, n_tasks))

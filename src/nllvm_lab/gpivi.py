@@ -26,8 +26,7 @@ from typing import Any, Callable, Optional
 import numpy as np
 from scipy.integrate import trapezoid
 from scipy.optimize import minimize
-from scipy.special import softmax
-from scipy.stats import norm
+from scipy.special import ndtri, softmax
 
 from .grid_density import (
     DENSITY_FLOOR,
@@ -43,7 +42,7 @@ _QUAD_Y_POINTS = 4097
 _ABS_CONTINUITY_TOL = 1e-8
 # q puts less than a tenth of the support tolerance beyond this many sigma of
 # range(mu), which also meets the 1e-4 coverage check of mixture_density
-_MARGIN_Z = float(norm.isf(0.1 * _ABS_CONTINUITY_TOL))
+_MARGIN_Z = float(-ndtri(0.1 * _ABS_CONTINUITY_TOL))
 MIN_OPT_KNOTS = 8
 MAX_OPT_KNOTS = 256
 
@@ -142,7 +141,7 @@ def normal_quantile_transfer(
         raise ValueError(f"tau must be positive, got {tau}")
     knots = np.linspace(0.0, 1.0, n_knots)
     levels = np.clip(knots, clip, 1.0 - clip)
-    return TransferFunction(knots, m + tau * norm.ppf(levels))
+    return TransferFunction(knots, m + tau * ndtri(levels))
 
 
 def q_density(params: VariationalParams, spec: GridSpec) -> GridDensity:

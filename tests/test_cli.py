@@ -33,6 +33,15 @@ from nllvm_lab.cli import (
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def _src_env() -> dict:
+    """The environment with src/ first on PYTHONPATH, for a fresh interpreter."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
+    )
+    return env
+
+
 @pytest.fixture()
 def normal_csv(tmp_path):
     rng = np.random.default_rng(0)
@@ -368,6 +377,15 @@ class TestMainEndToEnd:
         assert rc == 1
         assert "line 3" in capsys.readouterr().err
 
+    def test_bad_thread_count_exits_one(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("NLLVM_LAB_THREADS", "abc")
+        rc = main(["verify", "risk-bound", "--n-list", "50,100", "--reps", "2",
+                   "--out", str(tmp_path / "o.json")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "nllvm-lab: error:" in err
+        assert "NLLVM_LAB_THREADS" in err
+
     def test_console_script_help(self):
         # the declared entry point, run as the installed script would run it,
         # with the package imported from src/ rather than from an install
@@ -377,15 +395,22 @@ class TestMainEndToEnd:
             scripts = tomllib.load(fh)["project"]["scripts"]
         assert scripts["nllvm-lab"] == "nllvm_lab.cli:main"
         module, func = scripts["nllvm-lab"].split(":")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
-        )
         proc = subprocess.run(
             [sys.executable, "-c",
              f"import sys; from {module} import {func}; sys.exit({func}())",
              "--help"],
-            capture_output=True, text=True, env=env,
+            capture_output=True, text=True, env=_src_env(),
         )
         assert proc.returncode == 0
         assert "estimate" in proc.stdout
+
+    def test_import_does_not_load_scipy_stats(self):
+        # a fresh interpreter: this one has scipy.stats from other tests. The
+        # package imports .cli and verify_harness, so this covers every command
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, nllvm_lab; print('scipy.stats' in sys.modules)"],
+            capture_output=True, text=True, env=_src_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

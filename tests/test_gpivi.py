@@ -29,6 +29,7 @@ from scipy.stats import norm
 
 from nllvm_lab.gpivi import (
     BayesModel,
+    _MARGIN_Z,
     _FeasibleMap,
     _default_init,
     _objective_gradient,
@@ -112,6 +113,22 @@ class TestNormalQuantileTransfer:
     def test_tau_positive(self):
         with pytest.raises(ValueError, match="tau"):
             normal_quantile_transfer(0.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "m, tau, n_knots, clip",
+        [(0.3, 0.7, 513, None), (-1.2, 0.05, 17, None), (2.0, 3.0, 9, 0.01)],
+    )
+    def test_values_equal_norm_ppf(self, m, tau, n_knots, clip):
+        # the scipy.special path gives the scipy.stats quantiles bit for bit;
+        # clip None takes the default
+        kwargs = {} if clip is None else {"clip": clip}
+        mu = normal_quantile_transfer(m, tau, n_knots=n_knots, **kwargs)
+        c = 1e-6 if clip is None else clip
+        levels = np.clip(np.linspace(0.0, 1.0, n_knots), c, 1.0 - c)
+        assert np.array_equal(mu.values, m + tau * norm.ppf(levels))
+
+    def test_margin_equals_norm_isf(self):
+        assert _MARGIN_Z == float(norm.isf(1e-9))
 
     def test_midpoint_and_symmetry(self):
         mu = normal_quantile_transfer(0.3, 0.4)

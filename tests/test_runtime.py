@@ -53,7 +53,8 @@ class TestWorkerPool:
         assert worker_count() == 3
         assert worker_count(2) == 2
         monkeypatch.setenv("NLLVM_LAB_THREADS", "not-a-number")
-        assert worker_count() >= 1
+        with pytest.raises(ValueError, match="NLLVM_LAB_THREADS"):
+            worker_count()
         monkeypatch.setenv("NLLVM_LAB_THREADS", "0")
         assert worker_count() == 1
 

@@ -12,10 +12,15 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.stats import kstest
 
 from nllvm_lab.cli import _truth_density
 from nllvm_lab.gpivi import UnsupportedError, normal_mean_model, normal_normal_model
 from nllvm_lab.verify_harness import (
+    _ks_distance_chi2_1,
     check_hellinger_bound,
     check_logsup_bound,
     chi2_limit_experiment,
@@ -81,6 +86,20 @@ class TestChi2Limit:
             chi2_limit_experiment(10000, 499)
         with pytest.raises(ValueError, match="n >= 1000"):
             chi2_limit_experiment(999, 2000)
+
+    @settings(max_examples=60)
+    @given(
+        x=hnp.arrays(
+            np.float64,
+            st.integers(1, 200),
+            # a few repeated values give ties, and 0.0 the edge of the support
+            elements=st.sampled_from([0.0, 0.5, 1.0, 4.0])
+            | st.floats(-1.0, 30.0, allow_nan=False),
+        )
+    )
+    def test_ks_distance_equals_kstest(self, x):
+        expected = kstest(x, "chi2", args=(1,)).statistic
+        assert _ks_distance_chi2_1(x) == expected
 
     def test_default_run_is_clean(self):
         report = chi2_limit_experiment(10000, 2000, seed=0)
