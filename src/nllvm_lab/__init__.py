@@ -46,9 +46,6 @@ from .hi_order_kernel import (
 )
 from .gp_prior import (
     ConditioningError,
-    FixedRescale,
-    GammaRescale,
-    GPDraw,
     GPPriorConfig,
     prior_draw_density,
     sample_path,
@@ -98,9 +95,6 @@ __all__ = [
     "CoverageError",
     "DIVERGENCE_KINDS",
     "FbetaResult",
-    "FixedRescale",
-    "GammaRescale",
-    "GPDraw",
     "GPPriorConfig",
     "GridDensity",
     "GridSpec",

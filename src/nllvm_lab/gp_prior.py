@@ -5,10 +5,10 @@ rescaled squared-exponential covariance
 
     K(x, x') = variance * exp(-A^2 (x - x')^2),
 
-where the rescale A is either fixed or drawn from a Gamma hyperprior, and
-the noise scale sigma carries an inverse-gamma prior.  Pushing a (mu, sigma)
-draw through the location-mixture map yields one draw from the induced prior
-on densities.
+where the rescale A is a fixed float on the config, and the noise scale
+sigma carries an inverse-gamma prior.  Pushing a (mu, sigma) draw through
+the location-mixture map yields one draw from the induced prior on
+densities.
 
 Paths are sampled on a uniform knot grid via Cholesky factorization.  SE
 kernels are badly conditioned for large knot counts, so the factorization
@@ -18,8 +18,8 @@ before failing loudly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Union
+import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky
@@ -37,49 +37,24 @@ class ConditioningError(ArithmeticError):
 
 
 @dataclass(frozen=True)
-class FixedRescale:
-    """Degenerate rescale distribution: always returns ``value``."""
-
-    value: float
-
-    def __post_init__(self) -> None:
-        if not (self.value > 0):
-            raise ValueError(f"rescale value must be positive, got {self.value}")
-
-
-@dataclass(frozen=True)
-class GammaRescale:
-    """Gamma(shape, rate) hyperprior on the rescale."""
-
-    shape: float
-    rate: float
-
-    def __post_init__(self) -> None:
-        if not (self.shape > 0 and self.rate > 0):
-            raise ValueError(
-                f"shape and rate must be positive, got ({self.shape}, {self.rate})"
-            )
-
-
-RescaleDist = Union[FixedRescale, GammaRescale]
-
-
-@dataclass(frozen=True)
 class GPPriorConfig:
     """Prior hyperparameters for (mu, sigma).
 
+    ``rescale`` is the kernel rescale A, fixed for every draw and chain;
     ``sigma_prior`` holds the inverse-gamma (shape, rate) pair; the jitter
     must stay negligible relative to the marginal variance.
     """
 
     variance: float = 1.0
-    rescale_dist: RescaleDist = field(default_factory=lambda: FixedRescale(20.0))
+    rescale: float = 20.0
     sigma_prior: tuple = (3.0, 1.0)
     jitter: float = 1e-8
 
     def __post_init__(self) -> None:
         if not (self.variance > 0):
             raise ValueError(f"variance must be positive, got {self.variance}")
+        if not (math.isfinite(self.rescale) and self.rescale > 0):
+            raise ValueError(f"rescale must be finite and positive, got {self.rescale}")
         a, b = self.sigma_prior
         if not (a > 0 and b > 0):
             raise ValueError(f"sigma_prior must be positive, got {self.sigma_prior}")
@@ -87,28 +62,6 @@ class GPPriorConfig:
             raise ValueError(
                 f"jitter must lie in (0, 1e-6 * variance], got {self.jitter}"
             )
-
-
-@dataclass(eq=False)
-class GPDraw:
-    """One GP path on a uniform [0,1] knot grid."""
-
-    knots: np.ndarray
-    values: np.ndarray
-    rescale_used: float
-    seed: int
-
-    def __post_init__(self) -> None:
-        self.knots = np.asarray(self.knots, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
-        if self.knots.shape != self.values.shape:
-            raise ValueError("knots and values must have matching length")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("GP draw values must be finite")
-
-    def transfer(self) -> TransferFunction:
-        """The draw as a piecewise-linear transfer function."""
-        return TransferFunction(self.knots, self.values)
 
 
 def se_kernel(x: np.ndarray, y: np.ndarray, variance: float, a: float) -> np.ndarray:
@@ -131,14 +84,6 @@ def _chol_with_escalation(k: np.ndarray, jitter: float) -> np.ndarray:
     )
 
 
-def sample_rescale(cfg: GPPriorConfig, rng: np.random.Generator) -> float:
-    """Draw the kernel rescale A from the configured hyperprior."""
-    dist = cfg.rescale_dist
-    if isinstance(dist, FixedRescale):
-        return dist.value
-    return float(rng.gamma(dist.shape, 1.0 / dist.rate))
-
-
 def sample_sigma(cfg: GPPriorConfig, rng: np.random.Generator) -> float:
     """Draw the noise scale from its inverse-gamma prior."""
     a, b = cfg.sigma_prior
@@ -146,35 +91,26 @@ def sample_sigma(cfg: GPPriorConfig, rng: np.random.Generator) -> float:
 
 
 def sample_path(
-    cfg: GPPriorConfig,
-    a: float,
-    n_knots: int,
-    rng: np.random.Generator,
-    *,
-    seed: int = 0,
-) -> GPDraw:
+    cfg: GPPriorConfig, n_knots: int, rng: np.random.Generator
+) -> TransferFunction:
     """Draw one GP path on ``n_knots`` uniform knots in [0,1]."""
     if not (MIN_PATH_KNOTS <= n_knots <= MAX_PATH_KNOTS):
         raise ValueError(
             f"n_knots must lie in [{MIN_PATH_KNOTS}, {MAX_PATH_KNOTS}], got {n_knots}"
         )
     knots = np.linspace(0.0, 1.0, n_knots)
-    k = se_kernel(knots, knots, cfg.variance, a)
+    k = se_kernel(knots, knots, cfg.variance, cfg.rescale)
     chol = _chol_with_escalation(k, cfg.jitter)
-    values = chol @ rng.standard_normal(n_knots)
-    return GPDraw(knots=knots, values=values, rescale_used=a, seed=seed)
+    return TransferFunction(knots, chol @ rng.standard_normal(n_knots))
 
 
 def sample_path_conditional(
     cfg: GPPriorConfig,
-    a: float,
     n_knots: int,
     anchor_idx: np.ndarray,
     anchor_values: np.ndarray,
     rng: np.random.Generator,
-    *,
-    seed: int = 0,
-) -> GPDraw:
+) -> TransferFunction:
     """Draw a GP path conditioned to pass through anchor knots exactly.
 
     Used by the support probe: conditioning the prior through a handful of
@@ -191,6 +127,7 @@ def sample_path_conditional(
         raise ValueError("anchor indices and values must be non-empty and matched")
     knots = np.linspace(0.0, 1.0, n_knots)
     free = np.setdiff1d(np.arange(n_knots), anchor_idx)
+    a = cfg.rescale
 
     k_aa = se_kernel(knots[anchor_idx], knots[anchor_idx], cfg.variance, a)
     chol_aa = _chol_with_escalation(k_aa, cfg.jitter)
@@ -204,7 +141,7 @@ def sample_path_conditional(
         cov_f = k_ff - k_fa @ cho_solve((chol_aa, True), k_fa.T)
         chol_f = _chol_with_escalation(cov_f, cfg.jitter)
         values[free] = mean_f + chol_f @ rng.standard_normal(free.size)
-    return GPDraw(knots=knots, values=values, rescale_used=a, seed=seed)
+    return TransferFunction(knots, values)
 
 
 def prior_draw_density(
@@ -213,14 +150,12 @@ def prior_draw_density(
     rng: np.random.Generator,
     *,
     n_knots: int = 64,
-    seed: int = 0,
 ) -> GridDensity:
     """One draw from the induced prior on densities.
 
-    Composes a rescale draw, a GP path, and a noise-scale draw, then pushes
-    the pair through the location-mixture map on ``spec``.
+    Composes a GP path and a noise-scale draw, then pushes the pair through
+    the location-mixture map on ``spec``.
     """
-    a = sample_rescale(cfg, rng)
-    draw = sample_path(cfg, a, n_knots, rng, seed=seed)
+    mu = sample_path(cfg, n_knots, rng)
     sigma = sample_sigma(cfg, rng)
-    return mixture_density(draw.transfer(), sigma, spec)
+    return mixture_density(mu, sigma, spec)

@@ -24,12 +24,7 @@ from scipy import special
 from scipy.linalg import cho_solve, solve_triangular
 
 from ._runtime import parallel_map, seeded_rng
-from .gp_prior import (
-    FixedRescale,
-    GPPriorConfig,
-    _chol_with_escalation,
-    se_kernel,
-)
+from .gp_prior import GPPriorConfig, _chol_with_escalation, se_kernel
 from .grid_density import HELLINGER_SQ, GridDensity, GridSpec, divergence
 from .reports import SlopeReport, slope_fit
 from .transfer_map import FLAT_RISE, TransferFunction, mixture_density, segment_masses
@@ -278,7 +273,6 @@ def fit_mcmc(
     mcmc: McmcConfig,
     *,
     n_knots: int = 64,
-    rescale: Optional[float] = None,
     init_mu: Optional[np.ndarray] = None,
     init_sigma: Optional[float] = None,
 ) -> PosteriorSamples:
@@ -291,15 +285,11 @@ def fit_mcmc(
     data = np.asarray(list(data), dtype=float)
     if data.size < 10:
         raise ValueError(f"need at least 10 observations, got {data.size}")
-    if rescale is None:
-        if not isinstance(cfg.rescale_dist, FixedRescale):
-            raise ValueError("rescale must be given explicitly for a non-fixed prior")
-        rescale = cfg.rescale_dist.value
 
     rng = seeded_rng(mcmc.seed, "mcmc")
     knots = np.linspace(0.0, 1.0, n_knots)
     kernel_chol = _chol_with_escalation(
-        se_kernel(knots, knots, cfg.variance, rescale), cfg.jitter
+        se_kernel(knots, knots, cfg.variance, cfg.rescale), cfg.jitter
     )
     k_inv = cho_solve((kernel_chol, True), np.eye(n_knots))
 
@@ -351,7 +341,7 @@ def fit_mcmc(
             "burn_in": mcmc.burn_in,
             "thin": mcmc.thin,
             "n_knots": n_knots,
-            "rescale": rescale,
+            "rescale": cfg.rescale,
             "variance": cfg.variance,
             "sigma_prior": list(cfg.sigma_prior),
         },
@@ -410,7 +400,6 @@ def contraction_experiment(
     burn_in: int = 500,
     thin: int = 5,
     n_knots: int = 32,
-    rescale: Optional[float] = None,
 ) -> SlopeReport:
     """Squared-Hellinger decay of the posterior predictive as n grows.
 
@@ -451,7 +440,6 @@ def contraction_experiment(
             cfg,
             McmcConfig(iters=mcmc_iters, burn_in=burn_in, thin=thin, seed=run_seed),
             n_knots=n_knots,
-            rescale=rescale,
         )
         # pad the evaluation window so every kept state's mixture keeps its
         # kernel mass (diffuse early states can stray past the f0 window);
@@ -465,7 +453,6 @@ def contraction_experiment(
         f0_wide = GridDensity(lo, hi, f0.pdf_at(wide.points()))
         return divergence(HELLINGER_SQ, pred, f0_wide)
 
-    note = ""
     try:
         h2 = np.asarray(parallel_map(one, tasks)).reshape(n_arr.size, reps)
     except RuntimeError as exc:
@@ -492,5 +479,5 @@ def contraction_experiment(
         target=_target_slope(n_arr.astype(float), beta, q),
         passed=decreasing,
         seed=seed,
-        note=note or f"log-factor exponent t={t:.3f}; slope target is informational",
+        note=f"log-factor exponent t={t:.3f}; slope target is informational",
     )

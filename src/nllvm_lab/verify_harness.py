@@ -24,7 +24,6 @@ from scipy.special import chdtr
 
 from ._runtime import parallel_map, seeded_rng
 from .gp_prior import (
-    FixedRescale,
     GPPriorConfig,
     _chol_with_escalation,
     sample_path_conditional,
@@ -618,6 +617,9 @@ def gp_support_probe(
     it exactly; the conditional fluctuation between anchors is small enough
     that a positive fraction of conditional draws stays inside the tube.
     """
+    for delta in deltas:
+        if not (delta > 0):
+            raise ValueError(f"deltas must be positive, got {delta}")
     if n_knots % 2 == 0:
         n_knots += 1  # odd path grid so the anchors interleave exactly
     rng = seeded_rng(seed, "gp-support")
@@ -631,9 +633,10 @@ def gp_support_probe(
     violations = 0
     per_delta = {}
     for delta in deltas:
-        a = 1.0 / delta
-        cfg = GPPriorConfig(variance=1.0, rescale_dist=FixedRescale(a))
-        chol = _chol_with_escalation(se_kernel(knots, knots, cfg.variance, a), cfg.jitter)
+        cfg = GPPriorConfig(variance=1.0, rescale=1.0 / delta)
+        chol = _chol_with_escalation(
+            se_kernel(knots, knots, cfg.variance, cfg.rescale), cfg.jitter
+        )
         draws = chol @ rng.standard_normal((n_knots, n_draws))
         mc_fraction = float(
             np.mean(np.max(np.abs(draws - target[:, None]), axis=0) < delta)
@@ -642,14 +645,14 @@ def gp_support_probe(
         inside = 0
         for _ in range(n_conditional):
             draw = sample_path_conditional(
-                cfg, a, n_knots, anchor_idx, target[anchor_idx], rng
+                cfg, n_knots, anchor_idx, target[anchor_idx], rng
             )
             err = float(np.max(np.abs(draw.values - target)))
             inside += err < delta
         cond_fraction = inside / n_conditional
 
         mean_path = sample_path_conditional(
-            cfg, a, n_knots, anchor_idx, target[anchor_idx], _ZeroGenerator()
+            cfg, n_knots, anchor_idx, target[anchor_idx], _ZeroGenerator()
         )
         interp_err = float(np.max(np.abs(mean_path.values - target)))
 
@@ -659,7 +662,7 @@ def gp_support_probe(
         worst = max(worst, margin)
         violations += margin > 0
         per_delta[f"{delta:g}"] = {
-            "rescale": a,
+            "rescale": cfg.rescale,
             "mc_fraction": mc_fraction,
             "conditional_fraction": cond_fraction,
             "mean_interp_error": interp_err,

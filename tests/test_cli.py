@@ -377,6 +377,12 @@ class TestMainEndToEnd:
         assert rc == 1
         assert "line 3" in capsys.readouterr().err
 
+    def test_support_probe_rejects_nonpositive_delta(self, tmp_path, capsys):
+        rc = main(["verify", "support-probe", "--deltas", "0,0.1",
+                   "--out", str(tmp_path / "o.json")])
+        assert rc == 1
+        assert "nllvm-lab: error: deltas must be positive" in capsys.readouterr().err
+
     def test_bad_thread_count_exits_one(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("NLLVM_LAB_THREADS", "abc")
         rc = main(["verify", "risk-bound", "--n-list", "50,100", "--reps", "2",

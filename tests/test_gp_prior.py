@@ -7,8 +7,9 @@ Oracles
   knot are N(0, variance); 600 draws pin the sample standard deviation.
 * Conditioning with a zero-noise generator returns the conditional mean,
   which for densely anchored smooth targets interpolates them closely.
-* The inverse-gamma(3, 1) noise prior has mean 1/2; Gamma(40, 2) has
-  mean 20.
+* The inverse-gamma(3, 1) noise prior has mean 1/2.
+* A fixed rescale draws no randomness, so a prior density draw is exactly
+  a path draw followed by a noise-scale draw on the same generator.
 """
 
 from __future__ import annotations
@@ -22,20 +23,16 @@ from nllvm_lab.gp_prior import (
     MAX_PATH_KNOTS,
     MIN_PATH_KNOTS,
     ConditioningError,
-    FixedRescale,
-    GammaRescale,
-    GPDraw,
     GPPriorConfig,
     _chol_with_escalation,
     prior_draw_density,
     sample_path,
     sample_path_conditional,
-    sample_rescale,
     sample_sigma,
     se_kernel,
 )
 from nllvm_lab.grid_density import GridSpec
-from nllvm_lab.transfer_map import TransferFunction
+from nllvm_lab.transfer_map import TransferFunction, mixture_density
 
 
 class ZeroNoise:
@@ -52,7 +49,7 @@ class TestConfigValidation:
     def test_defaults_are_valid(self):
         cfg = GPPriorConfig()
         assert cfg.variance == 1.0
-        assert isinstance(cfg.rescale_dist, FixedRescale)
+        assert cfg.rescale == 20.0
 
     def test_variance_positive(self):
         with pytest.raises(ValueError, match="variance"):
@@ -72,13 +69,10 @@ class TestConfigValidation:
         # the same jitter is acceptable under a larger marginal variance
         GPPriorConfig(variance=100.0, jitter=1e-5)
 
-    def test_rescale_dist_validation(self):
-        with pytest.raises(ValueError, match="positive"):
-            FixedRescale(-1.0)
-        with pytest.raises(ValueError, match="positive"):
-            GammaRescale(0.0, 2.0)
-        with pytest.raises(ValueError, match="positive"):
-            GammaRescale(2.0, 0.0)
+    def test_rescale_must_be_finite_positive(self):
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="rescale"):
+                GPPriorConfig(rescale=bad)
 
 
 class TestSeKernel:
@@ -124,41 +118,32 @@ class TestSamplePath:
     """Unconditional path draws."""
 
     def test_knot_count_bounds(self):
-        cfg = GPPriorConfig()
+        cfg = GPPriorConfig(rescale=5.0)
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match="n_knots"):
-            sample_path(cfg, 5.0, MIN_PATH_KNOTS - 1, rng)
+            sample_path(cfg, MIN_PATH_KNOTS - 1, rng)
         with pytest.raises(ValueError, match="n_knots"):
-            sample_path(cfg, 5.0, MAX_PATH_KNOTS + 1, rng)
+            sample_path(cfg, MAX_PATH_KNOTS + 1, rng)
 
     def test_reproducible_under_seeded_generator(self):
-        cfg = GPPriorConfig()
-        a = sample_path(cfg, 5.0, 64, np.random.default_rng(11), seed=11)
-        b = sample_path(cfg, 5.0, 64, np.random.default_rng(11), seed=11)
+        cfg = GPPriorConfig(rescale=5.0)
+        a = sample_path(cfg, 64, np.random.default_rng(11))
+        b = sample_path(cfg, 64, np.random.default_rng(11))
         np.testing.assert_array_equal(a.values, b.values)
-        assert a.seed == 11 and a.rescale_used == 5.0
 
     def test_marginal_standard_deviation(self):
         # single-knot marginals are N(0, variance)
-        cfg = GPPriorConfig(variance=0.8, rescale_dist=FixedRescale(6.0))
+        cfg = GPPriorConfig(variance=0.8, rescale=6.0)
         rng = np.random.default_rng(0)
-        draws = np.array(
-            [sample_path(cfg, 6.0, 64, rng).values[32] for _ in range(600)]
-        )
+        draws = np.array([sample_path(cfg, 64, rng).values[32] for _ in range(600)])
         assert abs(draws.std() - math.sqrt(0.8)) < 0.1
 
     def test_transfer_round_trip(self):
-        draw = sample_path(GPPriorConfig(), 5.0, 32, np.random.default_rng(2))
-        mu = draw.transfer()
+        mu = sample_path(GPPriorConfig(rescale=5.0), 32, np.random.default_rng(2))
         assert isinstance(mu, TransferFunction)
-        assert mu(np.array([0.0]))[0] == draw.values[0]
-        assert mu(np.array([1.0]))[0] == draw.values[-1]
-
-    def test_draw_validation(self):
-        with pytest.raises(ValueError, match="matching length"):
-            GPDraw(np.linspace(0, 1, 4), np.zeros(3), 5.0, 0)
-        with pytest.raises(ValueError, match="finite"):
-            GPDraw(np.linspace(0, 1, 3), np.array([0.0, np.nan, 1.0]), 5.0, 0)
+        np.testing.assert_array_equal(mu.knots, np.linspace(0.0, 1.0, 32))
+        assert mu(np.array([0.0]))[0] == mu.values[0]
+        assert mu(np.array([1.0]))[0] == mu.values[-1]
 
 
 class TestConditionalPath:
@@ -170,7 +155,7 @@ class TestConditionalPath:
         target = np.sin(2 * np.pi * knots)
         idx = np.arange(0, n, 2)
         draw = sample_path_conditional(
-            GPPriorConfig(), 8.0, n, idx, target[idx], np.random.default_rng(5)
+            GPPriorConfig(rescale=8.0), n, idx, target[idx], np.random.default_rng(5)
         )
         np.testing.assert_array_equal(draw.values[idx], target[idx])
 
@@ -182,57 +167,54 @@ class TestConditionalPath:
         target = np.sin(2 * np.pi * knots)
         idx = np.arange(0, n, 2)
         draw = sample_path_conditional(
-            GPPriorConfig(), 8.0, n, idx, target[idx], ZeroNoise()
+            GPPriorConfig(rescale=8.0), n, idx, target[idx], ZeroNoise()
         )
         assert np.max(np.abs(draw.values - target)) < 1e-3
 
     def test_all_knots_anchored(self):
         n = 16
         values = np.linspace(-1.0, 1.0, n)
+        cfg = GPPriorConfig(rescale=5.0)
         draw = sample_path_conditional(
-            GPPriorConfig(), 5.0, n, np.arange(n), values, np.random.default_rng(0)
+            cfg, n, np.arange(n), values, np.random.default_rng(0)
         )
         np.testing.assert_array_equal(draw.values, values)
 
     def test_anchor_validation(self):
-        cfg = GPPriorConfig()
+        cfg = GPPriorConfig(rescale=5.0)
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match="anchor"):
-            sample_path_conditional(cfg, 5.0, 32, np.array([]), np.array([]), rng)
+            sample_path_conditional(cfg, 32, np.array([]), np.array([]), rng)
         with pytest.raises(ValueError, match="anchor"):
-            sample_path_conditional(
-                cfg, 5.0, 32, np.array([0, 1]), np.array([0.5]), rng
-            )
+            sample_path_conditional(cfg, 32, np.array([0, 1]), np.array([0.5]), rng)
         with pytest.raises(ValueError, match="n_knots"):
-            sample_path_conditional(
-                cfg, 5.0, 8, np.array([0]), np.array([0.5]), rng
-            )
+            sample_path_conditional(cfg, 8, np.array([0]), np.array([0.5]), rng)
 
     def test_reproducible(self):
         idx = np.array([0, 16, 31])
         vals = np.array([0.0, 0.5, 1.0])
         a = sample_path_conditional(
-            GPPriorConfig(), 5.0, 32, idx, vals, np.random.default_rng(7)
+            GPPriorConfig(rescale=5.0), 32, idx, vals, np.random.default_rng(7)
         )
         b = sample_path_conditional(
-            GPPriorConfig(), 5.0, 32, idx, vals, np.random.default_rng(7)
+            GPPriorConfig(rescale=5.0), 32, idx, vals, np.random.default_rng(7)
         )
         np.testing.assert_array_equal(a.values, b.values)
 
 
 class TestScalarPriors:
-    """Rescale and noise-scale draws."""
+    """Fixed rescale and noise-scale draws."""
 
     def test_fixed_rescale_is_deterministic(self):
-        cfg = GPPriorConfig(rescale_dist=FixedRescale(12.5))
-        assert sample_rescale(cfg, np.random.default_rng(0)) == 12.5
-
-    def test_gamma_rescale_mean(self):
-        cfg = GPPriorConfig(rescale_dist=GammaRescale(40.0, 2.0))
-        rng = np.random.default_rng(4)
-        draws = np.array([sample_rescale(cfg, rng) for _ in range(4000)])
-        assert draws.mean() == pytest.approx(20.0, abs=1.0)
-        assert np.all(draws > 0)
+        # the rescale is read from the config, never drawn: a prior density
+        # draw consumes exactly one path draw and one noise-scale draw
+        cfg = GPPriorConfig(rescale=12.5)
+        spec = GridSpec(-30.0, 30.0, 2048)
+        rng = np.random.default_rng(0)
+        mu = sample_path(cfg, 64, rng)
+        expected = mixture_density(mu, sample_sigma(cfg, rng), spec)
+        out = prior_draw_density(cfg, spec, np.random.default_rng(0))
+        np.testing.assert_array_equal(out.values, expected.values)
 
     def test_inverse_gamma_sigma_mean(self):
         # inverse-gamma(3, 1) has mean rate / (shape - 1) = 1/2
@@ -247,7 +229,7 @@ class TestPriorDrawDensity:
     """Induced prior on densities."""
 
     def test_draw_is_normalized_density(self):
-        cfg = GPPriorConfig(rescale_dist=FixedRescale(5.0))
+        cfg = GPPriorConfig(rescale=5.0)
         out = prior_draw_density(
             cfg, GridSpec(-30.0, 30.0, 4096), np.random.default_rng(1)
         )
@@ -255,7 +237,7 @@ class TestPriorDrawDensity:
         assert np.all(out.values >= 0)
 
     def test_reproducible(self):
-        cfg = GPPriorConfig(rescale_dist=FixedRescale(5.0))
+        cfg = GPPriorConfig(rescale=5.0)
         spec = GridSpec(-30.0, 30.0, 2048)
         a = prior_draw_density(cfg, spec, np.random.default_rng(9))
         b = prior_draw_density(cfg, spec, np.random.default_rng(9))

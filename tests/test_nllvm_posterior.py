@@ -23,13 +23,7 @@ from hypothesis import strategies as st
 from scipy.linalg import cho_solve
 from scipy.stats import kstest
 
-from nllvm_lab.gp_prior import (
-    FixedRescale,
-    GammaRescale,
-    GPPriorConfig,
-    _chol_with_escalation,
-    se_kernel,
-)
+from nllvm_lab.gp_prior import GPPriorConfig, _chol_with_escalation, se_kernel
 from nllvm_lab.grid_density import GridSpec
 from nllvm_lab.nllvm_posterior import (
     McmcConfig,
@@ -49,7 +43,7 @@ from nllvm_lab.transfer_map import mixture_density
 
 @pytest.fixture(scope="module")
 def cfg() -> GPPriorConfig:
-    return GPPriorConfig(rescale_dist=FixedRescale(5.0))
+    return GPPriorConfig(rescale=5.0)
 
 
 class TestConfigAndState:
@@ -142,7 +136,7 @@ class TestUpdateLatents:
 
 def _k_inv(cfg: GPPriorConfig, n_knots: int) -> np.ndarray:
     knots = np.linspace(0.0, 1.0, n_knots)
-    kernel = se_kernel(knots, knots, cfg.variance, cfg.rescale_dist.value)
+    kernel = se_kernel(knots, knots, cfg.variance, cfg.rescale)
     return cho_solve((_chol_with_escalation(kernel, cfg.jitter), True), np.eye(n_knots))
 
 
@@ -266,11 +260,6 @@ class TestFitMcmc:
         for sa, sb in zip(a.states, b.states):
             np.testing.assert_array_equal(sa.mu_values, sb.mu_values)
             assert sa.sigma == sb.sigma
-
-    def test_non_fixed_rescale_needs_explicit_value(self):
-        gamma_cfg = GPPriorConfig(rescale_dist=GammaRescale(2.0, 0.1))
-        with pytest.raises(ValueError, match="rescale"):
-            fit_mcmc(np.zeros(20), gamma_cfg, McmcConfig(iters=10, burn_in=0))
 
 
 class TestPredictiveDensity:

@@ -250,6 +250,16 @@ class TestGpSupportProbe:
         assert report.params["n_knots"] == 65
         assert report.params["anchor_stride"] == 2
 
+    @pytest.mark.parametrize("deltas", [(0.0,), (-0.1,), (0.3, 0.0)])
+    def test_deltas_positive(self, bump, deltas, monkeypatch):
+        # rejected before any work: the probe's rng is never built
+        def no_work(*args):
+            raise AssertionError("probe started before validating deltas")
+
+        monkeypatch.setattr("nllvm_lab.verify_harness.seeded_rng", no_work)
+        with pytest.raises(ValueError, match="deltas must be positive"):
+            gp_support_probe(bump, deltas=deltas, n_draws=500, n_conditional=50)
+
     def test_conditional_construction_lands_inside(self, bump):
         report = gp_support_probe(
             bump, deltas=(0.3,), seed=0, n_draws=500, n_conditional=50
