@@ -29,16 +29,13 @@ from .grid_density import (
 )
 from .transfer_map import (
     CoverageError,
-    MixingHistogram,
     TransferFunction,
-    induced_histogram,
     mixture_density,
     quantile_of,
 )
 from .hi_order_kernel import (
     FbetaResult,
     SigmaTooLargeError,
-    SmoothnessSpec,
     approx_order_experiment,
     fbeta_closed_form,
     fbeta_iterative,
@@ -47,8 +44,6 @@ from .hi_order_kernel import (
 from .gp_prior import (
     ConditioningError,
     GPPriorConfig,
-    prior_draw_density,
-    sample_path,
     sample_path_conditional,
 )
 from .nllvm_posterior import (
@@ -70,14 +65,12 @@ from .gpivi import (
     SupportError,
     UnsupportedError,
     VariationalParams,
-    kl_ball_contains,
     logistic_model,
     normal_mean_model,
     normal_normal_model,
     normal_quantile_transfer,
     optimize,
     practical_objective,
-    psi_diagnostic,
     q_density,
     quadrature_posterior,
     risk_bound_rhs,
@@ -103,7 +96,6 @@ __all__ = [
     "KLBallSpec",
     "L1",
     "McmcConfig",
-    "MixingHistogram",
     "NLLVMState",
     "NumericError",
     "OptConfig",
@@ -118,7 +110,6 @@ __all__ = [
     "SUP_LOG_RATIO",
     "SigmaTooLargeError",
     "SlopeReport",
-    "SmoothnessSpec",
     "SupportError",
     "TransferFunction",
     "UnsupportedError",
@@ -131,8 +122,6 @@ __all__ = [
     "fbeta_closed_form",
     "fbeta_iterative",
     "fit_mcmc",
-    "induced_histogram",
-    "kl_ball_contains",
     "kl_rate_experiment",
     "load_csv",
     "logistic_model",
@@ -144,14 +133,11 @@ __all__ = [
     "optimize",
     "practical_objective",
     "predictive_density",
-    "prior_draw_density",
-    "psi_diagnostic",
     "q_density",
     "quadrature_posterior",
     "quantile_of",
     "risk_bound_rhs",
     "risk_integral",
-    "sample_path",
     "sample_path_conditional",
     "slope_fit",
     "smooth_bump",

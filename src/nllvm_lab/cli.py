@@ -57,16 +57,6 @@ MAX_GRID_N = 65536
 _COMMANDS = ("estimate", "vi", "verify", "contract")
 _TRUTHS = ("bump", "bimodal", "normal")
 _MODELS = ("normal-mean", "normal-normal", "logistic")
-_CHECKS = (
-    "hellinger-bound",
-    "logsup-bound",
-    "chi2-limit",
-    "l1-support",
-    "risk-bound",
-    "hellinger-risk",
-    "restricted-kl",
-    "support-probe",
-)
 
 
 # ---------------------------------------------------------------------------
@@ -138,18 +128,6 @@ class Report:
         if self.passed is not None:
             out["pass"] = bool(self.passed)
         return out
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "Report":
-        return cls(
-            command=raw["command"],
-            config=raw["config"],
-            metrics=raw["metrics"],
-            runtime_ms=raw["runtime_ms"],
-            seed=raw["seed"],
-            passed=raw.get("pass"),
-            schema_version=raw["schema_version"],
-        )
 
 
 def _jsonable(obj):
@@ -338,116 +316,105 @@ def _cmd_contract(cfg: RunConfig):
     return metrics, passed, (("n", "median_hellinger_sq"), rows)
 
 
+def _logsup_rows(report, params):
+    # rows carry the requested deltas: the report's keys are rounded by :g
+    p = report.params
+    rows = []
+    for d in sorted(params["deltas"]):
+        budget = p["baseline"] + d**2 / p["sigma"] ** 2 + p["slack"]
+        rows.append((d, p["mean_sup_log_ratio"][f"{d:g}"], budget))
+    return rows
+
+
+def _risk_bound_rows(report, params):
+    rows = []
+    for n in sorted(params["n_list"]):
+        at = report.params["per_n"][str(n)]
+        rows.append((n, at["median_lhs"], at["rhs"] + at["remainder"], at["violations"]))
+    return rows
+
+
+def _support_probe_rows(report, params):
+    rows = []
+    for d in sorted(params["deltas"], reverse=True):
+        at = report.params["per_delta"][f"{d:g}"]
+        rows.append((d, at["conditional_fraction"], at["mc_fraction"], at["mean_interp_error"]))
+    return rows
+
+
+# check name -> (run(params, f0, seed), CSV header, rows(report, params)),
+# where f0 is the --truth density for the checks that take one, else None
+_CHECKS = {
+    "hellinger-bound": (
+        lambda p, f0, seed: verify_harness.check_hellinger_bound(trials=p["trials"], seed=seed),
+        ("trials", "violations", "worst_margin"),
+        lambda r, p: [(r.trials, r.violations, r.worst_margin)],
+    ),
+    "logsup-bound": (
+        lambda p, f0, seed: verify_harness.check_logsup_bound(
+            f0, sigma=p["sigma"], deltas=tuple(p["deltas"]), trials=p["trials"], seed=seed
+        ),
+        ("delta", "mean_sup_log_ratio", "budget"),
+        _logsup_rows,
+    ),
+    "chi2-limit": (
+        lambda p, f0, seed: verify_harness.chi2_limit_experiment(p["n"], p["reps"], seed=seed),
+        ("n", "ks_distance", "mean_statistic"),
+        lambda r, p: [(r.params["n"], r.params["ks"], r.params["mean_statistic"])],
+    ),
+    "l1-support": (
+        lambda p, f0, seed: verify_harness.l1_support_search(f0, p["eps"], seed=seed),
+        ("bandwidth", "l1_distance"),
+        lambda r, p: [(r.params["sigma"], r.params["l1"])],
+    ),
+    "risk-bound": (
+        lambda p, f0, seed: verify_harness.risk_bound_experiment(
+            normal_normal_model(),
+            p["n_list"],
+            p["alpha"],
+            eps_rule=lambda n: p["eps_scale"] / math.sqrt(n),
+            reps=p["reps"],
+            seed=seed,
+        ),
+        ("n", "median_risk", "bound", "violations"),
+        _risk_bound_rows,
+    ),
+    "hellinger-risk": (
+        lambda p, f0, seed: verify_harness.hellinger_risk_experiment(
+            normal_normal_model(), p["n_list"], alpha=p["alpha"], reps=p["reps"], seed=seed
+        ),
+        ("n", "median_hellinger_sq_risk"),
+        lambda r, p: list(zip(r.xs, r.ys)),
+    ),
+    "restricted-kl": (
+        lambda p, f0, seed: verify_harness.restricted_min_kl_experiment(
+            p["n_list"], p["reps"], seed=seed
+        ),
+        ("n", "min_kl_percentile_95"),
+        lambda r, p: list(zip(r.params["n_list"], r.params["percentiles_95"])),
+    ),
+    "support-probe": (
+        lambda p, f0, seed: verify_harness.gp_support_probe(
+            f0, deltas=tuple(p["deltas"]), seed=seed
+        ),
+        ("delta", "conditional_fraction", "mc_fraction", "mean_interp_error"),
+        _support_probe_rows,
+    ),
+}
+
+
 def _cmd_verify(cfg: RunConfig):
     params = cfg.params
     check = params["check"]
-    seed = cfg.seed
-
-    if check == "hellinger-bound":
-        report = verify_harness.check_hellinger_bound(
-            trials=params["trials"], seed=seed
-        )
-        rows = [(report.trials, report.violations, report.worst_margin)]
-        header = ("trials", "violations", "worst_margin")
-    elif check == "logsup-bound":
-        f0 = _truth_density(params["truth"], cfg.grid_n)
-        report = verify_harness.check_logsup_bound(
-            f0,
-            sigma=params["sigma"],
-            deltas=tuple(params["deltas"]),
-            trials=params["trials"],
-            seed=seed,
-        )
-        baseline = report.params["baseline"]
-        sigma = report.params["sigma"]
-        rows = [
-            (d, slr, baseline + d**2 / sigma**2 + report.params["slack"])
-            for d, slr in sorted(
-                (float(k), v) for k, v in report.params["mean_sup_log_ratio"].items()
-            )
-        ]
-        header = ("delta", "mean_sup_log_ratio", "budget")
-    elif check == "chi2-limit":
-        report = verify_harness.chi2_limit_experiment(
-            params["n"], params["reps"], seed=seed
-        )
-        rows = [
-            (
-                report.params["n"],
-                report.params["ks"],
-                report.params["mean_statistic"],
-            )
-        ]
-        header = ("n", "ks_distance", "mean_statistic")
-    elif check == "l1-support":
-        f0 = _truth_density(params["truth"], cfg.grid_n)
-        report = verify_harness.l1_support_search(f0, params["eps"], seed=seed)
-        rows = [(report.params["sigma"], report.params["l1"])]
-        header = ("bandwidth", "l1_distance")
-    elif check == "risk-bound":
-        model = normal_normal_model()
-        scale = params["eps_scale"]
-        report = verify_harness.risk_bound_experiment(
-            model,
-            params["n_list"],
-            params["alpha"],
-            eps_rule=lambda n: scale / math.sqrt(n),
-            reps=params["reps"],
-            seed=seed,
-        )
-        per_n = report.params["per_n"]
-        rows = [
-            (
-                n,
-                per_n[str(n)]["median_lhs"],
-                per_n[str(n)]["rhs"] + per_n[str(n)]["remainder"],
-                per_n[str(n)]["violations"],
-            )
-            for n in sorted(params["n_list"])
-        ]
-        header = ("n", "median_risk", "bound", "violations")
-    elif check == "hellinger-risk":
-        model = normal_normal_model()
-        report = verify_harness.hellinger_risk_experiment(
-            model,
-            params["n_list"],
-            alpha=params["alpha"],
-            reps=params["reps"],
-            seed=seed,
-        )
-        rows = list(zip(report.xs, report.ys))
-        header = ("n", "median_hellinger_sq_risk")
-    elif check == "restricted-kl":
-        report = verify_harness.restricted_min_kl_experiment(
-            params["n_list"], params["reps"], seed=seed
-        )
-        rows = list(
-            zip(report.params["n_list"], report.params["percentiles_95"])
-        )
-        header = ("n", "min_kl_percentile_95")
-    elif check == "support-probe":
-        f0 = _truth_density(params["truth"], cfg.grid_n)
-        report = verify_harness.gp_support_probe(
-            f0, deltas=tuple(params["deltas"]), seed=seed
-        )
-        per_delta = report.params["per_delta"]
-        rows = [
-            (
-                d,
-                per_delta[f"{d:g}"]["conditional_fraction"],
-                per_delta[f"{d:g}"]["mc_fraction"],
-                per_delta[f"{d:g}"]["mean_interp_error"],
-            )
-            for d in sorted(params["deltas"], reverse=True)
-        ]
-        header = ("delta", "conditional_fraction", "mc_fraction", "mean_interp_error")
-    else:
-        raise ValueError(f"unknown verify check {check!r}; choose from {_CHECKS}")
-
+    if check not in _CHECKS:
+        raise ValueError(f"unknown verify check {check!r}; choose from {tuple(_CHECKS)}")
+    run, header, rows = _CHECKS[check]
+    f0 = _truth_density(params["truth"], cfg.grid_n) if "truth" in params else None
+    report = run(params, f0, cfg.seed)
     metrics = report.to_dict()
     passed = metrics.pop("pass")
     metrics.pop("seed", None)
-    return metrics, passed, (header, rows)
+    return metrics, passed, (header, rows(report, params))
 
 
 _HANDLERS = {

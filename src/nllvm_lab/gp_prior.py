@@ -24,8 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_solve, cholesky
 
-from .grid_density import GridDensity, GridSpec
-from .transfer_map import TransferFunction, mixture_density
+from .transfer_map import TransferFunction
 
 MIN_PATH_KNOTS = 16
 MAX_PATH_KNOTS = 1024
@@ -84,26 +83,6 @@ def _chol_with_escalation(k: np.ndarray, jitter: float) -> np.ndarray:
     )
 
 
-def sample_sigma(cfg: GPPriorConfig, rng: np.random.Generator) -> float:
-    """Draw the noise scale from its inverse-gamma prior."""
-    a, b = cfg.sigma_prior
-    return float(1.0 / rng.gamma(a, 1.0 / b))
-
-
-def sample_path(
-    cfg: GPPriorConfig, n_knots: int, rng: np.random.Generator
-) -> TransferFunction:
-    """Draw one GP path on ``n_knots`` uniform knots in [0,1]."""
-    if not (MIN_PATH_KNOTS <= n_knots <= MAX_PATH_KNOTS):
-        raise ValueError(
-            f"n_knots must lie in [{MIN_PATH_KNOTS}, {MAX_PATH_KNOTS}], got {n_knots}"
-        )
-    knots = np.linspace(0.0, 1.0, n_knots)
-    k = se_kernel(knots, knots, cfg.variance, cfg.rescale)
-    chol = _chol_with_escalation(k, cfg.jitter)
-    return TransferFunction(knots, chol @ rng.standard_normal(n_knots))
-
-
 def sample_path_conditional(
     cfg: GPPriorConfig,
     n_knots: int,
@@ -143,19 +122,3 @@ def sample_path_conditional(
         values[free] = mean_f + chol_f @ rng.standard_normal(free.size)
     return TransferFunction(knots, values)
 
-
-def prior_draw_density(
-    cfg: GPPriorConfig,
-    spec: GridSpec,
-    rng: np.random.Generator,
-    *,
-    n_knots: int = 64,
-) -> GridDensity:
-    """One draw from the induced prior on densities.
-
-    Composes a GP path and a noise-scale draw, then pushes the pair through
-    the location-mixture map on ``spec``.
-    """
-    mu = sample_path(cfg, n_knots, rng)
-    sigma = sample_sigma(cfg, rng)
-    return mixture_density(mu, sigma, spec)

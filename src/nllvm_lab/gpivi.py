@@ -8,8 +8,7 @@ differences over the knot segments), so the tempered variational objective
 
     alpha * E_q[-sum_i log p(y_i | theta)] + KL(q || prior)
 
-and every diagnostic derived from it are computed exactly on a grid — no
-density-ratio estimation anywhere.
+is computed exactly on a grid — no density-ratio estimation anywhere.
 
 The module also ships the quantities used by the risk analysis: KL
 neighborhoods of the true parameter, prior mass of those neighborhoods, the
@@ -218,11 +217,6 @@ def kl_ball_mask(spec: KLBallSpec, model: BayesModel, thetas) -> np.ndarray:
     return (kl <= bound) & (v <= bound)
 
 
-def kl_ball_contains(spec: KLBallSpec, model: BayesModel, theta: float) -> bool:
-    """True iff theta lies in the KL neighborhood of theta_star."""
-    return bool(kl_ball_mask(spec, model, np.asarray([theta]))[0])
-
-
 # ---------------------------------------------------------------------------
 # the variational objective
 
@@ -252,31 +246,6 @@ def _check_support(q: GridDensity, prior_vals: np.ndarray) -> None:
         )
 
 
-def _fit_and_kl(
-    params: VariationalParams,
-    model: BayesModel,
-    data,
-    alpha: float,
-    spec: Optional[GridSpec],
-    loglik: Optional[np.ndarray] = None,
-) -> tuple:
-    """E_q of the summed log-likelihood and KL(q || prior), by quadrature on ``spec``."""
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must lie in (0,1), got {alpha}")
-    data = np.asarray(data, dtype=float)
-    if data.size == 0:
-        raise ValueError("data must be non-empty")
-    if spec is None:
-        spec = model.prior_density.spec
-    q = q_density(params, spec)
-    prior_vals = _prior_on(model, q.grid)
-    _check_support(q, prior_vals)
-    kl = kl_values(q.values, prior_vals, q.spacing)
-    if loglik is None:
-        loglik = total_loglik(model, data, q.grid)
-    return float(trapezoid(q.values * loglik, dx=q.spacing)), kl
-
-
 def practical_objective(
     params: VariationalParams,
     model: BayesModel,
@@ -292,41 +261,20 @@ def practical_objective(
     regularized model-fit functional; all expectations are quadratures
     against the explicit q density on ``spec`` (default: the prior's grid).
     """
-    expected_loglik, kl = _fit_and_kl(params, model, data, alpha, spec, loglik)
-    return alpha * -expected_loglik + kl
-
-
-def psi_diagnostic(
-    params: VariationalParams,
-    model: BayesModel,
-    data,
-    alpha: float,
-    *,
-    spec: Optional[GridSpec] = None,
-) -> float:
-    """Model-fit term plus alpha^{-1} KL(q || prior), for simulation studies.
-
-    The model-fit term is E_q of the summed log-likelihood ratio against
-    theta_star, so it needs the true parameter and is not a training
-    objective; the regularizer enters with a plus sign.
-    """
-    expected_loglik, kl = _fit_and_kl(params, model, data, alpha, spec)
-    l_star = float(np.sum(model.log_likelihood(model.theta_star, np.asarray(data, float))))
-    return l_star - expected_loglik + kl / alpha
-
-
-def model_fit_term(
-    params: VariationalParams,
-    model: BayesModel,
-    data,
-    alpha: float,
-    *,
-    spec: Optional[GridSpec] = None,
-) -> float:
-    """The diagnostic minus its regularizer (the pure likelihood-ratio term)."""
-    expected_loglik, _ = _fit_and_kl(params, model, data, alpha, spec)
-    l_star = float(np.sum(model.log_likelihood(model.theta_star, np.asarray(data, float))))
-    return l_star - expected_loglik
+    if not (0.0 < alpha < 1.0):
+        raise ValueError(f"alpha must lie in (0,1), got {alpha}")
+    data = np.asarray(data, dtype=float)
+    if data.size == 0:
+        raise ValueError("data must be non-empty")
+    if spec is None:
+        spec = model.prior_density.spec
+    q = q_density(params, spec)
+    prior_vals = _prior_on(model, q.grid)
+    _check_support(q, prior_vals)
+    kl = kl_values(q.values, prior_vals, q.spacing)
+    if loglik is None:
+        loglik = total_loglik(model, data, q.grid)
+    return alpha * -float(trapezoid(q.values * loglik, dx=q.spacing)) + kl
 
 
 # ---------------------------------------------------------------------------

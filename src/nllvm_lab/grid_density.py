@@ -25,7 +25,6 @@ Numerical conventions
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 from scipy import special
@@ -105,13 +104,6 @@ class GridDensity:
         if total <= 0:
             raise ValueError("density has zero total mass")
         self.values = vals / total
-
-    @classmethod
-    def from_callable(
-        cls, pdf: Callable[[np.ndarray], np.ndarray], spec: GridSpec
-    ) -> "GridDensity":
-        """Tabulate (and renormalize) a pdf on the grid of ``spec``."""
-        return cls(spec.lo, spec.hi, np.asarray(pdf(spec.points()), dtype=float))
 
     @property
     def n(self) -> int:

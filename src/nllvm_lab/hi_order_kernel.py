@@ -41,36 +41,6 @@ class SigmaTooLargeError(ValueError):
     """Bandwidth produced more negative mass than the kernel tolerates."""
 
 
-@dataclass(frozen=True)
-class SmoothnessSpec:
-    """Pairs a smoothness level beta with its correction order j.
-
-    The order-j kernel targets effective smoothness beta in (2j, 2j+2].
-    """
-
-    beta: float
-    j: int
-
-    def __post_init__(self) -> None:
-        if self.beta <= 0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
-        if self.j < 0:
-            raise ValueError(f"j must be non-negative, got {self.j}")
-        if not (2 * self.j < self.beta <= 2 * self.j + 2):
-            raise ValueError(
-                f"need 2j < beta <= 2j + 2, got beta={self.beta}, j={self.j}"
-            )
-
-    @classmethod
-    def from_beta(cls, beta: float) -> "SmoothnessSpec":
-        return cls(beta, max(0, math.ceil(beta / 2.0) - 1))
-
-    @classmethod
-    def from_order(cls, j: int) -> "SmoothnessSpec":
-        """The maximal beta = 2j + 2 served by correction order j."""
-        return cls(2 * j + 2, j)
-
-
 def _iterate_raw(f0: GridDensity, sigma: float, j: int) -> np.ndarray:
     """Raw signed order-j iterate by direct recursion."""
     out = f0.values.copy()

@@ -229,53 +229,3 @@ def mixture_density(mu: TransferFunction, sigma: float, spec: GridSpec) -> GridD
         )
     return GridDensity(spec.lo, spec.hi, out, mass_loss=lost)
 
-
-@dataclass(eq=False)
-class MixingHistogram:
-    """Pushforward of the uniform latent through mu, binned."""
-
-    bin_edges: np.ndarray
-    masses: np.ndarray
-
-    def __post_init__(self) -> None:
-        edges = np.asarray(self.bin_edges, dtype=float)
-        masses = np.asarray(self.masses, dtype=float)
-        if edges.size != masses.size + 1:
-            raise ValueError("need len(bin_edges) == len(masses) + 1")
-        if np.any(np.diff(edges) <= 0):
-            raise ValueError("bin_edges must be strictly increasing")
-        if np.any(masses < 0):
-            raise ValueError("masses must be non-negative")
-        total = float(masses.sum())
-        if abs(total - 1.0) > 1e-8:
-            raise ValueError(f"masses must sum to 1 within 1e-8, got {total}")
-        self.bin_edges, self.masses = edges, masses
-
-
-def induced_histogram(mu: TransferFunction, n_bins: int) -> MixingHistogram:
-    """Histogram of the mixing measure: Lebesgue mass of each level set.
-
-    Exact from the knots: a rising or falling segment spreads its length dx_k
-    uniformly over [v_k, v_{k+1}], and a flat segment puts it all in the bin
-    holding its value.  Bins partition the range of mu.
-    """
-    if n_bins < 2:
-        raise ValueError(f"n_bins must be >= 2, got {n_bins}")
-    lo, hi = mu.lo, mu.hi
-    if hi - lo < 1e-12:
-        lo, hi = lo - 0.5, hi + 0.5
-    edges = np.linspace(lo, hi, n_bins + 1)
-    v, dx = mu.values, np.diff(mu.knots)
-    seg_lo, seg_hi = np.minimum(v[:-1], v[1:]), np.maximum(v[:-1], v[1:])
-    flat = seg_hi == seg_lo
-    overlap = np.clip(
-        np.minimum(seg_hi[:, None], edges[None, 1:])
-        - np.maximum(seg_lo[:, None], edges[None, :-1]),
-        0.0,
-        None,
-    )
-    width = np.where(flat, 1.0, seg_hi - seg_lo)
-    masses = (np.where(flat, 0.0, dx) / width) @ overlap
-    flat_bin = np.clip(np.searchsorted(edges, seg_lo[flat], side="right") - 1, 0, n_bins - 1)
-    masses += np.bincount(flat_bin, weights=dx[flat], minlength=n_bins)
-    return MixingHistogram(edges, masses)

@@ -75,6 +75,26 @@ __all__ = [
 _QUAD_SLACK = 1e-6
 
 
+def _check_deltas(deltas: Sequence[float]) -> None:
+    """Reject deltas that are empty, not in (0, inf), or share a report key.
+
+    Results are reported per delta under the key ``f"{delta:g}"``, so two
+    deltas with one key would leave a single entry for two runs.
+    """
+    if len(deltas) == 0:
+        raise ValueError("deltas must be non-empty")
+    seen = {}
+    for delta in deltas:
+        if not (0 < delta < math.inf):
+            raise ValueError(f"deltas must be positive and finite, got {delta}")
+        key = f"{delta:g}"
+        if key in seen:
+            raise ValueError(
+                f"deltas {seen[key]} and {delta} share the report key {key!r}"
+            )
+        seen[key] = delta
+
+
 def check_hellinger_bound(trials: int = 200, seed: int = 0) -> CheckReport:
     """Squared Hellinger distance between two mixtures vs its analytic cap.
 
@@ -138,6 +158,7 @@ def check_logsup_bound(
     log(f0 / f_mu_sigma) exceeds the delta = 0 baseline by at most
     delta^2/sigma^2 plus a constant, here budgeted at 0.5.
     """
+    _check_deltas(deltas)
     rng = seeded_rng(seed, "logsup-bound")
     mu0 = quantile_of(f0, n_knots=256)
     baseline = divergence(
@@ -151,8 +172,6 @@ def check_logsup_bound(
     violations = 0
     mean_slr = {}
     for delta in deltas:
-        if delta <= 0:
-            raise ValueError(f"deltas must be positive, got {delta}")
         slrs = []
         for _ in range(trials):
             path = chol @ rng.standard_normal(n_knots)
@@ -617,9 +636,7 @@ def gp_support_probe(
     it exactly; the conditional fluctuation between anchors is small enough
     that a positive fraction of conditional draws stays inside the tube.
     """
-    for delta in deltas:
-        if not (delta > 0):
-            raise ValueError(f"deltas must be positive, got {delta}")
+    _check_deltas(deltas)
     if n_knots % 2 == 0:
         n_knots += 1  # odd path grid so the anchors interleave exactly
     rng = seeded_rng(seed, "gp-support")
@@ -670,7 +687,7 @@ def gp_support_probe(
 
     return CheckReport(
         name="gp-support-probe",
-        trials=len(list(deltas)),
+        trials=len(deltas),
         violations=violations,
         worst_margin=worst,
         passed=violations == 0,

@@ -122,14 +122,10 @@ class TestReportSerialization:
     def test_pass_round_trip(self):
         for flag in (True, False):
             report = Report("contract", {"a": 1}, {"m": 2.0}, 5, 9, passed=flag)
-            back = Report.from_dict(report.to_dict())
-            assert back.passed is flag
-            assert back.command == "contract"
-            assert back.schema_version == report.schema_version
-
-    def test_from_dict_defaults_pass_to_none(self):
-        raw = Report("estimate", {}, {}, 1, 0).to_dict()
-        assert Report.from_dict(raw).passed is None
+            back = json.loads(json.dumps(report.to_dict()))
+            assert back["pass"] is flag
+            assert back["command"] == "contract"
+            assert back["schema_version"] == report.schema_version
 
     def test_jsonable_strips_numpy_types(self):
         blob = {
@@ -382,6 +378,52 @@ class TestMainEndToEnd:
                    "--out", str(tmp_path / "o.json")])
         assert rc == 1
         assert "nllvm-lab: error: deltas must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("check", ["support-probe", "logsup-bound"])
+    def test_repeated_delta_exits_one(self, tmp_path, capsys, check):
+        # one report entry per delta, so a repeat would give two rows for one run
+        out = tmp_path / "o.json"
+        rc = main(["verify", check, "--deltas", "0.3,0.3", "--out", str(out)])
+        assert rc == 1
+        assert "share the report key '0.3'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore:flat CDF region")
+    def test_logsup_rows_carry_the_requested_delta(self, tmp_path):
+        out = tmp_path / "ls.json"
+        rc = main(["verify", "logsup-bound", "--deltas", "0.1234567,0.05",
+                   "--trials", "2", "--out", str(out)])
+        assert rc == 0
+        params = json.loads(out.read_text())["metrics"]["params"]
+        lines = (tmp_path / "ls.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == ["0.05", "0.1234567"]
+        d = 0.1234567
+        budget = params["baseline"] + d**2 / params["sigma"] ** 2 + params["slack"]
+        assert lines[2].split(",")[2] == str(budget)
+
+    # the smallest sizes each check accepts, and the CSV rows each should write
+    @pytest.mark.parametrize(
+        "check, flags, n_rows",
+        [
+            ("hellinger-bound", ["--trials", "100"], 1),
+            ("logsup-bound", ["--trials", "2"], 3),
+            ("chi2-limit", ["--n", "1000", "--reps", "500"], 1),
+            ("l1-support", [], 1),
+            ("risk-bound", ["--n-list", "50,100", "--reps", "2"], 2),
+            ("hellinger-risk", ["--n-list", "50,100,200", "--reps", "1"], 3),
+            ("restricted-kl", ["--n-list", "100", "--reps", "1"], 1),
+            ("support-probe", ["--deltas", "0.3"], 1),
+        ],
+    )
+    @pytest.mark.filterwarnings("ignore:flat CDF region")
+    def test_every_verify_check_runs(self, tmp_path, check, flags, n_rows):
+        out = tmp_path / "v.json"
+        assert main(["verify", check, *flags, "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["command"] == f"verify {check}"
+        lines = (tmp_path / report["metrics"]["plot_csv"]).read_text().splitlines()
+        assert lines[0].split(",") == report["metrics"]["plot_columns"]
+        assert len(lines) == 1 + n_rows
 
     def test_bad_thread_count_exits_one(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("NLLVM_LAB_THREADS", "abc")

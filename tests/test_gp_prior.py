@@ -7,9 +7,6 @@ Oracles
   knot are N(0, variance); 600 draws pin the sample standard deviation.
 * Conditioning with a zero-noise generator returns the conditional mean,
   which for densely anchored smooth targets interpolates them closely.
-* The inverse-gamma(3, 1) noise prior has mean 1/2.
-* A fixed rescale draws no randomness, so a prior density draw is exactly
-  a path draw followed by a noise-scale draw on the same generator.
 """
 
 from __future__ import annotations
@@ -25,14 +22,10 @@ from nllvm_lab.gp_prior import (
     ConditioningError,
     GPPriorConfig,
     _chol_with_escalation,
-    prior_draw_density,
-    sample_path,
     sample_path_conditional,
-    sample_sigma,
     se_kernel,
 )
-from nllvm_lab.grid_density import GridSpec
-from nllvm_lab.transfer_map import TransferFunction, mixture_density
+from nllvm_lab.transfer_map import TransferFunction
 
 
 class ZeroNoise:
@@ -115,31 +108,30 @@ class TestCholeskyEscalation:
 
 
 class TestSamplePath:
-    """Unconditional path draws."""
+    """Path draws on the uniform knot grid."""
 
     def test_knot_count_bounds(self):
         cfg = GPPriorConfig(rescale=5.0)
         rng = np.random.default_rng(0)
+        anchor = (np.array([0]), np.array([0.5]))
         with pytest.raises(ValueError, match="n_knots"):
-            sample_path(cfg, MIN_PATH_KNOTS - 1, rng)
+            sample_path_conditional(cfg, MIN_PATH_KNOTS - 1, *anchor, rng)
         with pytest.raises(ValueError, match="n_knots"):
-            sample_path(cfg, MAX_PATH_KNOTS + 1, rng)
-
-    def test_reproducible_under_seeded_generator(self):
-        cfg = GPPriorConfig(rescale=5.0)
-        a = sample_path(cfg, 64, np.random.default_rng(11))
-        b = sample_path(cfg, 64, np.random.default_rng(11))
-        np.testing.assert_array_equal(a.values, b.values)
+            sample_path_conditional(cfg, MAX_PATH_KNOTS + 1, *anchor, rng)
 
     def test_marginal_standard_deviation(self):
-        # single-knot marginals are N(0, variance)
-        cfg = GPPriorConfig(variance=0.8, rescale=6.0)
-        rng = np.random.default_rng(0)
-        draws = np.array([sample_path(cfg, 64, rng).values[32] for _ in range(600)])
-        assert abs(draws.std() - math.sqrt(0.8)) < 0.1
+        # single-knot marginals of chol @ z, the unconditional draw the
+        # harness makes, are N(0, variance)
+        knots = np.linspace(0.0, 1.0, 64)
+        chol = _chol_with_escalation(se_kernel(knots, knots, 0.8, 6.0), 1e-8)
+        draws = chol @ np.random.default_rng(0).standard_normal((64, 600))
+        assert abs(draws[32].std() - math.sqrt(0.8)) < 0.1
 
     def test_transfer_round_trip(self):
-        mu = sample_path(GPPriorConfig(rescale=5.0), 32, np.random.default_rng(2))
+        mu = sample_path_conditional(
+            GPPriorConfig(rescale=5.0), 32, np.array([0]), np.array([0.5]),
+            np.random.default_rng(2),
+        )
         assert isinstance(mu, TransferFunction)
         np.testing.assert_array_equal(mu.knots, np.linspace(0.0, 1.0, 32))
         assert mu(np.array([0.0]))[0] == mu.values[0]
@@ -199,46 +191,4 @@ class TestConditionalPath:
         b = sample_path_conditional(
             GPPriorConfig(rescale=5.0), 32, idx, vals, np.random.default_rng(7)
         )
-        np.testing.assert_array_equal(a.values, b.values)
-
-
-class TestScalarPriors:
-    """Fixed rescale and noise-scale draws."""
-
-    def test_fixed_rescale_is_deterministic(self):
-        # the rescale is read from the config, never drawn: a prior density
-        # draw consumes exactly one path draw and one noise-scale draw
-        cfg = GPPriorConfig(rescale=12.5)
-        spec = GridSpec(-30.0, 30.0, 2048)
-        rng = np.random.default_rng(0)
-        mu = sample_path(cfg, 64, rng)
-        expected = mixture_density(mu, sample_sigma(cfg, rng), spec)
-        out = prior_draw_density(cfg, spec, np.random.default_rng(0))
-        np.testing.assert_array_equal(out.values, expected.values)
-
-    def test_inverse_gamma_sigma_mean(self):
-        # inverse-gamma(3, 1) has mean rate / (shape - 1) = 1/2
-        cfg = GPPriorConfig(sigma_prior=(3.0, 1.0))
-        rng = np.random.default_rng(3)
-        draws = np.array([sample_sigma(cfg, rng) for _ in range(4000)])
-        assert draws.mean() == pytest.approx(0.5, abs=0.05)
-        assert np.all(draws > 0)
-
-
-class TestPriorDrawDensity:
-    """Induced prior on densities."""
-
-    def test_draw_is_normalized_density(self):
-        cfg = GPPriorConfig(rescale=5.0)
-        out = prior_draw_density(
-            cfg, GridSpec(-30.0, 30.0, 4096), np.random.default_rng(1)
-        )
-        assert out.integral() == pytest.approx(1.0, abs=1e-12)
-        assert np.all(out.values >= 0)
-
-    def test_reproducible(self):
-        cfg = GPPriorConfig(rescale=5.0)
-        spec = GridSpec(-30.0, 30.0, 2048)
-        a = prior_draw_density(cfg, spec, np.random.default_rng(9))
-        b = prior_draw_density(cfg, spec, np.random.default_rng(9))
         np.testing.assert_array_equal(a.values, b.values)

@@ -40,10 +40,8 @@ from nllvm_lab.gpivi import (
     SupportError,
     UnsupportedError,
     VariationalParams,
-    kl_ball_contains,
     kl_ball_mask,
     logistic_model,
-    model_fit_term,
     normal_mean_model,
     normal_normal_model,
     normal_quantile_transfer,
@@ -51,7 +49,6 @@ from nllvm_lab.gpivi import (
     per_datum_kl_v,
     per_datum_renyi,
     practical_objective,
-    psi_diagnostic,
     q_density,
     quadrature_posterior,
     risk_bound_rhs,
@@ -210,18 +207,10 @@ class TestKlBall:
     def test_membership_boundary(self, nm):
         # v1 <= eps^2 gives |theta - 0.3| <= sigma * sqrt(r), about 0.03
         spec = KLBallSpec(0.3, 0.1, 100)
-        assert kl_ball_contains(spec, nm, 0.31)
-        assert kl_ball_contains(spec, nm, 0.3)
         # 0.34 passes the KL constraint but fails the second-moment one
         assert nm.kl1(np.array([0.34]))[0] <= 0.1**2
-        assert not kl_ball_contains(spec, nm, 0.34)
-
-    def test_mask_matches_scalar_calls(self, nm):
-        spec = KLBallSpec(0.3, 0.1, 100)
-        thetas = np.linspace(0.2, 0.4, 21)
-        mask = kl_ball_mask(spec, nm, thetas)
-        scalar = np.array([kl_ball_contains(spec, nm, t) for t in thetas])
-        np.testing.assert_array_equal(mask, scalar)
+        mask = kl_ball_mask(spec, nm, np.array([0.31, 0.3, 0.34]))
+        np.testing.assert_array_equal(mask, [True, True, False])
 
     def test_non_iid_model_unsupported(self, nm):
         dependent = dataclasses.replace(nm, iid=False)
@@ -230,7 +219,7 @@ class TestKlBall:
 
 
 class TestObjective:
-    """Tempered objective and its diagnostics."""
+    """The tempered objective."""
 
     def test_total_loglik_matches_direct_sum(self, nn):
         grid = np.linspace(-1.0, 1.0, 11)
@@ -247,7 +236,7 @@ class TestObjective:
         with pytest.raises(ValueError, match="non-empty"):
             practical_objective(params, nn, np.array([]), 0.5)
         with pytest.raises(ValueError, match="alpha"):
-            psi_diagnostic(params, nn, np.array([0.1]), 0.0)
+            practical_objective(params, nn, np.array([0.1]), 0.0)
 
     def test_support_error_outside_uniform_prior(self, nm):
         # q mass beyond the prior's interval is flagged, not silently kept
@@ -256,55 +245,6 @@ class TestObjective:
             practical_objective(
                 bad, nm, np.array([0.3]), 0.5, spec=GridSpec(-3.0, 3.0, 2048)
             )
-
-    # a window that carries all of q's mass; much cheaper than the full
-    # prior grid the diagnostics default to
-    PSI_SPEC = GridSpec(-1.5, 2.1, 1024)
-
-    def test_fit_term_is_alpha_free(self, nn):
-        # psi minus its regularizer depends on the data and q alone
-        params = VariationalParams(normal_quantile_transfer(0.3, 0.1), math.log(0.05))
-        data = nn.sample_data(np.random.default_rng(1), 20)
-        m1 = model_fit_term(params, nn, data, 0.3, spec=self.PSI_SPEC)
-        m2 = model_fit_term(params, nn, data, 0.7, spec=self.PSI_SPEC)
-        assert m1 == pytest.approx(m2, abs=1e-9)
-
-    def test_fit_term_mean_for_root_n_gaussian_q(self):
-        # q = N(theta*, 1/n) around the truth: the fit term reduces to
-        # n * E_q[(theta - theta*)^2] / (2 sigma^2) = 1 at sigma^2 = 1/2.
-        # For a q centered exactly at theta* the data enters linearly and
-        # cancels in the q-average, so replicates agree to round-off.
-        nn2 = normal_normal_model(sigma=math.sqrt(0.5))
-        n = 50
-        tau = s = math.sqrt(0.5 / n)
-        params = VariationalParams(
-            normal_quantile_transfer(nn2.theta_star, tau), math.log(s)
-        )
-        spec = GridSpec(-0.7, 1.3, 512)
-        vals = [
-            model_fit_term(
-                params, nn2, nn2.sample_data(np.random.default_rng(seed), n),
-                0.5, spec=spec,
-            )
-            for seed in (0, 1, 2)
-        ]
-        assert abs(np.mean(vals) - 1.0) < 0.2
-        assert max(vals) - min(vals) < 1e-9
-
-    def test_psi_decomposition_recovers_kl(self, nn):
-        # alpha * (psi - fit term) is the regularizer, the same at any alpha
-        params = VariationalParams(normal_quantile_transfer(0.3, 0.1), math.log(0.05))
-        data = nn.sample_data(np.random.default_rng(1), 20)
-        kl1 = 0.3 * (
-            psi_diagnostic(params, nn, data, 0.3, spec=self.PSI_SPEC)
-            - model_fit_term(params, nn, data, 0.3, spec=self.PSI_SPEC)
-        )
-        kl2 = 0.7 * (
-            psi_diagnostic(params, nn, data, 0.7, spec=self.PSI_SPEC)
-            - model_fit_term(params, nn, data, 0.7, spec=self.PSI_SPEC)
-        )
-        assert kl1 == pytest.approx(kl2, abs=1e-9)
-        assert kl1 > 0
 
 
 def _feasible_case(model: BayesModel) -> tuple:

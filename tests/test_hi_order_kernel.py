@@ -29,7 +29,6 @@ from nllvm_lab.grid_density import (
 from nllvm_lab.hi_order_kernel import (
     FbetaResult,
     SigmaTooLargeError,
-    SmoothnessSpec,
     approx_order_experiment,
     fbeta_closed_form,
     fbeta_iterative,
@@ -42,36 +41,6 @@ from nllvm_lab.hi_order_kernel import (
 def wide_bump() -> GridDensity:
     """Gentle smooth bump with room for repeated smoothing."""
     return smooth_bump(GridSpec(-4.0, 4.0, 8192), -3.0, 3.0, 4.0)
-
-
-class TestSmoothnessSpec:
-    """Pairing of smoothness level and correction order."""
-
-    def test_valid_pairs(self):
-        assert SmoothnessSpec(2.0, 0).j == 0
-        assert SmoothnessSpec(4.0, 1).beta == 4.0
-
-    def test_bracket_enforced(self):
-        with pytest.raises(ValueError, match="2j < beta <= 2j"):
-            SmoothnessSpec(2.0, 1)
-        with pytest.raises(ValueError, match="2j < beta <= 2j"):
-            SmoothnessSpec(5.0, 1)
-
-    def test_positivity_enforced(self):
-        with pytest.raises(ValueError, match="beta"):
-            SmoothnessSpec(0.0, 0)
-        with pytest.raises(ValueError, match="j"):
-            SmoothnessSpec(2.0, -1)
-
-    def test_from_beta_picks_minimal_order(self):
-        assert SmoothnessSpec.from_beta(0.5).j == 0
-        assert SmoothnessSpec.from_beta(2.0).j == 0
-        assert SmoothnessSpec.from_beta(2.5).j == 1
-        assert SmoothnessSpec.from_beta(4.0).j == 1
-
-    def test_from_order_takes_maximal_beta(self):
-        spec = SmoothnessSpec.from_order(2)
-        assert spec.beta == 6.0 and spec.j == 2
 
 
 class TestClosedFormCoefficients:

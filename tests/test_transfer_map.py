@@ -22,9 +22,7 @@ from nllvm_lab.grid_density import GridDensity, GridSpec, convolve_gaussian, smo
 from nllvm_lab.transfer_map import (
     FLAT_RISE,
     CoverageError,
-    MixingHistogram,
     TransferFunction,
-    induced_histogram,
     mixture_density,
     mixture_vjp,
     quantile_of,
@@ -316,43 +314,3 @@ class TestMixtureVjp:
         ])
         err = np.abs(np.append(grad_v, grad_sigma) - fd)
         assert np.max(err) <= 1e-6 * np.max(np.abs(fd))
-
-
-class TestInducedHistogram:
-    """Binned pushforward of the uniform latent."""
-
-    def test_linear_transfer_is_uniform(self):
-        mu = TransferFunction(np.array([0.0, 1.0]), np.array([0.0, 2.0]))
-        hist = induced_histogram(mu, n_bins=8)
-        np.testing.assert_allclose(hist.masses, 1.0 / 8.0, atol=1e-3)
-        assert hist.bin_edges[0] == pytest.approx(0.0, abs=1e-4)
-        assert hist.bin_edges[-1] == pytest.approx(2.0, abs=1e-4)
-
-    def test_constant_transfer_widens_degenerate_range(self):
-        hist = induced_histogram(TransferFunction.constant(0.3), n_bins=4)
-        assert hist.masses.sum() == pytest.approx(1.0)
-        assert hist.bin_edges[-1] > hist.bin_edges[0]
-
-    def test_non_monotone_transfer_matches_fine_sampling(self):
-        mu = TransferFunction(
-            np.array([0.0, 0.2, 0.5, 0.6, 1.0]), np.array([0.0, 1.0, 1.0, 0.3, 0.8])
-        )
-        hist = induced_histogram(mu, n_bins=7)
-        n = 1 << 20
-        counts, _ = np.histogram(mu((np.arange(n) + 0.5) / n), bins=hist.bin_edges)
-        np.testing.assert_allclose(hist.masses, counts / n, atol=1e-5)
-
-    def test_bin_count_validated(self):
-        with pytest.raises(ValueError, match="n_bins"):
-            induced_histogram(TransferFunction.constant(0.0), n_bins=1)
-
-    def test_histogram_record_validation(self):
-        edges = np.linspace(0.0, 1.0, 5)
-        with pytest.raises(ValueError, match="bin_edges"):
-            MixingHistogram(edges, np.full(3, 1.0 / 3.0))
-        with pytest.raises(ValueError, match="strictly increasing"):
-            MixingHistogram(np.array([0.0, 0.5, 0.5, 1.0, 2.0]), np.full(4, 0.25))
-        with pytest.raises(ValueError, match="non-negative"):
-            MixingHistogram(edges, np.array([0.5, 0.7, -0.1, -0.1]))
-        with pytest.raises(ValueError, match="sum to 1"):
-            MixingHistogram(edges, np.full(4, 0.3))

@@ -9,6 +9,8 @@ fast while still exercising every reporting path.
 from __future__ import annotations
 
 import dataclasses
+import math
+import re
 
 import numpy as np
 import pytest
@@ -43,6 +45,26 @@ def _clean(report) -> None:
     """Invariant shared by every check: no violations means no positive margin."""
     if report.violations == 0:
         assert report.worst_margin <= 0
+
+
+@pytest.mark.parametrize(
+    "deltas, named",
+    [
+        ((), "non-empty"),
+        ((math.nan,), "nan"),
+        ((0.1, math.inf), "inf"),
+        ((0.3, 0.3), "0.3"),
+        ((0.1, 0.1000001), "0.1000001"),  # both report under the key "0.1"
+    ],
+)
+@pytest.mark.parametrize("check", [check_logsup_bound, gp_support_probe])
+def test_bad_deltas_rejected_before_any_work(bump, check, deltas, named, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("check started before validating deltas")
+
+    monkeypatch.setattr("nllvm_lab.verify_harness.seeded_rng", no_work)
+    with pytest.raises(ValueError, match=re.escape(named)):
+        check(bump, deltas=deltas)
 
 
 class TestHellingerBound:
