@@ -16,9 +16,7 @@ from .grid_density import (
     HELLINGER_SQ,
     KL,
     L1,
-    RENYI,
     SUP_LOG_RATIO,
-    V,
     GridDensity,
     GridSpec,
     NumericError,
@@ -57,11 +55,8 @@ from .nllvm_posterior import (
 )
 from .gpivi import (
     BayesModel,
-    KLBallSpec,
-    OptConfig,
     OptimizeResult,
     RestrictedFamily,
-    RestrictedFamilySpec,
     SupportError,
     UnsupportedError,
     VariationalParams,
@@ -93,19 +88,15 @@ __all__ = [
     "GridSpec",
     "HELLINGER_SQ",
     "KL",
-    "KLBallSpec",
     "L1",
     "McmcConfig",
     "NLLVMState",
     "NumericError",
-    "OptConfig",
     "OptimizeResult",
     "PosteriorSamples",
-    "RENYI",
     "Report",
     "ResolutionError",
     "RestrictedFamily",
-    "RestrictedFamilySpec",
     "RunConfig",
     "SUP_LOG_RATIO",
     "SigmaTooLargeError",
@@ -113,7 +104,6 @@ __all__ = [
     "SupportError",
     "TransferFunction",
     "UnsupportedError",
-    "V",
     "VariationalParams",
     "approx_order_experiment",
     "contraction_experiment",

@@ -33,7 +33,6 @@ import numpy as np
 from . import verify_harness
 from .gp_prior import GPPriorConfig
 from .gpivi import (
-    OptConfig,
     logistic_model,
     normal_mean_model,
     normal_normal_model,
@@ -269,7 +268,7 @@ def _cmd_vi(cfg: RunConfig):
         data,
         params["alpha"],
         knots=params["knots"],
-        opt=OptConfig(iters=params["iters"]),
+        iters=params["iters"],
     )
     spec = model.prior_density.spec
     q = q_density(result.params, spec)

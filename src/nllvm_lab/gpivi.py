@@ -34,10 +34,9 @@ from .grid_density import (
     ResolutionError,
     kl_values,
 )
-from .transfer_map import TransferFunction, mixture_density, mixture_vjp
+from .transfer_map import QUANTILE_CLIP, TransferFunction, mixture_density, mixture_vjp
 
-DEFAULT_D_CONST = 2.0
-_QUAD_Y_POINTS = 4097
+D_CONST = 2.0
 _ABS_CONTINUITY_TOL = 1e-8
 # q puts less than a tenth of the support tolerance beyond this many sigma of
 # range(mu), which also meets the 1e-4 coverage check of mixture_density
@@ -47,7 +46,7 @@ MAX_OPT_KNOTS = 256
 
 
 class UnsupportedError(ValueError):
-    """The model lacks a hook (exact posterior, IID structure) the op needs."""
+    """The model lacks a hook (an exact tempered posterior) the op needs."""
 
 
 class SupportError(ValueError):
@@ -56,29 +55,26 @@ class SupportError(ValueError):
 
 @dataclass(eq=False)
 class BayesModel:
-    """A one-parameter Bayesian model with optional analytic shortcuts.
+    """A one-parameter IID Bayesian model with analytic per-datum divergences.
 
     ``log_likelihood(theta, y)`` must broadcast over numpy arrays in both
-    arguments.  The divergence hooks (``kl1``, ``v1``, ``renyi1``) are
-    per-datum quantities; when absent they are recovered by quadrature over
-    ``data_window``, which therefore must be wide enough to carry the data
-    distribution under theta_star.
+    arguments.  ``kl1(thetas)`` and ``v1(thetas)`` are KL(p_theta_star ||
+    p_theta) and the matching second log-ratio moment per datum,
+    ``renyi1(alpha, thetas)`` is D_alpha(p_theta || p_theta_star) per datum,
+    and ``sample_data(rng, n)`` draws n observations under theta_star.
     """
 
     name: str
     log_likelihood: Callable[[Any, Any], Any]
-    log_prior: Callable[[Any], Any]
     theta_star: float
     prior_density: GridDensity
+    kl1: Callable[[Any], Any]
+    v1: Callable[[Any], Any]
+    renyi1: Callable[[float, Any], Any]
+    sample_data: Callable[[np.random.Generator, int], np.ndarray]
     exact_posterior: Optional[Callable[..., GridDensity]] = None
     exact_alpha_posterior: Optional[Callable[..., GridDensity]] = None
-    kl1: Optional[Callable[[Any], Any]] = None
-    v1: Optional[Callable[[Any], Any]] = None
-    renyi1: Optional[Callable[[float, Any], Any]] = None
-    data_window: Optional[tuple] = None
     init_guess: Optional[Callable[..., "VariationalParams"]] = None
-    sample_data: Optional[Callable[[np.random.Generator, int], np.ndarray]] = None
-    iid: bool = True
 
 
 @dataclass(eq=False)
@@ -97,49 +93,17 @@ class VariationalParams:
         return math.exp(self.log_sigma)
 
 
-@dataclass(frozen=True)
-class KLBallSpec:
-    """A KL neighborhood of theta_star at sample size n."""
-
-    theta_star: float
-    eps: float
-    n: int
-
-    def __post_init__(self) -> None:
-        if not (self.eps > 0):
-            raise ValueError(f"eps must be positive, got {self.eps}")
-        if self.n < 1:
-            raise ValueError(f"n must be a positive integer, got {self.n}")
-
-
-@dataclass(frozen=True)
-class RestrictedFamilySpec:
-    """Mean-bounded, variance-bracketed Gaussian-like comparator family."""
-
-    M: float
-    sigma_n: float
-    c0: float
-
-    def __post_init__(self) -> None:
-        if not (self.M > 0 and self.sigma_n > 0):
-            raise ValueError("M and sigma_n must be positive")
-        if self.c0 < 1:
-            raise ValueError(f"c0 must be >= 1, got {self.c0}")
-
-
-def normal_quantile_transfer(
-    m: float, tau: float, *, n_knots: int = 513, clip: float = 1e-6
-) -> TransferFunction:
+def normal_quantile_transfer(m: float, tau: float, *, n_knots: int = 513) -> TransferFunction:
     """Transfer function equal to the N(m, tau^2) quantile map on [0,1].
 
     Pushing U(0,1) through it and adding N(0, sigma^2) noise yields
     approximately N(m, tau^2 + sigma^2); the quantile levels are clipped at
-    ``clip`` to keep the endpoint values finite.
+    ``QUANTILE_CLIP`` to keep the endpoint values finite.
     """
     if not (tau > 0):
         raise ValueError(f"tau must be positive, got {tau}")
     knots = np.linspace(0.0, 1.0, n_knots)
-    levels = np.clip(knots, clip, 1.0 - clip)
+    levels = np.clip(knots, QUANTILE_CLIP, 1.0 - QUANTILE_CLIP)
     return TransferFunction(knots, m + tau * ndtri(levels))
 
 
@@ -152,68 +116,29 @@ def q_density(params: VariationalParams, spec: GridSpec) -> GridDensity:
 # per-datum divergences and KL neighborhoods
 
 
-def _data_grid(model: BayesModel) -> np.ndarray:
-    if model.data_window is None:
-        raise UnsupportedError(
-            f"model {model.name!r} has neither analytic divergences nor a "
-            "data_window for quadrature"
-        )
-    lo, hi = model.data_window
-    return np.linspace(lo, hi, _QUAD_Y_POINTS)
-
-
-def _kl_v_quadrature(model: BayesModel, thetas: np.ndarray) -> tuple:
-    """Per-datum KL and second log-ratio moment by quadrature over y."""
-    y = _data_grid(model)
-    ll_star = model.log_likelihood(model.theta_star, y)
-    p_star = np.exp(ll_star)
-    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    kl = np.empty(thetas.size)
-    v = np.empty(thetas.size)
-    for i, th in enumerate(thetas):
-        log_ratio = ll_star - model.log_likelihood(th, y)
-        kl[i] = trapezoid(p_star * log_ratio, y)
-        v[i] = trapezoid(p_star * log_ratio**2, y)
-    return kl, v
-
-
 def per_datum_kl_v(model: BayesModel, thetas) -> tuple:
     """KL1(theta_star || theta) and the matching uncentered second moment."""
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    if model.kl1 is not None and model.v1 is not None:
-        return (
-            np.asarray(model.kl1(thetas), dtype=float),
-            np.asarray(model.v1(thetas), dtype=float),
-        )
-    return _kl_v_quadrature(model, thetas)
+    return (
+        np.asarray(model.kl1(thetas), dtype=float),
+        np.asarray(model.v1(thetas), dtype=float),
+    )
 
 
 def per_datum_renyi(model: BayesModel, alpha: float, thetas) -> np.ndarray:
-    """D_alpha(p_theta || p_theta_star) per datum, analytic or by quadrature."""
+    """D_alpha(p_theta || p_theta_star) per datum."""
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0,1), got {alpha}")
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    if model.renyi1 is not None:
-        return np.asarray(model.renyi1(alpha, thetas), dtype=float)
-    y = _data_grid(model)
-    ll_star = model.log_likelihood(model.theta_star, y)
-    out = np.empty(thetas.size)
-    for i, th in enumerate(thetas):
-        mix = alpha * model.log_likelihood(th, y) + (1.0 - alpha) * ll_star
-        out[i] = math.log(max(trapezoid(np.exp(mix), y), DENSITY_FLOOR)) / (
-            alpha - 1.0
-        )
-    return out
+    return np.asarray(model.renyi1(alpha, thetas), dtype=float)
 
 
-def kl_ball_mask(spec: KLBallSpec, model: BayesModel, thetas) -> np.ndarray:
-    """Vectorized membership test for the KL neighborhood."""
-    if not model.iid:
-        raise UnsupportedError(
-            "KL-ball membership uses the IID factorization; model is not IID"
-        )
+def kl_ball_mask(model: BayesModel, eps: float, thetas) -> np.ndarray:
+    """Vectorized membership test for the KL neighborhood of radius ``eps``."""
+    if not (0 < eps < math.inf):
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     kl, v = per_datum_kl_v(model, thetas)
-    bound = spec.eps**2
+    bound = eps**2
     return (kl <= bound) & (v <= bound)
 
 
@@ -279,17 +204,6 @@ def practical_objective(
 
 # ---------------------------------------------------------------------------
 # optimizer
-
-
-@dataclass(frozen=True)
-class OptConfig:
-    """Optimizer knobs: the cap on L-BFGS-B iterations."""
-
-    iters: int = 60
-
-    def __post_init__(self) -> None:
-        if self.iters < 1:
-            raise ValueError(f"iters must be at least 1, got {self.iters}")
 
 
 @dataclass(eq=False)
@@ -427,13 +341,13 @@ def optimize(
     data,
     alpha: float,
     knots: int = 16,
-    opt: Optional[OptConfig] = None,
+    iters: int = 60,
 ) -> OptimizeResult:
     """L-BFGS-B on the tempered objective over (transfer knot values, log sigma).
 
     The search runs in the coordinates of :class:`_FeasibleMap`, where the
     only constraint is a box on log sigma, with the exact gradient
-    (:func:`_objective_gradient`) and at most ``opt.iters`` iterations.
+    (:func:`_objective_gradient`) and at most ``iters`` iterations.
     ``converged`` is scipy's status 0, ``stalled`` its status 2 (the line
     search failed) and ``n_sweeps`` the iteration count.  The procedure is
     deterministic.
@@ -445,7 +359,8 @@ def optimize(
     data = np.asarray(data, dtype=float)
     if data.size == 0:
         raise ValueError("data must be non-empty")
-    opt = opt or OptConfig()
+    if iters < 1:
+        raise ValueError(f"iters must be at least 1, got {iters}")
 
     if model.init_guess is not None:
         init = model.init_guess(data, alpha, knots)
@@ -466,7 +381,7 @@ def optimize(
         method="L-BFGS-B",
         jac=lambda x: _objective_gradient(feasible, x, model, alpha, loglik),
         bounds=[(None, None)] * (knots + 1) + [feasible.log_sigma_bounds],
-        options={"maxiter": opt.iters},
+        options={"maxiter": iters},
     )
     return OptimizeResult(
         params=feasible.params(res.x),
@@ -493,22 +408,27 @@ class RestrictedFamily:
                      + (V + (m - c + m1 - a)^2) / (2 b^2)
 
     in three grid-trapezoid numbers per tau: int g log g (log floored at
-    DENSITY_FLOOR), the mean m1 and the variance V of g_tau.
+    DENSITY_FLOOR), the mean m1 and the variance V of g_tau.  The means span
+    [-M, M] and the taus [sigma_n, sqrt(c0) sigma_n].
     """
 
     N_MEANS = 41
     N_TAUS = 9
 
-    def __init__(self, spec: RestrictedFamilySpec, grid_spec: GridSpec) -> None:
-        self.spec = spec
+    def __init__(self, M: float, sigma_n: float, c0: float, grid_spec: GridSpec) -> None:
+        if not (M > 0 and sigma_n > 0):
+            raise ValueError("M and sigma_n must be positive")
+        if c0 < 1:
+            raise ValueError(f"c0 must be >= 1, got {c0}")
+        self.sigma_n = sigma_n
         self.grid_spec = grid_spec
-        self.means = np.linspace(-spec.M, spec.M, self.N_MEANS)
-        self.taus = np.geomspace(spec.sigma_n, math.sqrt(spec.c0) * spec.sigma_n, self.N_TAUS)
+        self.means = np.linspace(-M, M, self.N_MEANS)
+        self.taus = np.geomspace(sigma_n, math.sqrt(c0) * sigma_n, self.N_TAUS)
         self._center = 0.5 * (grid_spec.lo + grid_spec.hi)
         grid, h = grid_spec.points(), grid_spec.spacing
         base = np.array([
             mixture_density(
-                normal_quantile_transfer(self._center, tau), spec.sigma_n, grid_spec
+                normal_quantile_transfer(self._center, tau), sigma_n, grid_spec
             ).values
             for tau in self.taus
         ])
@@ -562,34 +482,23 @@ class RiskBound:
     ball_mass: float
     complexity: float
     a1_holds: bool
-    a1_printed_sign_holds: bool
-    note: str = ""
 
 
-def risk_bound_rhs(
-    model: BayesModel,
-    data,
-    alpha: float,
-    eps: float,
-    d_const: float = DEFAULT_D_CONST,
-) -> RiskBound:
+def risk_bound_rhs(model: BayesModel, data, alpha: float, eps: float) -> RiskBound:
     """Evaluate D*alpha/(1-alpha)*eps^2 plus the prior-complexity term.
 
-    The KL-neighborhood mass is a quadrature of the prior over the
-    membership mask; the O(1/n) remainder log((D-1)^2 n eps^2)/(n(1-alpha))
-    is reported separately rather than folded into the bound.
+    D is ``D_CONST``.  The KL-neighborhood mass is a quadrature of the prior
+    over the membership mask; the O(1/n) remainder
+    log((D-1)^2 n eps^2)/(n(1-alpha)) is reported separately rather than
+    folded into the bound.
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0,1), got {alpha}")
-    if d_const <= 1.0:
-        raise ValueError(f"d_const must exceed 1, got {d_const}")
     data = np.asarray(data, dtype=float)
     n = data.size
     if n == 0:
         raise ValueError("data must be non-empty")
-    ball = KLBallSpec(theta_star=model.theta_star, eps=eps, n=n)
-    grid = model.prior_density.grid
-    mask = kl_ball_mask(ball, model, grid)
+    mask = kl_ball_mask(model, eps, model.prior_density.grid)
     mass = float(
         trapezoid(
             np.where(mask, model.prior_density.values, 0.0),
@@ -604,18 +513,14 @@ def risk_bound_rhs(
     mass = min(mass, 1.0)
     log_inv_mass = math.log(1.0 / mass)
     complexity = log_inv_mass / (n * (1.0 - alpha))
-    rhs = d_const * alpha / (1.0 - alpha) * eps**2 + complexity
-    remainder = math.log((d_const - 1.0) ** 2 * n * eps**2) / (n * (1.0 - alpha))
-    n_eps2 = n * eps**2
+    rhs = D_CONST * alpha / (1.0 - alpha) * eps**2 + complexity
+    remainder = math.log((D_CONST - 1.0) ** 2 * n * eps**2) / (n * (1.0 - alpha))
     return RiskBound(
         rhs=rhs,
         remainder=remainder,
         ball_mass=mass,
         complexity=complexity,
-        a1_holds=log_inv_mass <= n_eps2,
-        a1_printed_sign_holds=log_inv_mass <= -n_eps2,
-        note="prior-mass condition compared against +n*eps^2; the printed "
-        "minus-sign variant is unsatisfiable for masses below one",
+        a1_holds=log_inv_mass <= n * eps**2,
     )
 
 
@@ -671,11 +576,6 @@ def normal_mean_model(
             2.0 * sigma**2
         )
 
-    def log_prior(theta):
-        theta = np.asarray(theta, float)
-        inside = np.abs(theta) <= prior_halfwidth
-        return np.where(inside, -math.log(2.0 * prior_halfwidth), -np.inf)
-
     def exact_posterior(data, spec=None):
         data = np.asarray(data, float)
         s = spec if spec is not None else prior_spec
@@ -704,14 +604,12 @@ def normal_mean_model(
     return BayesModel(
         name="normal-mean",
         log_likelihood=log_likelihood,
-        log_prior=log_prior,
         theta_star=theta_star,
         prior_density=prior,
         exact_posterior=exact_posterior,
         kl1=_gaussian_kl1(sigma, theta_star),
         v1=_gaussian_v1(sigma, theta_star),
         renyi1=_gaussian_renyi1(sigma, theta_star),
-        data_window=(theta_star - 10.0 * sigma, theta_star + 10.0 * sigma),
         init_guess=init_guess,
         sample_data=sample_data,
     )
@@ -742,12 +640,6 @@ def normal_normal_model(
         return log_norm - (np.asarray(y, float) - np.asarray(theta, float)) ** 2 / (
             2.0 * sigma**2
         )
-
-    def log_prior(theta):
-        theta = np.asarray(theta, float)
-        return -0.5 * math.log(2.0 * math.pi * prior_sigma**2) - (
-            theta - prior_mu
-        ) ** 2 / (2.0 * prior_sigma**2)
 
     def _posterior_moments(data, alpha):
         data = np.asarray(data, float)
@@ -781,7 +673,6 @@ def normal_normal_model(
     return BayesModel(
         name="normal-normal",
         log_likelihood=log_likelihood,
-        log_prior=log_prior,
         theta_star=theta_star,
         prior_density=prior,
         exact_posterior=exact_posterior,
@@ -789,7 +680,6 @@ def normal_normal_model(
         kl1=_gaussian_kl1(sigma, theta_star),
         v1=_gaussian_v1(sigma, theta_star),
         renyi1=_gaussian_renyi1(sigma, theta_star),
-        data_window=(theta_star - 10.0 * sigma, theta_star + 10.0 * sigma),
         init_guess=init_guess,
         sample_data=sample_data,
     )
@@ -819,12 +709,6 @@ def logistic_model(
         y = np.asarray(y, float)
         # y*theta - log(1 + exp(theta)) in a stable form
         return y * theta - np.logaddexp(0.0, theta)
-
-    def log_prior(theta):
-        theta = np.asarray(theta, float)
-        return -0.5 * math.log(2.0 * math.pi * prior_sigma**2) - theta**2 / (
-            2.0 * prior_sigma**2
-        )
 
     def _log_pq(theta):
         theta = np.asarray(theta, float)
@@ -857,15 +741,12 @@ def logistic_model(
     return BayesModel(
         name="logistic-intercept",
         log_likelihood=log_likelihood,
-        log_prior=log_prior,
         theta_star=theta_star,
         prior_density=prior,
         kl1=kl1,
         v1=v1,
         renyi1=renyi1,
-        data_window=None,
         sample_data=sample_data,
-        iid=True,
     )
 
 

@@ -6,9 +6,8 @@ non-negative arrays on a uniform grid, renormalized at construction so the
 trapezoid-rule integral is 1.
 
 The module provides Gaussian convolution by direct quadrature (kernel
-truncated at +-8 sigma) and the divergence menagerie used by the bound
-checks: KL, the second-moment V divergence, squared Hellinger, L1, the
-one-sided sup of log(p/q), and Renyi divergences of order alpha in (0,1).
+truncated at +-8 sigma) and the divergences used by the bound checks: KL,
+squared Hellinger, L1 and the one-sided sup of log(p/q).
 
 Numerical conventions
 ---------------------
@@ -121,9 +120,6 @@ class GridDensity:
     def grid(self) -> np.ndarray:
         return np.linspace(self.lo, self.hi, self.n)
 
-    def integral(self) -> float:
-        return float(trapezoid(self.values, dx=self.spacing))
-
     def pdf_at(self, x: np.ndarray | float) -> np.ndarray:
         """Linear interpolation of the density (0 outside the window)."""
         return np.interp(x, self.grid, self.values, left=0.0, right=0.0)
@@ -215,13 +211,11 @@ def convolve_gaussian(f: GridDensity, sigma: float) -> GridDensity:
 # --- divergences -----------------------------------------------------------
 
 KL = "kl"
-V = "v"
 HELLINGER_SQ = "hellinger_sq"
 L1 = "l1"
 SUP_LOG_RATIO = "sup_log_ratio"
-RENYI = "renyi"
 
-DIVERGENCE_KINDS = (KL, V, HELLINGER_SQ, L1, SUP_LOG_RATIO, RENYI)
+DIVERGENCE_KINDS = (KL, HELLINGER_SQ, L1, SUP_LOG_RATIO)
 
 
 def _check_finite(arr: np.ndarray, what: str) -> None:
@@ -244,27 +238,20 @@ def kl_values(p: np.ndarray, q: np.ndarray, spacing: float) -> float:
     return float(trapezoid(integrand, dx=spacing))
 
 
-def divergence(
-    kind: str, p: GridDensity, q: GridDensity, *, alpha: float | None = None
-) -> float:
+def divergence(kind: str, p: GridDensity, q: GridDensity) -> float:
     """Divergence between two densities on a shared grid.
 
     Parameters
     ----------
     kind : str
-        One of ``"kl"``, ``"v"``, ``"hellinger_sq"``, ``"l1"``,
-        ``"sup_log_ratio"``, ``"renyi"``.
-    alpha : float, optional
-        Order for ``"renyi"``; required to be in (0, 1).
+        One of ``"kl"``, ``"hellinger_sq"``, ``"l1"``, ``"sup_log_ratio"``.
 
     Notes
     -----
     * ``kl``  : int p log(p/q)
-    * ``v``   : int p log^2(p/q)
     * ``hellinger_sq`` : 1 - int sqrt(p q)   (halved convention, <= 1)
     * ``l1``  : int |p - q|
     * ``sup_log_ratio`` : max over the grid of log(p/q)  (signed, one-sided)
-    * ``renyi`` : (alpha - 1)^-1 log int p^alpha q^(1-alpha)
     """
     _same_grid(p, q)
     h = p.spacing
@@ -272,16 +259,6 @@ def divergence(
 
     if kind == KL:
         return kl_values(pv, qv, h)
-
-    if kind == V:
-        qf = np.maximum(qv, DENSITY_FLOOR)
-        integrand = np.zeros_like(pv)
-        mask = pv > 0
-        with np.errstate(divide="ignore"):
-            ratio = np.log(pv[mask] / qf[mask])
-        integrand[mask] = pv[mask] * ratio**2
-        _check_finite(integrand, "V integrand")
-        return float(trapezoid(integrand, dx=h))
 
     if kind == HELLINGER_SQ:
         return 1.0 - float(trapezoid(np.sqrt(pv * qv), dx=h))
@@ -298,20 +275,6 @@ def divergence(
             idx = int(np.argmax(ratio))
             raise NumericError(f"non-finite sup log-ratio at grid index {idx}")
         return result
-
-    if kind == RENYI:
-        if alpha is None or not (0.0 < alpha < 1.0):
-            raise ValueError(f"renyi divergence needs alpha in (0, 1), got {alpha}")
-        integrand = np.zeros_like(pv)
-        mask = (pv > 0) & (qv > 0)
-        integrand[mask] = np.exp(
-            alpha * np.log(pv[mask]) + (1.0 - alpha) * np.log(qv[mask])
-        )
-        _check_finite(integrand, "Renyi integrand")
-        total = float(trapezoid(integrand, dx=h))
-        if total <= 0:
-            raise NumericError("Renyi integral is non-positive at grid index 0")
-        return float(np.log(total) / (alpha - 1.0))
 
     raise ValueError(f"unknown divergence kind {kind!r}; choose from {DIVERGENCE_KINDS}")
 

@@ -120,23 +120,18 @@ def _validate_sigma_ladder(sigmas: np.ndarray) -> None:
 
 
 def approx_order_experiment(
-    f0: GridDensity,
-    j: int,
-    sigmas,
-    *,
-    interior_floor: float = INTERIOR_FLOOR,
-    seed: int = 0,
+    f0: GridDensity, j: int, sigmas, *, seed: int = 0
 ) -> SlopeReport:
     """Rate of the smoothing error e(sigma) = sup |phi_sigma * f_j - f0|.
 
-    The sup is restricted to the interior region {f0 >= interior_floor},
+    The sup is restricted to the interior region {f0 >= INTERIOR_FLOOR},
     sidestepping boundary artifacts.  The fitted log-log slope should be
     close to 2j + 2 for a smooth f0.  If e(sigma) fails to decrease with
     sigma in more than 10% of adjacent pairs the report is flagged invalid.
     """
     sig = np.asarray(list(sigmas), dtype=float)
     _validate_sigma_ladder(sig)
-    mask = f0.values >= interior_floor
+    mask = f0.values >= INTERIOR_FLOOR
     errs = []
     for s in sig:
         raw = _iterate_raw(f0, s, j)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy import special
@@ -26,13 +26,18 @@ from scipy.linalg import cho_solve, solve_triangular
 from ._runtime import parallel_map, seeded_rng
 from .gp_prior import GPPriorConfig, _chol_with_escalation, se_kernel
 from .grid_density import HELLINGER_SQ, GridDensity, GridSpec, divergence
-from .reports import SlopeReport, slope_fit
+from .reports import SlopeReport, sample_sizes, slope_fit
 from .transfer_map import FLAT_RISE, TransferFunction, mixture_density, segment_masses
 
 logger = logging.getLogger(__name__)
 
 _ADAPT_WINDOW = 50
 _STEP_BOUNDS = (1e-3, 2.0)
+# contraction_experiment: the smoothness beta and the q of the target rate,
+# and the knot count of its fits
+_RATE_BETA = 2.0
+_RATE_Q = 0.0
+_CONTRACT_KNOTS = 32
 
 
 @dataclass(frozen=True)
@@ -244,25 +249,15 @@ def update_sigma(
     return state
 
 
-def _initial_state(
-    data: np.ndarray,
-    n_knots: int,
-    init_mu: Optional[np.ndarray],
-    init_sigma: Optional[float],
-) -> NLLVMState:
+def _initial_state(data: np.ndarray, n_knots: int) -> NLLVMState:
     n = data.size
-    if init_mu is None:
-        # empirical quantiles put the transfer near the truth-quantile map
-        init_mu = np.quantile(data, np.linspace(0.0, 1.0, n_knots))
-    if init_sigma is None:
-        init_sigma = max(0.5 * float(np.std(data)), 1e-3)
     ranks = np.empty(n)
     ranks[np.argsort(data, kind="stable")] = np.arange(n)
-    eta = (ranks + 0.5) / n
     return NLLVMState(
-        mu_values=np.asarray(init_mu, float),
-        sigma=float(init_sigma),
-        eta=eta,
+        # empirical quantiles put the transfer near the truth-quantile map
+        mu_values=np.quantile(data, np.linspace(0.0, 1.0, n_knots)),
+        sigma=max(0.5 * float(np.std(data)), 1e-3),
+        eta=(ranks + 0.5) / n,
         log_post=0.0,
     )
 
@@ -273,8 +268,6 @@ def fit_mcmc(
     mcmc: McmcConfig,
     *,
     n_knots: int = 64,
-    init_mu: Optional[np.ndarray] = None,
-    init_sigma: Optional[float] = None,
 ) -> PosteriorSamples:
     """Run the blocked Gibbs chain and return thinned post-burn-in states.
 
@@ -293,7 +286,7 @@ def fit_mcmc(
     )
     k_inv = cho_solve((kernel_chol, True), np.eye(n_knots))
 
-    state = _initial_state(data, n_knots, init_mu, init_sigma)
+    state = _initial_state(data, n_knots)
 
     step = 0.1
     kept = []
@@ -380,8 +373,8 @@ def theoretical_rate_exponent(beta: float, q: float) -> float:
     return beta * max(2.0, q) / (2.0 * beta + 1.0) + 1.0
 
 
-def _target_slope(n_list: np.ndarray, beta: float, q: float) -> float:
-    t = theoretical_rate_exponent(beta, q)
+def _target_slope(n_list: np.ndarray) -> float:
+    beta, t = _RATE_BETA, theoretical_rate_exponent(_RATE_BETA, _RATE_Q)
     eps2 = n_list ** (-2.0 * beta / (2.0 * beta + 1.0)) * np.log(n_list) ** (2.0 * t)
     slope, _ = slope_fit(n_list, eps2)
     return slope
@@ -394,39 +387,26 @@ def contraction_experiment(
     cfg: GPPriorConfig,
     seed: int,
     *,
-    beta: float = 2.0,
-    q: float = 0.0,
     mcmc_iters: int = 1500,
     burn_in: int = 500,
     thin: int = 5,
-    n_knots: int = 32,
 ) -> SlopeReport:
     """Squared-Hellinger decay of the posterior predictive as n grows.
 
-    For each n, draws ``reps`` datasets from f0, fits the sampler, and
-    records the median squared Hellinger distance between the predictive
-    and f0.  The fitted log-log slope is reported next to the numerical
-    slope of the theoretical rate eps_n^2 over the same n values; the pass
-    flag asserts only that the medians decrease.
+    For each of at least three n, draws ``reps`` datasets from f0, fits the
+    sampler on 32 knots, and records the median squared Hellinger distance
+    between the predictive and f0.  The fitted log-log slope is reported
+    next to the numerical slope of the theoretical rate eps_n^2 (beta = 2,
+    q = 0) over the same n values; the pass flag asserts only that the
+    medians decrease.
     """
-    n_arr = np.asarray(sorted(n_list), dtype=int)
+    n_arr = np.asarray(sorted(sample_sizes(n_list, reps)), dtype=int)
     if n_arr.size < 3:
-        return SlopeReport(
-            xs=[float(v) for v in n_arr],
-            ys=[],
-            slope=0.0,
-            r2=0.0,
-            target=0.0,
-            passed=False,
-            seed=seed,
-            note="insufficient-points: need >= 3 sample sizes",
-        )
+        raise ValueError(f"n_list needs at least 3 sample sizes, got {n_arr.tolist()}")
     if n_arr[-1] < 16 * n_arr[0]:
         raise ValueError(
             f"n_list must span a factor of 16, got {n_arr[0]} .. {n_arr[-1]}"
         )
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
 
     tasks = [(int(n), rep) for n in n_arr for rep in range(reps)]
 
@@ -439,7 +419,7 @@ def contraction_experiment(
             data,
             cfg,
             McmcConfig(iters=mcmc_iters, burn_in=burn_in, thin=thin, seed=run_seed),
-            n_knots=n_knots,
+            n_knots=_CONTRACT_KNOTS,
         )
         # pad the evaluation window so every kept state's mixture keeps its
         # kernel mass (diffuse early states can stray past the f0 window);
@@ -461,7 +441,7 @@ def contraction_experiment(
             ys=[],
             slope=0.0,
             r2=0.0,
-            target=_target_slope(n_arr.astype(float), beta, q),
+            target=_target_slope(n_arr.astype(float)),
             passed=False,
             seed=seed,
             note=f"experiment-invalid: a fit aborted ({exc})",
@@ -470,13 +450,13 @@ def contraction_experiment(
     medians = np.median(h2, axis=1)
     slope, r2 = slope_fit(n_arr.astype(float), medians)
     decreasing = bool(np.all(np.diff(medians) < 0))
-    t = theoretical_rate_exponent(beta, q)
+    t = theoretical_rate_exponent(_RATE_BETA, _RATE_Q)
     return SlopeReport(
         xs=[float(v) for v in n_arr],
         ys=[float(v) for v in medians],
         slope=slope,
         r2=r2,
-        target=_target_slope(n_arr.astype(float), beta, q),
+        target=_target_slope(n_arr.astype(float)),
         passed=decreasing,
         seed=seed,
         note=f"log-factor exponent t={t:.3f}; slope target is informational",

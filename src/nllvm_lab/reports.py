@@ -3,7 +3,8 @@
 ``SlopeReport`` captures rate experiments (log-log slope against a
 theoretical target), ``CheckReport`` captures bound checks (violation counts
 over randomized trials).  Both are plain dataclasses serialized by the CLI;
-``passed`` maps to the JSON key ``"pass"``.
+``passed`` maps to the JSON key ``"pass"``.  ``sample_sizes`` is the input
+check shared by the experiments that run over several sample sizes.
 """
 
 from __future__ import annotations
@@ -14,10 +15,25 @@ from typing import Any, Sequence
 import numpy as np
 
 
-def slope_fit(
-    xs: Sequence[float], ys: Sequence[float], *, log: bool = True
-) -> tuple[float, float]:
-    """Ordinary least squares slope and r^2, optionally on log-log axes.
+def sample_sizes(n_list: Sequence[int], reps: int) -> list[int]:
+    """``n_list`` as ints, after checking that it and ``reps`` are usable.
+
+    Each size must be at least 1 and appear once: results are reported per
+    size, and a repeated size would leave one entry for two runs.
+    """
+    if reps < 1:
+        raise ValueError(f"reps must be >= 1, got {reps}")
+    n_arr = [int(n) for n in n_list]
+    if not n_arr or min(n_arr) < 1:
+        raise ValueError(f"n_list needs sample sizes >= 1, got {n_arr}")
+    for i, n in enumerate(n_arr):
+        if n in n_arr[:i]:
+            raise ValueError(f"n_list repeats the sample size {n}")
+    return n_arr
+
+
+def slope_fit(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
+    """Ordinary least squares slope and r^2 on log-log axes.
 
     Constant ``ys`` give slope 0 with r^2 reported as 0 (no division by the
     vanishing total sum of squares).
@@ -25,8 +41,8 @@ def slope_fit(
     Raises
     ------
     ValueError
-        For fewer than 3 points, duplicate xs, or non-positive values in log
-        mode (domain error).
+        For fewer than 3 points, duplicate xs, or non-positive values
+        (domain error).
     """
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
@@ -34,10 +50,9 @@ def slope_fit(
         raise ValueError(f"need >= 3 paired points, got {x.size} and {y.size}")
     if np.unique(x).size != x.size:
         raise ValueError("xs must be distinct")
-    if log:
-        if np.any(x <= 0) or np.any(y <= 0):
-            raise ValueError("log-log fit needs strictly positive xs and ys")
-        x, y = np.log(x), np.log(y)
+    if np.any(x <= 0) or np.any(y <= 0):
+        raise ValueError("log-log fit needs strictly positive xs and ys")
+    x, y = np.log(x), np.log(y)
     sxx = float(np.sum((x - x.mean()) ** 2))
     sxy = float(np.sum((x - x.mean()) * (y - y.mean())))
     syy = float(np.sum((y - y.mean()) ** 2))

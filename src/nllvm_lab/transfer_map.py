@@ -63,10 +63,6 @@ class TransferFunction:
             raise ValueError("transfer values must be finite")
         self.knots, self.values = k, v
 
-    @classmethod
-    def constant(cls, c: float, n_knots: int = 16) -> "TransferFunction":
-        return cls(np.linspace(0.0, 1.0, n_knots), np.full(n_knots, float(c)))
-
     def __call__(self, x: np.ndarray | float) -> np.ndarray:
         return np.interp(x, self.knots, self.values)
 

@@ -30,11 +30,9 @@ from .gp_prior import (
     se_kernel,
 )
 from .gpivi import (
+    D_CONST,
     BayesModel,
-    KLBallSpec,
-    OptConfig,
     RestrictedFamily,
-    RestrictedFamilySpec,
     UnsupportedError,
     _work_window,
     kl_ball_mask,
@@ -55,7 +53,7 @@ from .grid_density import (
     divergence,
 )
 from .hi_order_kernel import fbeta_iterative
-from .reports import CheckReport, SlopeReport, slope_fit
+from .reports import CheckReport, SlopeReport, sample_sizes, slope_fit
 from .transfer_map import TransferFunction, mixture_density, quantile_of
 
 __all__ = [
@@ -73,6 +71,25 @@ __all__ = [
 ]
 
 _QUAD_SLACK = 1e-6
+# the conjugate Gaussian model of chi2_limit_experiment
+_CHI2_THETA_STAR = 0.3
+_CHI2_PRIOR_SIGMA = 0.3
+_CHI2_OBS_SIGMA = 1.0
+_L1_KNOTS = 256
+_L1_SIGMAS = np.geomspace(0.5, 0.005, 25)
+_WITNESS_GRID_N = 8192
+# variational fits of risk_bound_experiment and hellinger_risk_experiment
+_FIT_KNOTS = 12
+_FIT_ITERS = 40
+# the conjugate Gaussian model and comparator family of
+# restricted_min_kl_experiment
+_KL_SIGMA_MODEL = 0.3
+_KL_PRIOR_SIGMA = 1.0
+_KL_M_BOUND = 1.0
+_KL_C0 = 2.0
+_KL_RATIO_CAP = 1.5
+# odd, so the anchors of gp_support_probe interleave the path grid exactly
+_PROBE_KNOTS = 65
 
 
 def _check_deltas(deltas: Sequence[float]) -> None:
@@ -201,16 +218,14 @@ def check_logsup_bound(
     )
 
 
-def _conjugate_posterior(
-    sums, n: int, obs_sigma: float, prior_mu: float, prior_sigma: float
-):
+def _conjugate_posterior(sums, n: int, obs_sigma: float, prior_sigma: float):
     """Conjugate posterior (mean, variance) of a normal mean.
 
     ``n`` draws with sum ``sums`` (an array for several data sets), noise
-    ``obs_sigma``, prior N(prior_mu, prior_sigma^2).
+    ``obs_sigma``, prior N(0, prior_sigma^2).
     """
     var = 1.0 / (n / obs_sigma**2 + 1.0 / prior_sigma**2)
-    return (sums / obs_sigma**2 + prior_mu / prior_sigma**2) * var, var
+    return sums / obs_sigma**2 * var, var
 
 
 def _ks_distance_chi2_1(x: np.ndarray) -> float:
@@ -227,22 +242,14 @@ def _ks_distance_chi2_1(x: np.ndarray) -> float:
     return float(max(d_plus, d_minus))
 
 
-def chi2_limit_experiment(
-    n: int,
-    reps: int,
-    *,
-    theta_star: float = 0.3,
-    prior_mu: float = 0.0,
-    prior_sigma: float = 0.3,
-    obs_sigma: float = 1.0,
-    seed: int = 0,
-) -> CheckReport:
+def chi2_limit_experiment(n: int, reps: int, *, seed: int = 0) -> CheckReport:
     """Distribution of twice the posterior-centering KL against chi-square(1).
 
-    In the conjugate Gaussian model the KL between the oracle sampling
-    law N(theta_star, sigma^2/n) and the posterior N(mu_n, sigma_n^2) has,
-    as n grows, twice-its-value converging in law to chi-square with one
-    degree of freedom.  Checked via the Kolmogorov-Smirnov distance (cap
+    In the conjugate Gaussian model (theta_star 0.3, noise sigma 1, prior
+    N(0, 0.3^2)) the KL between the oracle sampling law
+    N(theta_star, sigma^2/n) and the posterior N(mu_n, sigma_n^2) has, as n
+    grows, twice-its-value converging in law to chi-square with one degree
+    of freedom.  Checked via the Kolmogorov-Smirnov distance (cap
     0.05) and the first moment (within [0.85, 1.15]).
     """
     if reps < 500:
@@ -251,19 +258,19 @@ def chi2_limit_experiment(
         raise ValueError(f"need n >= 1000, got {n}")
     rng = seeded_rng(seed, "chi2-limit", n)
 
-    oracle_var = obs_sigma**2 / n
+    oracle_var = _CHI2_OBS_SIGMA**2 / n
 
     kls = np.empty(reps)
     chunk = max(1, int(2_000_000 / n))
     for start in range(0, reps, chunk):
         size = min(chunk, reps - start)
-        draws = rng.normal(theta_star, obs_sigma, size=(size, n))
+        draws = rng.normal(_CHI2_THETA_STAR, _CHI2_OBS_SIGMA, size=(size, n))
         post_mean, post_var = _conjugate_posterior(
-            draws.sum(axis=1), n, obs_sigma, prior_mu, prior_sigma
+            draws.sum(axis=1), n, _CHI2_OBS_SIGMA, _CHI2_PRIOR_SIGMA
         )
         kls[start : start + size] = (
             0.5 * math.log(post_var / oracle_var)
-            + (oracle_var + (theta_star - post_mean) ** 2) / (2.0 * post_var)
+            + (oracle_var + (_CHI2_THETA_STAR - post_mean) ** 2) / (2.0 * post_var)
             - 0.5
         )
     stats = 2.0 * kls
@@ -302,37 +309,26 @@ def _widened(f0: GridDensity, pad: float) -> GridDensity:
     return GridDensity(lo, hi, f0.pdf_at(grid))
 
 
-def l1_support_search(
-    f0: GridDensity,
-    eps: float,
-    *,
-    n_knots: int = 256,
-    sigmas: Optional[Sequence[float]] = None,
-    seed: int = 0,
-) -> CheckReport:
+def l1_support_search(f0: GridDensity, eps: float, *, seed: int = 0) -> CheckReport:
     """Scan bandwidths for an L1 approximation of f0 by a quantile mixture.
 
-    The transfer is the clipped quantile map of f0 (clip 1e-4); the scan
-    walks a decreasing bandwidth grid and stops at the first L1 distance
-    below ``eps``.  Distances are honest: densities are compared on a grid
-    padded by eight times the largest bandwidth, so no kernel mass is lost.
+    The transfer is the 256-knot clipped quantile map of f0 (clip 1e-4); the
+    scan walks 25 bandwidths from 0.5 down to 0.005 and stops at the first
+    L1 distance below ``eps``.  Distances are honest: densities are compared
+    on a grid padded by eight times the largest bandwidth, so no kernel mass
+    is lost.
     """
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    if sigmas is None:
-        sigmas = np.geomspace(0.5, 0.005, 25)
-    sig = np.asarray(list(sigmas), dtype=float)
-    if np.any(np.diff(sig) >= 0):
-        raise ValueError("sigma grid must be strictly decreasing")
+    if not (0 < eps < math.inf):
+        raise ValueError(f"eps must be positive and finite, got {eps}")
 
-    mu0 = quantile_of(f0, n_knots=n_knots, clip=1e-4)
-    wide = _widened(f0, 8.0 * float(sig[0]))
+    mu0 = quantile_of(f0, n_knots=_L1_KNOTS, clip=1e-4)
+    wide = _widened(f0, 8.0 * float(_L1_SIGMAS[0]))
 
     best_l1 = math.inf
     best_sigma = math.nan
     found = False
     tried = 0
-    for s in sig:
+    for s in _L1_SIGMAS:
         tried += 1
         f = mixture_density(mu0, s, wide.spec)
         l1 = divergence(L1, f, wide)
@@ -355,22 +351,12 @@ def l1_support_search(
             "l1": best_l1,
             "delta_bookkeeping": delta,
             "clip": 1e-4,
-            "n_knots": n_knots,
+            "n_knots": _L1_KNOTS,
         },
     )
 
 
-def _ball_halfwidth(model: BayesModel, ball: KLBallSpec, grid: np.ndarray) -> float:
-    mask = kl_ball_mask(ball, model, grid)
-    if not mask.any():
-        return 0.0
-    inside = grid[mask]
-    return 0.5 * float(inside.max() - inside.min())
-
-
-def _witness_regularization(
-    model: BayesModel, ball: KLBallSpec, *, grid_n: int = 8192
-) -> tuple:
+def _witness_regularization(model: BayesModel, eps: float) -> tuple:
     """KL(witness || prior) for the smoothed, ball-truncated prior witness.
 
     The witness takes the corrected kernel iterate of the prior, truncates
@@ -379,13 +365,14 @@ def _witness_regularization(
     log(1 / prior ball mass).
     """
     base = model.prior_density
-    wspec = GridSpec(base.lo, base.hi, grid_n)
+    wspec = GridSpec(base.lo, base.hi, _WITNESS_GRID_N)
     prior = GridDensity(wspec.lo, wspec.hi, base.pdf_at(wspec.points()))
-    mask = kl_ball_mask(ball, model, prior.grid)
+    mask = kl_ball_mask(model, eps, prior.grid)
     mass = float(trapezoid(np.where(mask, prior.values, 0.0), dx=prior.spacing))
     if mass <= 0.0 or mask.sum() < 8:
         raise ValueError("KL neighborhood is below grid resolution for the witness")
-    halfwidth = _ball_halfwidth(model, ball, prior.grid)
+    inside = prior.grid[mask]
+    halfwidth = 0.5 * float(inside.max() - inside.min())
 
     smooth = fbeta_iterative(prior, 0.05, 1).density
     trunc = GridDensity(wspec.lo, wspec.hi, np.where(mask, smooth.values, 0.0))
@@ -395,16 +382,6 @@ def _witness_regularization(
     return reg, mass
 
 
-def _sample_sizes(n_list: Sequence[int], reps: int) -> list[int]:
-    """``n_list`` as ints, after checking that it and ``reps`` are usable."""
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
-    n_arr = [int(n) for n in n_list]
-    if not n_arr or min(n_arr) < 1:
-        raise ValueError(f"n_list needs sample sizes >= 1, got {n_arr}")
-    return n_arr
-
-
 def risk_bound_experiment(
     model: BayesModel,
     n_list: Sequence[int],
@@ -412,10 +389,6 @@ def risk_bound_experiment(
     eps_rule: Optional[Callable[[int], float]] = None,
     reps: int = 20,
     seed: int = 0,
-    *,
-    d_const: float = 2.0,
-    knots: int = 12,
-    opt_iters: int = 40,
 ) -> CheckReport:
     """Fitted per-datum Renyi risk against its high-probability bound.
 
@@ -431,20 +404,21 @@ def risk_bound_experiment(
             "risk_bound_experiment needs a conjugate model with an exact "
             "tempered posterior"
         )
-    if model.sample_data is None:
-        raise UnsupportedError("model has no data sampler")
-    n_arr = _sample_sizes(n_list, reps)
+    n_arr = sample_sizes(n_list, reps)
     if eps_rule is None:
         eps_rule = lambda n: 1.0 / math.sqrt(n)
+    eps_of = {n: float(eps_rule(n)) for n in n_arr}
+    for n, eps in eps_of.items():
+        if not (0 < eps < math.inf):
+            raise ValueError(f"eps_rule({n}) must be positive and finite, got {eps}")
 
     per_n = {}
     worst = -math.inf
     violations = 0
     trials = 0
     for n in n_arr:
-        eps = float(eps_rule(n))
-        ball = KLBallSpec(theta_star=model.theta_star, eps=eps, n=n)
-        reg, mass = _witness_regularization(model, ball)
+        eps = eps_of[n]
+        reg, mass = _witness_regularization(model, eps)
         witness_bound = 1.1 * math.log(1.0 / mass)
         trials += 1
         witness_margin = reg - witness_bound
@@ -452,13 +426,13 @@ def risk_bound_experiment(
         violations += witness_margin > 0
 
         probe_data = model.sample_data(seeded_rng(seed, "risk-probe", n), n)
-        bound = risk_bound_rhs(model, probe_data, alpha, eps, d_const)
+        bound = risk_bound_rhs(model, probe_data, alpha, eps)
         rhs_total = bound.rhs + bound.remainder
 
         def one(rep: int, n=n, rhs_total=rhs_total) -> tuple:
             rng = seeded_rng(seed, "risk", n, rep)
             data = model.sample_data(rng, n)
-            fit = optimize(model, data, alpha, knots=knots, opt=OptConfig(iters=opt_iters))
+            fit = optimize(model, data, alpha, knots=_FIT_KNOTS, iters=_FIT_ITERS)
             lhs = risk_integral(fit.params, model, alpha)
             return lhs, lhs - rhs_total
 
@@ -498,9 +472,9 @@ def risk_bound_experiment(
         seed=seed,
         params={
             "alpha": alpha,
-            "d_const": d_const,
+            "d_const": D_CONST,
             "reps": reps,
-            "knots": knots,
+            "knots": _FIT_KNOTS,
             "per_n": per_n,
             "median_decay_ok": decay_ok,
         },
@@ -513,9 +487,6 @@ def hellinger_risk_experiment(
     alpha: float = 0.5,
     reps: int = 5,
     seed: int = 0,
-    *,
-    knots: int = 12,
-    opt_iters: int = 40,
 ) -> SlopeReport:
     """Decay rate of the fitted squared-Hellinger risk as n grows.
 
@@ -523,16 +494,14 @@ def hellinger_risk_experiment(
     order-1/2 Renyi divergence; the report passes when the fitted log-log
     slope is at most -0.8, the parametric 1/n behaviour up to fit noise.
     """
-    if model.sample_data is None:
-        raise UnsupportedError("model has no data sampler")
-    n_arr = sorted(_sample_sizes(n_list, reps))
+    n_arr = sorted(sample_sizes(n_list, reps))
     tasks = [(n, rep) for n in n_arr for rep in range(reps)]
 
     def one(task) -> float:
         n, rep = task
         rng = seeded_rng(seed, "hellinger-risk", n, rep)
         data = model.sample_data(rng, n)
-        fit = optimize(model, data, alpha, knots=knots, opt=OptConfig(iters=opt_iters))
+        fit = optimize(model, data, alpha, knots=_FIT_KNOTS, iters=_FIT_ITERS)
         qspec = _work_window(fit.params, n_grid=2048)
         q = mixture_density(fit.params.mu, fit.params.sigma, qspec)
         renyi_half = per_datum_renyi(model, 0.5, q.grid)
@@ -560,45 +529,35 @@ def restricted_min_kl_experiment(
     reps: int = 200,
     seed: int = 0,
     *,
-    sigma_model: float = 0.3,
-    prior_sigma: float = 1.0,
-    m_bound: float = 1.0,
-    c0: float = 2.0,
-    ratio_cap: float = 1.5,
     grid_n: int = 16384,
 ) -> CheckReport:
     """Stochastic boundedness of the comparator-family minimum KL.
 
     For the conjugate Gaussian model at several sample sizes, the 95th
     percentile (over data replicates) of the minimum KL from the restricted
-    family to the exact posterior N(a, b^2) (data N(0, sigma_model^2), prior
-    N(0, prior_sigma^2)) must stay within ``ratio_cap`` times its value at
-    the smallest n — boundedness, not decay.
+    family (M = 1, c0 = 2) to the exact posterior N(a, b^2) (data
+    N(0, 0.3^2), prior N(0, 1)) must stay within 1.5 times its value at the
+    smallest n — boundedness, not decay.
     """
-    if not (sigma_model > 0 and prior_sigma > 0):
-        raise ValueError("sigma_model and prior_sigma must be positive")
-    gspec = GridSpec(-2.0 * m_bound, 2.0 * m_bound, grid_n)
-    n_arr = _sample_sizes(n_list, reps)
+    gspec = GridSpec(-2.0 * _KL_M_BOUND, 2.0 * _KL_M_BOUND, grid_n)
+    n_arr = sample_sizes(n_list, reps)
 
     percentiles = []
     for n in n_arr:
-        sigma_n = 1.0 / math.sqrt(n)
-        family = RestrictedFamily(
-            RestrictedFamilySpec(M=m_bound, sigma_n=sigma_n, c0=c0), gspec
-        )
+        family = RestrictedFamily(_KL_M_BOUND, 1.0 / math.sqrt(n), _KL_C0, gspec)
         rng = seeded_rng(seed, "restricted-min-kl", n)
         vals = np.empty(reps)
         for rep in range(reps):
-            data = sigma_model * rng.standard_normal(n)
+            data = _KL_SIGMA_MODEL * rng.standard_normal(n)
             post_mean, post_var = _conjugate_posterior(
-                data.sum(), n, sigma_model, 0.0, prior_sigma
+                data.sum(), n, _KL_SIGMA_MODEL, _KL_PRIOR_SIGMA
             )
             vals[rep] = family.min_kl(post_mean, math.sqrt(post_var))
         percentiles.append(float(np.percentile(vals, 95)))
 
     base = percentiles[0]
-    worst = max(p - ratio_cap * base for p in percentiles)
-    violations = sum(p > ratio_cap * base for p in percentiles)
+    worst = max(p - _KL_RATIO_CAP * base for p in percentiles)
+    violations = sum(p > _KL_RATIO_CAP * base for p in percentiles)
     return CheckReport(
         name="restricted-min-kl",
         trials=reps * len(n_arr),
@@ -609,10 +568,10 @@ def restricted_min_kl_experiment(
         params={
             "n_list": n_arr,
             "percentiles_95": percentiles,
-            "ratio_cap": ratio_cap,
-            "sigma_model": sigma_model,
-            "m_bound": m_bound,
-            "c0": c0,
+            "ratio_cap": _KL_RATIO_CAP,
+            "sigma_model": _KL_SIGMA_MODEL,
+            "m_bound": _KL_M_BOUND,
+            "c0": _KL_C0,
         },
     )
 
@@ -622,7 +581,6 @@ def gp_support_probe(
     deltas: Sequence[float] = (0.3, 0.1),
     seed: int = 0,
     *,
-    n_knots: int = 64,
     n_draws: int = 10000,
     n_conditional: int = 2000,
 ) -> CheckReport:
@@ -637,14 +595,12 @@ def gp_support_probe(
     that a positive fraction of conditional draws stays inside the tube.
     """
     _check_deltas(deltas)
-    if n_knots % 2 == 0:
-        n_knots += 1  # odd path grid so the anchors interleave exactly
     rng = seeded_rng(seed, "gp-support")
-    coarse = quantile_of(f0, n_knots=(n_knots + 1) // 2)
-    knots = np.linspace(0.0, 1.0, n_knots)
+    coarse = quantile_of(f0, n_knots=(_PROBE_KNOTS + 1) // 2)
+    knots = np.linspace(0.0, 1.0, _PROBE_KNOTS)
     center = float(np.mean(coarse.values))
     target = coarse(knots) - center  # GP prior is centered; probe the shape
-    anchor_idx = np.arange(0, n_knots, 2)
+    anchor_idx = np.arange(0, _PROBE_KNOTS, 2)
 
     worst = -math.inf
     violations = 0
@@ -654,7 +610,7 @@ def gp_support_probe(
         chol = _chol_with_escalation(
             se_kernel(knots, knots, cfg.variance, cfg.rescale), cfg.jitter
         )
-        draws = chol @ rng.standard_normal((n_knots, n_draws))
+        draws = chol @ rng.standard_normal((_PROBE_KNOTS, n_draws))
         mc_fraction = float(
             np.mean(np.max(np.abs(draws - target[:, None]), axis=0) < delta)
         )
@@ -662,14 +618,14 @@ def gp_support_probe(
         inside = 0
         for _ in range(n_conditional):
             draw = sample_path_conditional(
-                cfg, n_knots, anchor_idx, target[anchor_idx], rng
+                cfg, _PROBE_KNOTS, anchor_idx, target[anchor_idx], rng
             )
             err = float(np.max(np.abs(draw.values - target)))
             inside += err < delta
         cond_fraction = inside / n_conditional
 
         mean_path = sample_path_conditional(
-            cfg, n_knots, anchor_idx, target[anchor_idx], _ZeroGenerator()
+            cfg, _PROBE_KNOTS, anchor_idx, target[anchor_idx], _ZeroGenerator()
         )
         interp_err = float(np.max(np.abs(mean_path.values - target)))
 
@@ -692,7 +648,7 @@ def gp_support_probe(
         worst_margin=worst,
         passed=violations == 0,
         seed=seed,
-        params={"n_knots": n_knots, "anchor_stride": 2, "per_delta": per_delta},
+        params={"n_knots": _PROBE_KNOTS, "anchor_stride": 2, "per_delta": per_delta},
     )
 
 

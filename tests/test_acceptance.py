@@ -19,7 +19,6 @@ from scipy.stats import truncnorm
 from nllvm_lab.cli import _truth_density
 from nllvm_lab.gp_prior import GPPriorConfig
 from nllvm_lab.gpivi import (
-    OptConfig,
     normal_normal_model,
     optimize,
     q_density,
@@ -318,7 +317,7 @@ def test_c14_variational_fit_recovers_conjugate_posterior(acceptance_log):
     t0 = time.perf_counter()
     nn = normal_normal_model()
     data = nn.sample_data(np.random.default_rng(14), 100)
-    res = optimize(nn, data, 0.99, knots=16, opt=OptConfig(iters=60))
+    res = optimize(nn, data, 0.99, knots=16, iters=60)
     q = q_density(res.params, nn.prior_density.spec)
     exact = nn.exact_alpha_posterior(data, 0.99)
     kl = kl_values(q.values, exact.values, q.spacing)

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import trapezoid
 
 from nllvm_lab.cli import (
     MAX_GRID_N,
@@ -147,7 +148,7 @@ class TestTruthDensities:
     def test_all_names_are_normalized(self):
         for name in ("bump", "bimodal", "normal"):
             dens = _truth_density(name, 1024)
-            assert dens.integral() == pytest.approx(1.0, abs=1e-12)
+            assert trapezoid(dens.values, dx=dens.spacing) == pytest.approx(1.0, abs=1e-12)
             assert (dens.lo, dens.hi) == (-1.0, 2.0)
 
     def test_bimodal_is_symmetric_about_midpoint(self):
@@ -345,6 +346,23 @@ class TestMainEndToEnd:
 
         assert run("1") == run("2")
 
+    def test_contract_identical_across_thread_counts(self, tmp_path, monkeypatch):
+        # contract runs its fits on the parallel_map pool
+        def run(threads: str) -> tuple:
+            monkeypatch.setenv("NLLVM_LAB_THREADS", threads)
+            out = tmp_path / f"con{threads}.json"
+            rc = main(["contract", "--n-list", "20,40,320", "--reps", "1",
+                       "--iters", "60", "--burn", "20", "--thin", "4",
+                       "--grid", "256", "--out", str(out)])
+            raw = json.loads(out.read_text())
+            assert rc == (0 if raw["pass"] else 1)
+            raw.pop("runtime_ms")
+            raw["config"].pop("output_path")
+            sidecar = raw["metrics"].pop("plot_csv")
+            return raw, (tmp_path / sidecar).read_text()
+
+        assert run("1") == run("2")
+
     def test_estimate_identical_across_thread_counts(self, normal_csv, tmp_path, monkeypatch):
         def run(threads: str) -> tuple:
             monkeypatch.setenv("NLLVM_LAB_THREADS", threads)
@@ -378,6 +396,40 @@ class TestMainEndToEnd:
                    "--out", str(tmp_path / "o.json")])
         assert rc == 1
         assert "nllvm-lab: error: deltas must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["verify", "risk-bound", "--n-list", "50,50", "--reps", "2"],
+             "n_list repeats the sample size 50"),
+            (["verify", "hellinger-risk", "--n-list", "50,50,200"],
+             "n_list repeats the sample size 50"),
+            (["verify", "restricted-kl", "--n-list", "100,1000,100"],
+             "n_list repeats the sample size 100"),
+            (["contract", "--n-list", "20,20,320"], "n_list repeats the sample size 20"),
+            (["contract", "--n-list", "20,320"], "n_list needs at least 3 sample sizes"),
+            (["verify", "risk-bound", "--eps-scale", "inf"],
+             "eps_rule(50) must be positive and finite, got inf"),
+            (["verify", "l1-support", "--eps", "nan"], "eps must be positive and finite"),
+            (["verify", "l1-support", "--eps", "inf"], "eps must be positive and finite"),
+        ],
+        ids=["risk-bound-repeat", "hellinger-risk-repeat", "restricted-kl-repeat",
+             "contract-repeat", "contract-two-sizes", "risk-bound-eps-inf",
+             "l1-support-eps-nan", "l1-support-eps-inf"],
+    )
+    def test_bad_sizes_and_eps_rejected_before_any_work(
+        self, tmp_path, capsys, monkeypatch, argv, named
+    ):
+        def no_work(*args):
+            raise AssertionError("experiment started before validating its inputs")
+
+        monkeypatch.setattr("nllvm_lab.verify_harness.seeded_rng", no_work)
+        monkeypatch.setattr("nllvm_lab.nllvm_posterior.seeded_rng", no_work)
+        out = tmp_path / "o.json"
+        rc = main([*argv, "--out", str(out)])
+        assert rc == 1
+        assert f"nllvm-lab: error: {named}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("check", ["support-probe", "logsup-bound"])
     def test_repeated_delta_exits_one(self, tmp_path, capsys, check):

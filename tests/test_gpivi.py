@@ -2,8 +2,8 @@
 
 Oracles
 -------
-* Per-datum divergences have analytic Gaussian forms; stripping the
-  analytic hooks exercises the quadrature fallback, which must agree.
+* Per-datum divergences have analytic Gaussian forms, which must agree
+  with a trapezoid quadrature over the data space computed in the test.
 * The Bernoulli model's divergences are two-point sums computed directly
   from the likelihood in the test, independent of the module's closures.
 * For uniform priors, KL-neighborhood prior mass is an interval-length
@@ -16,7 +16,6 @@ Oracles
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import numpy as np
@@ -33,12 +32,8 @@ from nllvm_lab.gpivi import (
     _FeasibleMap,
     _default_init,
     _objective_gradient,
-    KLBallSpec,
-    OptConfig,
     RestrictedFamily,
-    RestrictedFamilySpec,
     SupportError,
-    UnsupportedError,
     VariationalParams,
     kl_ball_mask,
     logistic_model,
@@ -75,9 +70,22 @@ def nm() -> BayesModel:
     return normal_mean_model()
 
 
-def _strip_hooks(model: BayesModel) -> BayesModel:
-    """Copy of the model without analytic divergences (quadrature path)."""
-    return dataclasses.replace(model, kl1=None, v1=None, renyi1=None)
+def _quadrature_divergences(model: BayesModel, alpha: float, thetas, lo, hi) -> tuple:
+    """Per-datum KL, second log-ratio moment and Renyi by quadrature over y.
+
+    The window [lo, hi] must carry the data distribution under theta_star.
+    """
+    y = np.linspace(lo, hi, 4097)
+    ll_star = model.log_likelihood(model.theta_star, y)
+    p_star = np.exp(ll_star)
+    kl, v, renyi = np.empty(thetas.size), np.empty(thetas.size), np.empty(thetas.size)
+    for i, th in enumerate(thetas):
+        log_ratio = ll_star - model.log_likelihood(th, y)
+        kl[i] = trapezoid(p_star * log_ratio, y)
+        v[i] = trapezoid(p_star * log_ratio**2, y)
+        mix = alpha * model.log_likelihood(th, y) + (1.0 - alpha) * ll_star
+        renyi[i] = math.log(trapezoid(np.exp(mix), y)) / (alpha - 1.0)
+    return kl, v, renyi
 
 
 class TestParamsAndSpecs:
@@ -89,19 +97,21 @@ class TestParamsAndSpecs:
         with pytest.raises(ValueError, match="log_sigma"):
             VariationalParams(normal_quantile_transfer(0.0, 1.0), np.nan)
 
-    def test_kl_ball_spec(self):
-        KLBallSpec(0.3, 0.1, 100)
-        with pytest.raises(ValueError, match="eps"):
-            KLBallSpec(0.3, 0.0, 100)
-        with pytest.raises(ValueError, match="n"):
-            KLBallSpec(0.3, 0.1, 0)
+    def test_kl_ball_spec(self, nm):
+        # the radius of the KL ball must lie in (0, inf)
+        thetas = np.array([0.3])
+        assert kl_ball_mask(nm, 0.1, thetas).tolist() == [True]
+        for eps in (0.0, -0.1, math.inf, math.nan):
+            with pytest.raises(ValueError, match="eps must be positive and finite"):
+                kl_ball_mask(nm, eps, thetas)
 
     def test_restricted_family_spec(self):
-        RestrictedFamilySpec(1.0, 0.3, 2.0)
+        grid_spec = GridSpec(-8.0, 8.0, 256)
+        RestrictedFamily(1.0, 0.3, 2.0, grid_spec)
         with pytest.raises(ValueError, match="positive"):
-            RestrictedFamilySpec(0.0, 0.3, 2.0)
+            RestrictedFamily(0.0, 0.3, 2.0, grid_spec)
         with pytest.raises(ValueError, match="c0"):
-            RestrictedFamilySpec(1.0, 0.3, 0.5)
+            RestrictedFamily(1.0, 0.3, 0.5, grid_spec)
 
 
 class TestNormalQuantileTransfer:
@@ -112,16 +122,12 @@ class TestNormalQuantileTransfer:
             normal_quantile_transfer(0.0, 0.0)
 
     @pytest.mark.parametrize(
-        "m, tau, n_knots, clip",
-        [(0.3, 0.7, 513, None), (-1.2, 0.05, 17, None), (2.0, 3.0, 9, 0.01)],
+        "m, tau, n_knots", [(0.3, 0.7, 513), (-1.2, 0.05, 17), (2.0, 3.0, 9)]
     )
-    def test_values_equal_norm_ppf(self, m, tau, n_knots, clip):
-        # the scipy.special path gives the scipy.stats quantiles bit for bit;
-        # clip None takes the default
-        kwargs = {} if clip is None else {"clip": clip}
-        mu = normal_quantile_transfer(m, tau, n_knots=n_knots, **kwargs)
-        c = 1e-6 if clip is None else clip
-        levels = np.clip(np.linspace(0.0, 1.0, n_knots), c, 1.0 - c)
+    def test_values_equal_norm_ppf(self, m, tau, n_knots):
+        # the scipy.special path gives the scipy.stats quantiles bit for bit
+        mu = normal_quantile_transfer(m, tau, n_knots=n_knots)
+        levels = np.clip(np.linspace(0.0, 1.0, n_knots), 1e-6, 1.0 - 1e-6)
         assert np.array_equal(mu.values, m + tau * norm.ppf(levels))
 
     def test_margin_equals_norm_isf(self):
@@ -145,30 +151,27 @@ class TestNormalQuantileTransfer:
 
 
 class TestPerDatumDivergences:
-    """Analytic hooks against the quadrature fallback."""
+    """Analytic hooks against a quadrature reference."""
 
     THETAS = np.array([0.25, 0.3, 0.42])
+    # theta_star +- 10 sigma of the normal-mean fixture
+    WINDOW = (0.3 - 3.0, 0.3 + 3.0)
 
     def test_kl_v_quadrature_matches_analytic(self, nm):
         kl_a, v_a = per_datum_kl_v(nm, self.THETAS)
-        kl_q, v_q = per_datum_kl_v(_strip_hooks(nm), self.THETAS)
+        kl_q, v_q, _ = _quadrature_divergences(nm, 0.6, self.THETAS, *self.WINDOW)
         np.testing.assert_allclose(kl_q, kl_a, atol=1e-12)
         np.testing.assert_allclose(v_q, v_a, atol=1e-12)
 
     def test_renyi_quadrature_matches_analytic(self, nm):
         r_a = per_datum_renyi(nm, 0.6, self.THETAS)
-        r_q = per_datum_renyi(_strip_hooks(nm), 0.6, self.THETAS)
+        _, _, r_q = _quadrature_divergences(nm, 0.6, self.THETAS, *self.WINDOW)
         np.testing.assert_allclose(r_q, r_a, atol=1e-12)
 
     def test_renyi_alpha_range(self, nm):
         for alpha in (0.0, 1.0, 1.5):
             with pytest.raises(ValueError, match="alpha"):
                 per_datum_renyi(nm, alpha, self.THETAS)
-
-    def test_needs_window_or_hooks(self, nm):
-        blind = dataclasses.replace(_strip_hooks(nm), data_window=None)
-        with pytest.raises(UnsupportedError, match="data_window"):
-            per_datum_kl_v(blind, self.THETAS)
 
     def test_bernoulli_two_point_sums(self):
         # recompute the divergences from the likelihood alone
@@ -206,16 +209,10 @@ class TestKlBall:
 
     def test_membership_boundary(self, nm):
         # v1 <= eps^2 gives |theta - 0.3| <= sigma * sqrt(r), about 0.03
-        spec = KLBallSpec(0.3, 0.1, 100)
         # 0.34 passes the KL constraint but fails the second-moment one
         assert nm.kl1(np.array([0.34]))[0] <= 0.1**2
-        mask = kl_ball_mask(spec, nm, np.array([0.31, 0.3, 0.34]))
+        mask = kl_ball_mask(nm, 0.1, np.array([0.31, 0.3, 0.34]))
         np.testing.assert_array_equal(mask, [True, True, False])
-
-    def test_non_iid_model_unsupported(self, nm):
-        dependent = dataclasses.replace(nm, iid=False)
-        with pytest.raises(UnsupportedError, match="IID"):
-            kl_ball_mask(KLBallSpec(0.3, 0.1, 10), dependent, np.array([0.3]))
 
 
 class TestObjective:
@@ -278,7 +275,7 @@ class TestOptimize:
     def test_recovers_the_tempered_posterior(self, nn):
         # conjugate target: the fitted q should sit on the alpha-posterior
         data = nn.sample_data(np.random.default_rng(7), 40)
-        res = optimize(nn, data, 0.9, knots=12, opt=OptConfig(iters=30))
+        res = optimize(nn, data, 0.9, knots=12, iters=30)
         assert res.converged or res.stalled or res.n_sweeps == 30
         assert 1 <= res.n_sweeps <= 30
         assert math.isfinite(res.objective)
@@ -294,17 +291,18 @@ class TestOptimize:
 
     def test_deterministic(self, nn):
         data = nn.sample_data(np.random.default_rng(7), 40)
-        a = optimize(nn, data, 0.9, knots=12, opt=OptConfig(iters=30))
-        b = optimize(nn, data, 0.9, knots=12, opt=OptConfig(iters=30))
+        a = optimize(nn, data, 0.9, knots=12, iters=30)
+        b = optimize(nn, data, 0.9, knots=12, iters=30)
         assert a.objective == b.objective
         np.testing.assert_array_equal(a.params.mu.values, b.params.mu.values)
         assert a.params.log_sigma == b.params.log_sigma
 
-    def test_iters_below_one_rejected(self):
+    def test_iters_below_one_rejected(self, nn):
+        data = nn.sample_data(np.random.default_rng(7), 40)
         for iters in (0, -3):
             with pytest.raises(ValueError, match="iters"):
-                OptConfig(iters=iters)
-        assert OptConfig(iters=1).iters == 1
+                optimize(nn, data, 0.9, knots=12, iters=iters)
+        assert optimize(nn, data, 0.9, knots=12, iters=1).n_sweeps == 1
 
     @pytest.mark.parametrize("name", sorted(_FEASIBLE_CASES))
     def test_coords_invert_params(self, name):
@@ -370,7 +368,7 @@ class TestOptimize:
 
 def _member_matrix_min_kl(family: RestrictedFamily):
     """Reference: all 41 x 9 members tabulated, KL to a grid posterior."""
-    gs, sigma_n = family.grid_spec, family.spec.sigma_n
+    gs, sigma_n = family.grid_spec, family.sigma_n
     members = np.array([
         mixture_density(normal_quantile_transfer(m, tau), sigma_n, gs).values
         for m in family.means
@@ -392,8 +390,7 @@ def _member_matrix_min_kl(family: RestrictedFamily):
 
 @pytest.fixture(scope="module")
 def family() -> RestrictedFamily:
-    spec = RestrictedFamilySpec(M=1.0, sigma_n=0.3, c0=2.0)
-    return RestrictedFamily(spec, GridSpec(-8.0, 8.0, 1024))
+    return RestrictedFamily(1.0, 0.3, 2.0, GridSpec(-8.0, 8.0, 1024))
 
 
 class TestRestrictedFamily:
@@ -408,8 +405,7 @@ class TestRestrictedFamily:
         ids=["centred", "off-centre"],
     )
     def test_matches_member_matrix(self, sigma_n, grid_spec):
-        spec = RestrictedFamilySpec(M=1.0, sigma_n=sigma_n, c0=2.0)
-        family = RestrictedFamily(spec, grid_spec)
+        family = RestrictedFamily(1.0, sigma_n, 2.0, grid_spec)
         reference = _member_matrix_min_kl(family)
         for a in (-1.0, -0.55, 0.0, 0.37, 1.0):
             for b in (0.3 * sigma_n, sigma_n, 2.0 * sigma_n):
@@ -455,7 +451,7 @@ class TestRiskQuantities:
         r = 2.0 * (math.sqrt(1.0 + eps**2) - 1.0)
         mass_hand = 0.3 * math.sqrt(r)
         for n, a1 in ((100, False), (1000, True)):
-            rb = risk_bound_rhs(nm, np.zeros(n), alpha, eps, d_const)
+            rb = risk_bound_rhs(nm, np.zeros(n), alpha, eps)
             assert rb.ball_mass == pytest.approx(mass_hand, rel=0.03)
             complexity = math.log(1.0 / rb.ball_mass) / (n * (1.0 - alpha))
             assert rb.complexity == pytest.approx(complexity, rel=1e-12)
@@ -467,18 +463,15 @@ class TestRiskQuantities:
                 abs=1e-15,
             )
             assert rb.a1_holds is a1
-            assert rb.a1_printed_sign_holds is False
 
     def test_remainder_vanishes_when_n_eps2_is_one(self, nm):
         # (D-1)^2 n eps^2 = 1 makes the remainder exactly log(1) = 0
-        rb = risk_bound_rhs(nm, np.zeros(100), 0.5, 0.1, 2.0)
+        rb = risk_bound_rhs(nm, np.zeros(100), 0.5, 0.1)
         assert rb.remainder == pytest.approx(0.0, abs=1e-15)
 
     def test_validations(self, nm):
         with pytest.raises(ValueError, match="alpha"):
             risk_bound_rhs(nm, np.zeros(10), 1.0, 0.1)
-        with pytest.raises(ValueError, match="d_const"):
-            risk_bound_rhs(nm, np.zeros(10), 0.5, 0.1, 1.0)
         with pytest.raises(ValueError, match="non-empty"):
             risk_bound_rhs(nm, np.array([]), 0.5, 0.1)
 
@@ -500,7 +493,8 @@ class TestShippedModels:
 
     def test_priors_are_normalized(self, nn, nm):
         for model in (nn, nm, logistic_model()):
-            assert model.prior_density.integral() == pytest.approx(1.0, abs=1e-12)
+            prior = model.prior_density
+            assert trapezoid(prior.values, dx=prior.spacing) == pytest.approx(1.0, abs=1e-12)
 
     def test_sample_data_centers_on_theta_star(self, nn):
         data = nn.sample_data(np.random.default_rng(0), 4000)

@@ -294,13 +294,14 @@ class TestContractionScaffolding:
         assert theoretical_rate_exponent(1.0, 0.0) == pytest.approx(5.0 / 3.0)
         assert theoretical_rate_exponent(2.0, 4.0) == pytest.approx(2.6)
 
-    def test_insufficient_points_short_circuits(self, cfg, gaussian_density):
-        report = contraction_experiment(
-            gaussian_density, [100, 1600], 2, cfg, seed=0
-        )
-        assert not report.passed
-        assert report.note.startswith("insufficient-points")
-        assert report.ys == []
+    def test_insufficient_points_short_circuits(self, cfg, gaussian_density, monkeypatch):
+        # rejected before any work: no fit draws its stream
+        def no_work(*args):
+            raise AssertionError("experiment started before validating n_list")
+
+        monkeypatch.setattr("nllvm_lab.nllvm_posterior.seeded_rng", no_work)
+        with pytest.raises(ValueError, match="at least 3 sample sizes"):
+            contraction_experiment(gaussian_density, [100, 1600], 2, cfg, seed=0)
 
     def test_span_must_cover_factor_sixteen(self, cfg, gaussian_density):
         with pytest.raises(ValueError, match="factor of 16"):

@@ -1,0 +1,23 @@
+"""The README's library quick start runs as written.
+
+Every ```python block of README.md is executed in order in one namespace,
+so the documented calls stay in step with the package's signatures.
+"""
+
+from __future__ import annotations
+
+import re
+from pathlib import Path
+
+import pytest
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+@pytest.mark.filterwarnings("ignore:flat CDF region")
+def test_python_blocks_run():
+    blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(), re.M | re.S)
+    assert len(blocks) == 2
+    namespace: dict = {}
+    for i, block in enumerate(blocks):
+        exec(compile(block, f"README.md python block {i + 1}", "exec"), namespace)

@@ -1,8 +1,7 @@
 """Report dataclasses and the shared least-squares slope helper.
 
 Oracle: points generated exactly on y = c * x^b recover slope b with
-r^2 = 1 in log-log mode, and an affine law y = a + b x does the same in
-linear mode.
+r^2 = 1 on log-log axes.
 """
 
 from __future__ import annotations
@@ -14,20 +13,13 @@ from nllvm_lab.reports import CheckReport, SlopeReport, slope_fit
 
 
 class TestSlopeFit:
-    """OLS slope and fit quality on both axes conventions."""
+    """OLS slope and fit quality on log-log axes."""
 
     def test_exact_power_law(self):
         xs = np.array([1.0, 2.0, 4.0, 8.0, 16.0])
         ys = 3.0 * xs**-1.7
         slope, r2 = slope_fit(xs, ys)
         assert slope == pytest.approx(-1.7, abs=1e-12)
-        assert r2 == pytest.approx(1.0, abs=1e-12)
-
-    def test_linear_mode(self):
-        xs = np.array([0.0, 1.0, 2.0, 3.0])
-        ys = 2.0 - 0.5 * xs
-        slope, r2 = slope_fit(xs, ys, log=False)
-        assert slope == pytest.approx(-0.5, abs=1e-12)
         assert r2 == pytest.approx(1.0, abs=1e-12)
 
     def test_constant_ys(self):
@@ -51,8 +43,6 @@ class TestSlopeFit:
             slope_fit([1.0, 1.0, 2.0], [1.0, 2.0, 3.0])
         with pytest.raises(ValueError, match="positive"):
             slope_fit([1.0, 2.0, 3.0], [1.0, -2.0, 3.0])
-        # linear mode accepts what log mode rejects
-        slope_fit([1.0, 2.0, 3.0], [1.0, -2.0, 3.0], log=False)
 
 
 class TestSlopeReport:

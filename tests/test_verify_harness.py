@@ -8,7 +8,6 @@ fast while still exercising every reporting path.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import re
 
@@ -149,19 +148,16 @@ class TestL1SupportSearch:
         _clean(report)
 
     def test_unreachable_eps_reports_all_failures(self, bump):
-        report = l1_support_search(
-            bump, 1e-6, sigmas=np.geomspace(0.5, 0.05, 5), seed=0
-        )
+        report = l1_support_search(bump, 1e-6, seed=0)
         assert not report.passed
-        assert report.violations == report.trials == 5
+        assert report.violations == report.trials == 25
         assert report.worst_margin > 0
         assert np.isnan(report.params["delta_bookkeeping"])
 
     def test_validation(self, bump):
-        with pytest.raises(ValueError, match="eps"):
-            l1_support_search(bump, 0.0)
-        with pytest.raises(ValueError, match="decreasing"):
-            l1_support_search(bump, 0.05, sigmas=[0.1, 0.2, 0.3])
+        for eps in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="eps must be positive and finite"):
+                l1_support_search(bump, eps)
 
 
 class TestRiskBoundExperiment:
@@ -178,9 +174,7 @@ class TestRiskBoundExperiment:
             risk_bound_experiment(normal_normal_model(), [50, 0], 0.5, reps=2)
 
     def test_single_n_mini_run(self):
-        report = risk_bound_experiment(
-            normal_normal_model(), [50], 0.5, reps=2, seed=0, opt_iters=15
-        )
+        report = risk_bound_experiment(normal_normal_model(), [50], 0.5, reps=2, seed=0)
         # witness check plus two replicates
         assert report.trials == 3
         assert report.violations == 0
@@ -208,11 +202,6 @@ class TestRiskBoundExperiment:
 class TestHellingerRiskExperiment:
     """Parametric decay of the fitted squared-Hellinger risk."""
 
-    def test_needs_data_sampler(self):
-        blind = dataclasses.replace(normal_normal_model(), sample_data=None)
-        with pytest.raises(UnsupportedError, match="sampler"):
-            hellinger_risk_experiment(blind, (50, 200), reps=1)
-
     def test_empty_sizes_rejected(self):
         with pytest.raises(ValueError, match="reps"):
             hellinger_risk_experiment(normal_normal_model(), (50, 200), reps=0)
@@ -221,13 +210,7 @@ class TestHellingerRiskExperiment:
 
     def test_mini_run_decays(self):
         report = hellinger_risk_experiment(
-            normal_normal_model(),
-            (50, 200, 800),
-            alpha=0.5,
-            reps=1,
-            seed=0,
-            knots=10,
-            opt_iters=15,
+            normal_normal_model(), (50, 200, 800), alpha=0.5, reps=1, seed=0
         )
         assert report.target == -1.0
         assert report.slope <= -0.8
@@ -244,12 +227,6 @@ class TestRestrictedMinKlExperiment:
         with pytest.raises(ValueError, match="n_list"):
             restricted_min_kl_experiment(n_list=(0, 100), reps=1)
 
-    def test_nonpositive_scales_rejected(self):
-        with pytest.raises(ValueError, match="positive"):
-            restricted_min_kl_experiment(n_list=(100,), reps=1, sigma_model=0.0)
-        with pytest.raises(ValueError, match="positive"):
-            restricted_min_kl_experiment(n_list=(100,), reps=1, prior_sigma=-1.0)
-
     def test_mini_run_is_bounded(self):
         report = restricted_min_kl_experiment(
             n_list=(100, 1000), reps=10, seed=0, grid_n=2048
@@ -264,13 +241,6 @@ class TestRestrictedMinKlExperiment:
 
 class TestGpSupportProbe:
     """Constructive prior-mass probe for sup-norm tubes."""
-
-    def test_even_knot_count_coerced_odd(self, bump):
-        report = gp_support_probe(
-            bump, deltas=(0.3,), seed=0, n_knots=64, n_draws=500, n_conditional=50
-        )
-        assert report.params["n_knots"] == 65
-        assert report.params["anchor_stride"] == 2
 
     @pytest.mark.parametrize("deltas", [(0.0,), (-0.1,), (0.3, 0.0)])
     def test_deltas_positive(self, bump, deltas, monkeypatch):
@@ -287,6 +257,9 @@ class TestGpSupportProbe:
             bump, deltas=(0.3,), seed=0, n_draws=500, n_conditional=50
         )
         assert report.passed
+        # an odd path grid, so the anchors at every other knot interleave it
+        assert report.params["n_knots"] == 65
+        assert report.params["anchor_stride"] == 2
         stats = report.params["per_delta"]["0.3"]
         # raw Monte Carlo is hopeless, the conditional construction is not
         assert stats["conditional_fraction"] > 0
