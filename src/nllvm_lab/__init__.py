@@ -39,11 +39,7 @@ from .hi_order_kernel import (
     fbeta_iterative,
     kl_rate_experiment,
 )
-from .gp_prior import (
-    ConditioningError,
-    GPPriorConfig,
-    sample_path_conditional,
-)
+from .gp_prior import ConditioningError, sample_path_conditional
 from .nllvm_posterior import (
     McmcConfig,
     NLLVMState,
@@ -83,7 +79,6 @@ __all__ = [
     "CoverageError",
     "DIVERGENCE_KINDS",
     "FbetaResult",
-    "GPPriorConfig",
     "GridDensity",
     "GridSpec",
     "HELLINGER_SQ",

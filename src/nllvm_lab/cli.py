@@ -31,7 +31,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import verify_harness
-from .gp_prior import GPPriorConfig
 from .gpivi import (
     logistic_model,
     normal_mean_model,
@@ -236,7 +235,7 @@ def _cmd_estimate(cfg: RunConfig):
         thin=params["thin"],
         seed=cfg.seed,
     )
-    samples = fit_mcmc((data - center) / scale, GPPriorConfig(), mcmc)
+    samples = fit_mcmc((data - center) / scale, mcmc)
 
     sigmas = np.array([s.sigma for s in samples.states])
     mus = np.array([s.mu_values for s in samples.states])
@@ -302,7 +301,6 @@ def _cmd_contract(cfg: RunConfig):
         f0,
         params["n_list"],
         params["reps"],
-        GPPriorConfig(),
         cfg.seed,
         mcmc_iters=params["iters"],
         burn_in=params["burn"],

@@ -454,21 +454,14 @@ class RestrictedFamily:
 # risk quantities
 
 
-def risk_integral(
-    params: VariationalParams,
-    model: BayesModel,
-    alpha: float,
-    *,
-    spec: Optional[GridSpec] = None,
-) -> float:
+def risk_integral(params: VariationalParams, model: BayesModel, alpha: float) -> float:
     """Per-datum Renyi risk of q: integral of D_alpha(p_theta || p_star) dq.
 
     For IID data the n-datum divergence is n times the per-datum one, so
-    this equals the scaled n-datum risk for every n.
+    this equals the scaled n-datum risk for every n.  q lives on the
+    prior's grid.
     """
-    if spec is None:
-        spec = model.prior_density.spec
-    q = q_density(params, spec)
+    q = q_density(params, model.prior_density.spec)
     renyi = per_datum_renyi(model, alpha, q.grid)
     return float(trapezoid(q.values * renyi, dx=q.spacing))
 
@@ -576,13 +569,12 @@ def normal_mean_model(
             2.0 * sigma**2
         )
 
-    def exact_posterior(data, spec=None):
+    def exact_posterior(data):
         data = np.asarray(data, float)
-        s = spec if spec is not None else prior_spec
         post_sd = sigma / math.sqrt(data.size)
-        grid = s.points()
+        grid = prior_spec.points()
         vals = np.exp(-((grid - data.mean()) ** 2) / (2.0 * post_sd**2))
-        return GridDensity(s.lo, s.hi, vals)
+        return GridDensity(prior_spec.lo, prior_spec.hi, vals)
 
     def init_guess(data, alpha, knots):
         data = np.asarray(data, float)
@@ -647,17 +639,14 @@ def normal_normal_model(
         mean = (alpha * data.sum() / sigma**2 + prior_mu / prior_sigma**2) / prec
         return mean, math.sqrt(1.0 / prec)
 
-    def exact_posterior(data, spec=None):
-        s = spec if spec is not None else prior_spec
-        mean, sd = _posterior_moments(data, 1.0)
-        g = s.points()
-        return GridDensity(s.lo, s.hi, np.exp(-((g - mean) ** 2) / (2.0 * sd**2)))
-
-    def exact_alpha_posterior(data, alpha, spec=None):
-        s = spec if spec is not None else prior_spec
+    def exact_alpha_posterior(data, alpha):
         mean, sd = _posterior_moments(data, alpha)
-        g = s.points()
-        return GridDensity(s.lo, s.hi, np.exp(-((g - mean) ** 2) / (2.0 * sd**2)))
+        return GridDensity(
+            prior_spec.lo, prior_spec.hi, np.exp(-((grid - mean) ** 2) / (2.0 * sd**2))
+        )
+
+    def exact_posterior(data):
+        return exact_alpha_posterior(data, 1.0)
 
     def init_guess(data, alpha, knots):
         mean, sd = _posterior_moments(data, alpha)
@@ -750,12 +739,9 @@ def logistic_model(
     )
 
 
-def quadrature_posterior(
-    model: BayesModel, data, *, spec: Optional[GridSpec] = None
-) -> GridDensity:
-    """Grid posterior for models without a conjugate form."""
-    if spec is None:
-        spec = model.prior_density.spec
+def quadrature_posterior(model: BayesModel, data) -> GridDensity:
+    """Grid posterior on the prior's grid, for models without a conjugate form."""
+    spec = model.prior_density.spec
     grid = spec.points()
     logpost = total_loglik(model, np.asarray(data, float), grid) + np.log(
         np.maximum(model.prior_density.pdf_at(grid), DENSITY_FLOOR)

@@ -24,7 +24,7 @@ from scipy import special
 from scipy.linalg import cho_solve, solve_triangular
 
 from ._runtime import parallel_map, seeded_rng
-from .gp_prior import GPPriorConfig, _chol_with_escalation, se_kernel
+from .gp_prior import RESCALE, SIGMA_PRIOR, VARIANCE, _chol_with_escalation, se_kernel
 from .grid_density import HELLINGER_SQ, GridDensity, GridSpec, divergence
 from .reports import SlopeReport, sample_sizes, slope_fit
 from .transfer_map import FLAT_RISE, TransferFunction, mixture_density, segment_masses
@@ -92,12 +92,10 @@ class NLLVMState:
 
 @dataclass(eq=False)
 class PosteriorSamples:
-    """Kept post-burn-in states plus run bookkeeping."""
+    """Kept post-burn-in states and the acceptance rate of each block."""
 
     states: list
     acceptance: dict
-    config: dict
-    seed: int
 
     def __post_init__(self) -> None:
         if not self.states:
@@ -184,7 +182,6 @@ def _tridiagonal_gram(eta: np.ndarray, data: np.ndarray, n_knots: int) -> tuple:
 def update_transfer(
     state: NLLVMState,
     data: np.ndarray,
-    cfg: GPPriorConfig,
     rng: np.random.Generator,
     k_inv: np.ndarray,
 ) -> NLLVMState:
@@ -199,16 +196,14 @@ def update_transfer(
     data = np.asarray(data, dtype=float)
     k = state.mu_values.size
     gram, wty = _tridiagonal_gram(state.eta, data, k)
-    prec_chol = _chol_with_escalation(k_inv + gram / state.sigma**2, cfg.jitter)
+    prec_chol = _chol_with_escalation(k_inv + gram / state.sigma**2)
     mean = cho_solve((prec_chol, True), wty / state.sigma**2)
     z = rng.standard_normal(k)
     return replace(state, mu_values=mean + solve_triangular(prec_chol.T, z, lower=False))
 
 
-def _sigma_logtarget(
-    sigma: float, ss: float, n: int, sigma_prior: tuple
-) -> float:
-    a, b = sigma_prior
+def _sigma_logtarget(sigma: float, ss: float, n: int) -> float:
+    a, b = SIGMA_PRIOR
     return (
         -(a + 1.0) * math.log(sigma)
         - b / sigma
@@ -220,7 +215,6 @@ def _sigma_logtarget(
 def update_sigma(
     state: NLLVMState,
     data: np.ndarray,
-    cfg: GPPriorConfig,
     rng: np.random.Generator,
     *,
     step: float = 0.1,
@@ -239,8 +233,8 @@ def update_sigma(
     log_prop = math.log(state.sigma) + step * rng.standard_normal()
     prop = math.exp(log_prop)
     log_ratio = (
-        _sigma_logtarget(prop, ss, n, cfg.sigma_prior)
-        - _sigma_logtarget(state.sigma, ss, n, cfg.sigma_prior)
+        _sigma_logtarget(prop, ss, n)
+        - _sigma_logtarget(state.sigma, ss, n)
         + log_prop
         - math.log(state.sigma)
     )
@@ -262,13 +256,7 @@ def _initial_state(data: np.ndarray, n_knots: int) -> NLLVMState:
     )
 
 
-def fit_mcmc(
-    data,
-    cfg: GPPriorConfig,
-    mcmc: McmcConfig,
-    *,
-    n_knots: int = 64,
-) -> PosteriorSamples:
+def fit_mcmc(data, mcmc: McmcConfig, *, n_knots: int = 64) -> PosteriorSamples:
     """Run the blocked Gibbs chain and return thinned post-burn-in states.
 
     The log-sigma step size adapts toward a 0.3 +/- 0.1 acceptance rate in
@@ -281,9 +269,7 @@ def fit_mcmc(
 
     rng = seeded_rng(mcmc.seed, "mcmc")
     knots = np.linspace(0.0, 1.0, n_knots)
-    kernel_chol = _chol_with_escalation(
-        se_kernel(knots, knots, cfg.variance, cfg.rescale), cfg.jitter
-    )
+    kernel_chol = _chol_with_escalation(se_kernel(knots, knots, VARIANCE, RESCALE))
     k_inv = cho_solve((kernel_chol, True), np.eye(n_knots))
 
     state = _initial_state(data, n_knots)
@@ -295,9 +281,9 @@ def fit_mcmc(
     for it in range(1, mcmc.iters + 1):
         try:
             state = update_latents(state, data, rng)
-            state = update_transfer(state, data, cfg, rng, k_inv)
+            state = update_transfer(state, data, rng, k_inv)
             prev_sigma = state.sigma
-            state = update_sigma(state, data, cfg, rng, step=step)
+            state = update_sigma(state, data, rng, step=step)
         except (ValueError, ArithmeticError) as exc:
             raise RuntimeError(
                 f"chain aborted at iteration {it} "
@@ -317,9 +303,7 @@ def fit_mcmc(
             window_accepted = 0
 
         if it > mcmc.burn_in and (it - mcmc.burn_in - 1) % mcmc.thin == 0:
-            state = replace(
-                state, log_post=_full_log_post(state, data, cfg, kernel_chol)
-            )
+            state = replace(state, log_post=_full_log_post(state, data, kernel_chol))
             kept.append(state)
 
     return PosteriorSamples(
@@ -329,28 +313,15 @@ def fit_mcmc(
             "transfer": 1.0,
             "sigma": accepted_total / mcmc.iters,
         },
-        config={
-            "iters": mcmc.iters,
-            "burn_in": mcmc.burn_in,
-            "thin": mcmc.thin,
-            "n_knots": n_knots,
-            "rescale": cfg.rescale,
-            "variance": cfg.variance,
-            "sigma_prior": list(cfg.sigma_prior),
-        },
-        seed=mcmc.seed,
     )
 
 
 def _full_log_post(
-    state: NLLVMState,
-    data: np.ndarray,
-    cfg: GPPriorConfig,
-    kernel_chol: np.ndarray,
+    state: NLLVMState, data: np.ndarray, kernel_chol: np.ndarray
 ) -> float:
     v = solve_triangular(kernel_chol, state.mu_values, lower=True)
     return float(-0.5 * (v @ v)) + _sigma_logtarget(
-        state.sigma, _residual_ss(state, data), data.size, cfg.sigma_prior
+        state.sigma, _residual_ss(state, data), data.size
     )
 
 
@@ -384,7 +355,6 @@ def contraction_experiment(
     f0: GridDensity,
     n_list: Sequence[int],
     reps: int,
-    cfg: GPPriorConfig,
     seed: int,
     *,
     mcmc_iters: int = 1500,
@@ -417,7 +387,6 @@ def contraction_experiment(
         run_seed = int(rng.integers(0, 2**31 - 1))
         samples = fit_mcmc(
             data,
-            cfg,
             McmcConfig(iters=mcmc_iters, burn_in=burn_in, thin=thin, seed=run_seed),
             n_knots=_CONTRACT_KNOTS,
         )

@@ -86,8 +86,9 @@ def quantile_of(
     """Quantile function of ``f`` as a transfer function.
 
     The CDF is accumulated by cumulative trapezoid sums and inverted by
-    monotone interpolation; flat CDF stretches (zero-density regions) are
-    resolved by the left-continuous inverse and reported with a warning.
+    monotone interpolation; repeated CDF values are resolved by the
+    left-continuous inverse.  Tails below float spacing repeat them too, so
+    only a true zero-density stretch (two adjacent zero values) warns.
     Quantiles are clipped at the [clip, 1 - clip] levels, the constructive
     stand-in for unbounded support.
     """
@@ -96,7 +97,8 @@ def quantile_of(
     cdf = cumulative_trapezoid(f.values, dx=f.spacing, initial=0.0)
     cdf /= cdf[-1]
     uniq, first = np.unique(cdf, return_index=True)
-    if uniq.size < cdf.size:
+    zero = f.values == 0.0
+    if np.any(zero[:-1] & zero[1:]):
         warnings.warn(
             "flat CDF region (zero-density stretch); using the "
             "left-continuous inverse",
@@ -121,8 +123,8 @@ def segment_masses(mu: TransferFunction, sigma: float, y: np.ndarray) -> np.ndar
     two values near 1 never cancels in the tail.  Segments rising less than
     ``FLAT_RISE`` sigma take the limit ``dx_k * phi_sigma(y_i - mid_k)``.
     """
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not (0 < sigma < np.inf):
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     y = np.asarray(y, dtype=float)
     v = mu.values
     dx = np.diff(mu.knots)

@@ -24,7 +24,7 @@ from scipy.special import chdtr
 
 from ._runtime import parallel_map, seeded_rng
 from .gp_prior import (
-    GPPriorConfig,
+    VARIANCE,
     _chol_with_escalation,
     sample_path_conditional,
     se_kernel,
@@ -132,7 +132,7 @@ def check_hellinger_bound(trials: int = 200, seed: int = 0) -> CheckReport:
     violations = 0
     for _ in range(trials):
         a = rng.uniform(2.0, 15.0)
-        chol = _chol_with_escalation(se_kernel(knots, knots, variance, a), 1e-8)
+        chol = _chol_with_escalation(se_kernel(knots, knots, variance, a))
         mu1 = TransferFunction(knots, chol @ rng.standard_normal(n_knots))
         mu2 = TransferFunction(knots, chol @ rng.standard_normal(n_knots))
         s1, s2 = rng.uniform(0.05, 0.5, size=2)
@@ -175,6 +175,8 @@ def check_logsup_bound(
     log(f0 / f_mu_sigma) exceeds the delta = 0 baseline by at most
     delta^2/sigma^2 plus a constant, here budgeted at 0.5.
     """
+    if not (0 < sigma < math.inf):
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     _check_deltas(deltas)
     rng = seeded_rng(seed, "logsup-bound")
     mu0 = quantile_of(f0, n_knots=256)
@@ -183,7 +185,7 @@ def check_logsup_bound(
     )
     n_knots = mu0.knots.size
     knots = mu0.knots
-    chol = _chol_with_escalation(se_kernel(knots, knots, 1.0, 2.0), 1e-8)
+    chol = _chol_with_escalation(se_kernel(knots, knots, 1.0, 2.0))
 
     worst = -math.inf
     violations = 0
@@ -606,28 +608,20 @@ def gp_support_probe(
     violations = 0
     per_delta = {}
     for delta in deltas:
-        cfg = GPPriorConfig(variance=1.0, rescale=1.0 / delta)
-        chol = _chol_with_escalation(
-            se_kernel(knots, knots, cfg.variance, cfg.rescale), cfg.jitter
-        )
+        rescale = 1.0 / delta
+        chol = _chol_with_escalation(se_kernel(knots, knots, VARIANCE, rescale))
         draws = chol @ rng.standard_normal((_PROBE_KNOTS, n_draws))
         mc_fraction = float(
             np.mean(np.max(np.abs(draws - target[:, None]), axis=0) < delta)
         )
 
-        inside = 0
-        for _ in range(n_conditional):
-            draw = sample_path_conditional(
-                cfg, _PROBE_KNOTS, anchor_idx, target[anchor_idx], rng
-            )
-            err = float(np.max(np.abs(draw.values - target)))
-            inside += err < delta
-        cond_fraction = inside / n_conditional
-
-        mean_path = sample_path_conditional(
-            cfg, _PROBE_KNOTS, anchor_idx, target[anchor_idx], _ZeroGenerator()
+        mean_path, cond_draws = sample_path_conditional(
+            rescale, _PROBE_KNOTS, anchor_idx, target[anchor_idx], rng, n_conditional
         )
-        interp_err = float(np.max(np.abs(mean_path.values - target)))
+        cond_fraction = float(
+            np.mean(np.max(np.abs(cond_draws - target), axis=1) < delta)
+        )
+        interp_err = float(np.max(np.abs(mean_path - target)))
 
         margin = interp_err - delta / 2.0
         if cond_fraction == 0.0:
@@ -635,7 +629,7 @@ def gp_support_probe(
         worst = max(worst, margin)
         violations += margin > 0
         per_delta[f"{delta:g}"] = {
-            "rescale": cfg.rescale,
+            "rescale": rescale,
             "mc_fraction": mc_fraction,
             "conditional_fraction": cond_fraction,
             "mean_interp_error": interp_err,
@@ -650,10 +644,3 @@ def gp_support_probe(
         seed=seed,
         params={"n_knots": _PROBE_KNOTS, "anchor_stride": 2, "per_delta": per_delta},
     )
-
-
-class _ZeroGenerator:
-    """Stand-in RNG returning zeros: turns a conditional draw into its mean."""
-
-    def standard_normal(self, size=None):
-        return np.zeros(size) if size is not None else 0.0

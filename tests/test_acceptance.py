@@ -17,7 +17,6 @@ import pytest
 from scipy.stats import truncnorm
 
 from nllvm_lab.cli import _truth_density
-from nllvm_lab.gp_prior import GPPriorConfig
 from nllvm_lab.gpivi import (
     normal_normal_model,
     optimize,
@@ -221,10 +220,9 @@ def test_c08_mcmc_predictive_accuracy_and_agreement(acceptance_log):
     f0 = GridDensity(
         spec.lo, spec.hi, truncnorm.pdf(spec.points(), a_std, b_std, loc=0.5, scale=0.2)
     )
-    cfg = GPPriorConfig()
     preds = []
     for seed in (1, 2):
-        samples = fit_mcmc(data, cfg, McmcConfig(iters=3000, burn_in=1000, thin=10, seed=seed))
+        samples = fit_mcmc(data, McmcConfig(iters=3000, burn_in=1000, thin=10, seed=seed))
         preds.append(predictive_density(samples, spec))
     h2 = [divergence(HELLINGER_SQ, p, f0) for p in preds]
     between = divergence(L1, preds[0], preds[1])
@@ -240,7 +238,7 @@ def test_c09_posterior_contraction_decay(acceptance_log):
     """Median predictive error shrinks as the sample size grows 100 -> 1600."""
     t0 = time.perf_counter()
     f0 = _truth_density("normal", 1024)
-    rep = contraction_experiment(f0, [100, 400, 1600], 5, GPPriorConfig(), 0)
+    rep = contraction_experiment(f0, [100, 400, 1600], 5, 0)
     decreasing = len(rep.ys) == 3 and rep.ys[0] > rep.ys[1] > rep.ys[2]
     exponent_ok = abs(theoretical_rate_exponent(2.0, 0.0) - 1.8) < 1e-12
     ok = rep.passed and decreasing and exponent_ok

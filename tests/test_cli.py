@@ -412,10 +412,14 @@ class TestMainEndToEnd:
              "eps_rule(50) must be positive and finite, got inf"),
             (["verify", "l1-support", "--eps", "nan"], "eps must be positive and finite"),
             (["verify", "l1-support", "--eps", "inf"], "eps must be positive and finite"),
+            *[(["verify", "logsup-bound", "--sigma", bad],
+               f"sigma must be positive and finite, got {float(bad)}")
+              for bad in ("nan", "inf", "0", "-0.1")],
         ],
         ids=["risk-bound-repeat", "hellinger-risk-repeat", "restricted-kl-repeat",
              "contract-repeat", "contract-two-sizes", "risk-bound-eps-inf",
-             "l1-support-eps-nan", "l1-support-eps-inf"],
+             "l1-support-eps-nan", "l1-support-eps-inf", "logsup-sigma-nan",
+             "logsup-sigma-inf", "logsup-sigma-zero", "logsup-sigma-negative"],
     )
     def test_bad_sizes_and_eps_rejected_before_any_work(
         self, tmp_path, capsys, monkeypatch, argv, named

@@ -440,7 +440,7 @@ class TestRiskQuantities:
         params = VariationalParams(
             normal_quantile_transfer(theta0, tau), math.log(s)
         )
-        got = risk_integral(params, nn, 0.6, spec=GridSpec(-0.5, 1.5, 1024))
+        got = risk_integral(params, nn, 0.6)
         var_q = tau**2 + s**2
         expected = 0.6 * ((theta0 - nn.theta_star) ** 2 + var_q) / 2.0
         assert got == pytest.approx(expected, rel=0.01)

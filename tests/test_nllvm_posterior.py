@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from scipy.linalg import cho_solve
 from scipy.stats import kstest
 
-from nllvm_lab.gp_prior import GPPriorConfig, _chol_with_escalation, se_kernel
+from nllvm_lab.gp_prior import _chol_with_escalation, se_kernel
 from nllvm_lab.grid_density import GridSpec
 from nllvm_lab.nllvm_posterior import (
     McmcConfig,
@@ -39,11 +39,6 @@ from nllvm_lab.nllvm_posterior import (
     update_transfer,
 )
 from nllvm_lab.transfer_map import mixture_density
-
-
-@pytest.fixture(scope="module")
-def cfg() -> GPPriorConfig:
-    return GPPriorConfig(rescale=5.0)
 
 
 class TestConfigAndState:
@@ -75,10 +70,10 @@ class TestConfigAndState:
 
     def test_samples_validation(self):
         with pytest.raises(ValueError, match="no kept states"):
-            PosteriorSamples([], {"sigma": 0.3}, {}, 0)
+            PosteriorSamples([], {"sigma": 0.3})
         state = NLLVMState(np.zeros(16), 0.1, np.array([0.5]), 0.0)
         with pytest.raises(ValueError, match="acceptance"):
-            PosteriorSamples([state], {"sigma": 1.5}, {}, 0)
+            PosteriorSamples([state], {"sigma": 1.5})
 
 
 class TestUpdateLatents:
@@ -134,10 +129,11 @@ class TestUpdateLatents:
         assert 0.0 <= new.eta[0] <= 1.0
 
 
-def _k_inv(cfg: GPPriorConfig, n_knots: int) -> np.ndarray:
+def _k_inv(n_knots: int) -> np.ndarray:
+    # K^-1 of a rescale-5 prior: update_transfer takes any fixed K^-1
     knots = np.linspace(0.0, 1.0, n_knots)
-    kernel = se_kernel(knots, knots, cfg.variance, cfg.rescale)
-    return cho_solve((_chol_with_escalation(kernel, cfg.jitter), True), np.eye(n_knots))
+    kernel = se_kernel(knots, knots, 1.0, 5.0)
+    return cho_solve((_chol_with_escalation(kernel), True), np.eye(n_knots))
 
 
 class TestUpdateTransfer:
@@ -176,7 +172,7 @@ class TestUpdateTransfer:
         scale = (np.abs(w).T @ np.abs(data)).max()
         np.testing.assert_allclose(wty, w.T @ data, rtol=0, atol=1e-12 * scale)
 
-    def test_informative_data_pins_the_curve(self, cfg):
+    def test_informative_data_pins_the_curve(self):
         # latents sit exactly on the knots, each observed 10 times with
         # sigma = 0.01: the conditional mean is essentially the target
         nk = 16
@@ -186,15 +182,15 @@ class TestUpdateTransfer:
         data = np.tile(target, 10)
         for seed in (0, 1):
             drawn = update_transfer(
-                state, data, cfg, np.random.default_rng(seed), _k_inv(cfg, nk)
+                state, data, np.random.default_rng(seed), _k_inv(nk)
             )
             assert np.max(np.abs(drawn.mu_values - target)) < 0.05
 
-    def test_empty_data_gives_prior_draw(self, cfg):
+    def test_empty_data_gives_prior_draw(self):
         state = NLLVMState(np.zeros(16), 0.1, np.array([]), 0.0)
-        k_inv = _k_inv(cfg, 16)
-        a = update_transfer(state, np.array([]), cfg, np.random.default_rng(2), k_inv)
-        b = update_transfer(state, np.array([]), cfg, np.random.default_rng(2), k_inv)
+        k_inv = _k_inv(16)
+        a = update_transfer(state, np.array([]), np.random.default_rng(2), k_inv)
+        b = update_transfer(state, np.array([]), np.random.default_rng(2), k_inv)
         np.testing.assert_array_equal(a.mu_values, b.mu_values)
         assert np.std(a.mu_values) > 0
 
@@ -202,7 +198,7 @@ class TestUpdateTransfer:
 class TestUpdateSigma:
     """Random-walk Metropolis on the log noise scale."""
 
-    def test_rejection_returns_the_same_object(self, cfg):
+    def test_rejection_returns_the_same_object(self):
         state = NLLVMState(
             np.linspace(0.0, 1.0, 16), 0.2, np.linspace(0.01, 0.99, 40), 0.0
         )
@@ -210,7 +206,7 @@ class TestUpdateSigma:
         rng = np.random.default_rng(1)
         rejects = accepts = 0
         for _ in range(60):
-            out = update_sigma(state, data, cfg, rng, step=2.0)
+            out = update_sigma(state, data, rng, step=2.0)
             if out.sigma == state.sigma:
                 rejects += 1
                 assert out is state
@@ -223,40 +219,30 @@ class TestUpdateSigma:
 class TestFitMcmc:
     """End-to-end chain bookkeeping."""
 
-    def test_needs_ten_observations(self, cfg):
+    def test_needs_ten_observations(self):
         with pytest.raises(ValueError, match="at least 10"):
-            fit_mcmc(np.zeros(9), cfg, McmcConfig(iters=10, burn_in=0))
+            fit_mcmc(np.zeros(9), McmcConfig(iters=10, burn_in=0))
 
-    def test_kept_count_and_bookkeeping(self, cfg):
+    def test_kept_count_and_bookkeeping(self):
         rng = np.random.default_rng(42)
         data = rng.normal(0.5, 0.2, 80)
         out = fit_mcmc(
-            data, cfg, McmcConfig(iters=60, burn_in=20, thin=4, seed=5), n_knots=16
+            data, McmcConfig(iters=60, burn_in=20, thin=4, seed=5), n_knots=16
         )
         # kept iterations are 21, 25, ..., 57
         assert len(out.states) == 10
         assert set(out.acceptance) == {"latents", "transfer", "sigma"}
-        assert out.config == {
-            "iters": 60,
-            "burn_in": 20,
-            "thin": 4,
-            "n_knots": 16,
-            "rescale": 5.0,
-            "variance": 1.0,
-            "sigma_prior": [3.0, 1.0],
-        }
-        assert out.seed == 5
         for state in out.states:
             assert state.sigma > 0
             assert np.all((state.eta >= 0) & (state.eta <= 1))
             assert np.isfinite(state.log_post)
 
-    def test_deterministic_under_seed(self, cfg):
+    def test_deterministic_under_seed(self):
         rng = np.random.default_rng(42)
         data = rng.normal(0.5, 0.2, 80)
         mc = McmcConfig(iters=60, burn_in=20, thin=4, seed=5)
-        a = fit_mcmc(data, cfg, mc, n_knots=16)
-        b = fit_mcmc(data, cfg, mc, n_knots=16)
+        a = fit_mcmc(data, mc, n_knots=16)
+        b = fit_mcmc(data, mc, n_knots=16)
         for sa, sb in zip(a.states, b.states):
             np.testing.assert_array_equal(sa.mu_values, sb.mu_values)
             assert sa.sigma == sb.sigma
@@ -267,7 +253,7 @@ class TestPredictiveDensity:
 
     def test_single_state_equals_its_mixture(self):
         state = NLLVMState(np.linspace(0.0, 1.0, 32), 0.3, np.array([0.5]), 0.0)
-        samples = PosteriorSamples([state], {"sigma": 0.5}, {}, 0)
+        samples = PosteriorSamples([state], {"sigma": 0.5})
         spec = GridSpec(-3.0, 4.0, 1024)
         pred = predictive_density(samples, spec)
         direct = mixture_density(state.transfer(), 0.3, spec)
@@ -276,7 +262,7 @@ class TestPredictiveDensity:
     def test_two_states_average(self):
         s1 = NLLVMState(np.linspace(0.0, 1.0, 32), 0.3, np.array([0.5]), 0.0)
         s2 = NLLVMState(np.linspace(-0.5, 0.5, 32), 0.4, np.array([0.5]), 0.0)
-        samples = PosteriorSamples([s1, s2], {"sigma": 0.5}, {}, 0)
+        samples = PosteriorSamples([s1, s2], {"sigma": 0.5})
         spec = GridSpec(-4.0, 4.0, 1024)
         pred = predictive_density(samples, spec)
         d1 = mixture_density(s1.transfer(), 0.3, spec)
@@ -294,19 +280,19 @@ class TestContractionScaffolding:
         assert theoretical_rate_exponent(1.0, 0.0) == pytest.approx(5.0 / 3.0)
         assert theoretical_rate_exponent(2.0, 4.0) == pytest.approx(2.6)
 
-    def test_insufficient_points_short_circuits(self, cfg, gaussian_density, monkeypatch):
+    def test_insufficient_points_short_circuits(self, gaussian_density, monkeypatch):
         # rejected before any work: no fit draws its stream
         def no_work(*args):
             raise AssertionError("experiment started before validating n_list")
 
         monkeypatch.setattr("nllvm_lab.nllvm_posterior.seeded_rng", no_work)
         with pytest.raises(ValueError, match="at least 3 sample sizes"):
-            contraction_experiment(gaussian_density, [100, 1600], 2, cfg, seed=0)
+            contraction_experiment(gaussian_density, [100, 1600], 2, seed=0)
 
-    def test_span_must_cover_factor_sixteen(self, cfg, gaussian_density):
+    def test_span_must_cover_factor_sixteen(self, gaussian_density):
         with pytest.raises(ValueError, match="factor of 16"):
-            contraction_experiment(gaussian_density, [100, 200, 400], 2, cfg, seed=0)
+            contraction_experiment(gaussian_density, [100, 200, 400], 2, seed=0)
 
-    def test_reps_positive(self, cfg, gaussian_density):
+    def test_reps_positive(self, gaussian_density):
         with pytest.raises(ValueError, match="reps"):
-            contraction_experiment(gaussian_density, [100, 400, 1600], 0, cfg, seed=0)
+            contraction_experiment(gaussian_density, [100, 400, 1600], 0, seed=0)

@@ -9,12 +9,9 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
-import pytest
-
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
-@pytest.mark.filterwarnings("ignore:flat CDF region")
 def test_python_blocks_run():
     blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(), re.M | re.S)
     assert len(blocks) == 2

@@ -9,6 +9,7 @@ against direct convolution).
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -68,7 +69,6 @@ class TestTransferFunction:
 class TestQuantileOf:
     """Quantile transfer against scipy's exact normal quantile."""
 
-    @pytest.mark.filterwarnings("ignore:flat CDF region")
     def test_matches_normal_ppf_in_the_bulk(self):
         spec = GridSpec(-2.0, 3.0, 8192)
         f = GridDensity(spec.lo, spec.hi, norm.pdf(spec.points(), 0.5, 0.3))
@@ -77,7 +77,6 @@ class TestQuantileOf:
         exact = norm.ppf(mu.knots[interior], 0.5, 0.3)
         assert np.max(np.abs(mu.values[interior] - exact)) < 2e-3
 
-    @pytest.mark.filterwarnings("ignore:flat CDF region")
     def test_values_clipped_to_window(self):
         spec = GridSpec(-2.0, 3.0, 2048)
         f = GridDensity(spec.lo, spec.hi, norm.pdf(spec.points(), 0.5, 0.3))
@@ -97,6 +96,19 @@ class TestQuantileOf:
         with pytest.warns(UserWarning, match="flat CDF region"):
             quantile_of(f, n_knots=64)
 
+    @pytest.mark.parametrize("n", [2048, 8192])
+    def test_positive_density_does_not_warn(self, n):
+        # tails below float spacing repeat CDF values, but no stretch is flat:
+        # the README truth N(0.5, 0.25^2) and N(0.5, 0.3^2) on [-2, 3]
+        spec = GridSpec(-2.0, 3.0, n)
+        x = spec.points()
+        for values in (np.exp(-((x - 0.5) ** 2) / 0.125), norm.pdf(x, 0.5, 0.3)):
+            f = GridDensity(spec.lo, spec.hi, values)
+            assert np.all(f.values > 0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                quantile_of(f, n_knots=64)
+
 
 class TestMixtureDensity:
     """Marginal density of the noisy latent pushforward."""
@@ -107,7 +119,6 @@ class TestMixtureDensity:
         exact = norm.pdf(out.grid, 0.4, 0.3)
         assert np.max(np.abs(out.values - exact)) < 1e-12
 
-    @pytest.mark.filterwarnings("ignore:flat CDF region")
     def test_quantile_transfer_matches_convolution(self):
         # the defining identity: quantile pushforward equals smoothing;
         # the gap is the piecewise-linear quantile interpolation error and
@@ -137,9 +148,11 @@ class TestMixtureDensity:
         assert out.mass_loss < 1e-4
 
     def test_sigma_must_be_positive(self):
+        # NaN fails every comparison, so it must not read as "not <= 0"
         mu = TransferFunction(np.array([0.0, 1.0]), np.zeros(2))
-        with pytest.raises(ValueError, match="positive"):
-            mixture_density(mu, -0.1, GridSpec(-2.0, 2.0, 256))
+        for bad in (-0.1, 0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
+                mixture_density(mu, bad, GridSpec(-2.0, 2.0, 256))
 
     def test_exact_kernel_agrees_with_fixed_quadrature(self):
         mu = TransferFunction(
