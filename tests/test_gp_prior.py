@@ -34,11 +34,14 @@ from nllvm_lab.gp_prior import (
 )
 
 
-class TestPriorConstants:
-    """The prior's numbers, fixed for every chain and command."""
+class TestConfigValidation:
+    """The prior's numbers, fixed module constants for every chain and command."""
 
-    def test_values(self):
+    def test_defaults_are_valid(self):
         assert (VARIANCE, RESCALE, SIGMA_PRIOR, JITTER) == (1.0, 20.0, (3.0, 1.0), 1e-8)
+        assert VARIANCE > 0 and RESCALE > 0 and min(SIGMA_PRIOR) > 0
+
+    def test_jitter_window_scales_with_variance(self):
         # the jitter stays negligible against the marginal variance
         assert 0 < JITTER <= 1e-6 * VARIANCE
 
