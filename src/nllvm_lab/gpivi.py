@@ -34,7 +34,8 @@ from .grid_density import (
     ResolutionError,
     kl_values,
 )
-from .transfer_map import QUANTILE_CLIP, TransferFunction, mixture_density, mixture_vjp
+from .transfer_map import QUANTILE_CLIP, TransferFunction, _live_masses
+from .transfer_map import mixture_density, mixture_vjp
 
 D_CONST = 2.0
 _ABS_CONTINUITY_TOL = 1e-8
@@ -177,23 +178,23 @@ def practical_objective(
     data,
     alpha: float,
     *,
-    spec: Optional[GridSpec] = None,
+    q: Optional[GridDensity] = None,
     loglik: Optional[np.ndarray] = None,
 ) -> float:
     """The tempered variational objective alpha * fit + KL(q || prior).
 
     Equal, up to an additive constant free of q, to alpha times the
     regularized model-fit functional; all expectations are quadratures
-    against the explicit q density on ``spec`` (default: the prior's grid).
+    against ``q``, the explicit density of ``params`` (default: built on
+    the prior's grid).
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0,1), got {alpha}")
     data = np.asarray(data, dtype=float)
     if data.size == 0:
         raise ValueError("data must be non-empty")
-    if spec is None:
-        spec = model.prior_density.spec
-    q = q_density(params, spec)
+    if q is None:
+        q = q_density(params, model.prior_density.spec)
     prior_vals = _prior_on(model, q.grid)
     _check_support(q, prior_vals)
     kl = kl_values(q.values, prior_vals, q.spacing)
@@ -309,31 +310,34 @@ class _FeasibleMap:
         return np.append(logits - logits.mean(), params.log_sigma)
 
 
-def _objective_gradient(
-    feasible: _FeasibleMap,
+def _objective_and_gradient(
     x: np.ndarray,
+    feasible: _FeasibleMap,
     model: BayesModel,
+    data: np.ndarray,
     alpha: float,
     loglik: np.ndarray,
-) -> np.ndarray:
-    """Exact gradient in x of :func:`practical_objective` at ``feasible.params(x)``.
+) -> tuple:
+    """:func:`practical_objective` at ``feasible.params(x)`` and its exact gradient in x.
 
-    On the grid of ``feasible.spec`` with trapezoid weights w, q = q_raw / Z
-    with Z = sum_i w_i q_raw_i, and the objective is
-    sum_j w_j (kl_div(q_j, p_j) - alpha q_j loglik_j) for the floored prior p.
-    Its derivative in q_j is g_j = w_j (log(q_j / p_j) - alpha loglik_j), 0
-    where q_j = 0, and in q_raw_i it is (g_i - w_i sum_j g_j q_j) / Z, which
+    Both from one build of the masses on ``feasible.spec``, with trapezoid
+    weights w: q = q_raw / Z, Z = sum_i w_i q_raw_i, and the objective is
+    sum_j w_j (kl_div(q_j, p_j) - alpha q_j loglik_j) for the floored prior
+    p.  Its derivative in q_j is g_j = w_j (log(q_j / p_j) - alpha loglik_j),
+    0 where q_j = 0, and in q_raw_i (g_i - w_i sum_j g_j q_j) / Z, which
     :func:`mixture_vjp` carries to the knot values and sigma.
     """
     params, spec = feasible.params(x), feasible.spec
-    q = q_density(params, spec)
+    q, live, masses = _live_masses(params.mu, params.sigma, spec)
+    value = practical_objective(params, model, data, alpha, q=q, loglik=loglik)
     prior_vals = np.maximum(_prior_on(model, q.grid), DENSITY_FLOOR)
     w = np.full(spec.n, spec.spacing)
     w[[0, -1]] *= 0.5
     log_ratio = np.log(q.values / prior_vals, out=np.zeros(spec.n), where=q.values > 0)
     g = w * (log_ratio - alpha * loglik)
     r = (g - w * (g @ q.values)) / (1.0 - q.mass_loss)
-    return feasible.pullback(x, *mixture_vjp(params.mu, params.sigma, spec, r))
+    vjp = mixture_vjp(params.mu, params.sigma, q.grid[live], masses, r[live])
+    return value, feasible.pullback(x, *vjp)
 
 
 def optimize(
@@ -347,11 +351,13 @@ def optimize(
 
     The search runs in the coordinates of :class:`_FeasibleMap`, where the
     only constraint is a box on log sigma, with the exact gradient
-    (:func:`_objective_gradient`) and at most ``iters`` iterations.
+    (:func:`_objective_and_gradient`) and at most ``iters`` iterations.
     ``converged`` is scipy's status 0, ``stalled`` its status 2 (the line
     search failed) and ``n_sweeps`` the iteration count.  The procedure is
     deterministic.
     """
+    if not (0.0 < alpha < 1.0):
+        raise ValueError(f"alpha must lie in (0,1), got {alpha}")
     if not (MIN_OPT_KNOTS <= knots <= MAX_OPT_KNOTS):
         raise ValueError(
             f"knots must lie in [{MIN_OPT_KNOTS}, {MAX_OPT_KNOTS}], got {knots}"
@@ -369,17 +375,12 @@ def optimize(
 
     feasible = _FeasibleMap.around(init, model)
     loglik = total_loglik(model, data, feasible.spec.points())
-
-    def objective(x: np.ndarray) -> float:
-        return practical_objective(
-            feasible.params(x), model, data, alpha, spec=feasible.spec, loglik=loglik
-        )
-
     res = minimize(
-        objective,
+        _objective_and_gradient,
         feasible.coords(init),
+        args=(feasible, model, data, alpha, loglik),
         method="L-BFGS-B",
-        jac=lambda x: _objective_gradient(feasible, x, model, alpha, loglik),
+        jac=True,
         bounds=[(None, None)] * (knots + 1) + [feasible.log_sigma_bounds],
         options={"maxiter": iters},
     )

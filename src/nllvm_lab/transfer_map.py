@@ -145,12 +145,12 @@ def segment_masses(mu: TransferFunction, sigma: float, y: np.ndarray) -> np.ndar
 
 
 def mixture_vjp(
-    mu: TransferFunction, sigma: float, spec: GridSpec, r: np.ndarray
+    mu: TransferFunction, sigma: float, y: np.ndarray, masses: np.ndarray, r: np.ndarray
 ) -> tuple:
     """``(sum_i r_i df_i/dv, sum_i r_i df_i/dsigma)`` for the unnormalized mixture.
 
-    f_i is the row sum of :func:`segment_masses` at grid point i of ``spec``
-    (0.0 beyond ``_ZERO_RADIUS`` sigma, as in :func:`mixture_density`) and v
+    f_i is the row sum of ``masses``, the :func:`segment_masses` of mu and
+    sigma at the points ``y`` (as :func:`_live_masses` returns them), and v
     the knot values.  With a = (y - v_k) / sigma, b = (y - v_{k+1}) / sigma,
     delta = a - b and E = (Phi(a) - Phi(b)) / delta, segment k's mass is
     dx_k / sigma * E, so
@@ -164,9 +164,6 @@ def mixture_vjp(
     flat segments (``FLAT_RISE``) take delta = 0, the derivative of the flat
     limit that :func:`segment_masses` evaluates.
     """
-    y = spec.points()
-    live = np.abs(y - np.clip(y, mu.lo, mu.hi)) < _ZERO_RADIUS * sigma
-    y, r = y[live], np.asarray(r, dtype=float)[live]
     v = mu.values
     scale = np.diff(mu.knots) / sigma**2
     delta = np.diff(v) / sigma
@@ -177,7 +174,7 @@ def mixture_vjp(
     phi = np.exp(-0.5 * z * z) / _SQRT_2PI
     r_phi = r @ phi
     r_dphi = -(r @ (z * phi))
-    r_e = (r @ segment_masses(mu, sigma, y)) / (scale * sigma)
+    r_e = (r @ masses) / (scale * sigma)
     d = np.where(series, 1.0, delta)
     grad_lo = -scale * (r_phi[:-1] - r_e) / d
     grad_hi = -scale * (r_e - r_phi[1:]) / d
@@ -206,6 +203,23 @@ def mixture_vjp(
     return grad_v, float(grad_sigma.sum())
 
 
+def _live_masses(mu: TransferFunction, sigma: float, spec: GridSpec) -> tuple:
+    """:func:`mixture_density`, its live-point mask and their :func:`segment_masses`."""
+    y = spec.points()
+    live = np.abs(y - np.clip(y, mu.lo, mu.hi)) < _ZERO_RADIUS * sigma
+    masses = segment_masses(mu, sigma, y[live])
+    out = np.zeros(spec.n)
+    out[live] = masses.sum(axis=1)
+    lost = 1.0 - float(trapezoid(out, dx=spec.spacing))
+    if lost > COVERAGE_MASS_TOL:
+        raise CoverageError(
+            f"domain [{spec.lo}, {spec.hi}] too small for range(mu)="
+            f"[{mu.lo:.4g}, {mu.hi:.4g}] with sigma={sigma:.4g}: "
+            f"lost mass {lost:.3e}"
+        )
+    return GridDensity(spec.lo, spec.hi, out, mass_loss=lost), live, masses
+
+
 def mixture_density(mu: TransferFunction, sigma: float, spec: GridSpec) -> GridDensity:
     """Marginal density f_{mu,sigma} on the grid of ``spec``.
 
@@ -214,16 +228,4 @@ def mixture_density(mu: TransferFunction, sigma: float, spec: GridSpec) -> GridD
     evaluation.  A window covering range(mu) +- 8 sigma always passes the
     coverage check; the error reports the actually lost mass.
     """
-    y = spec.points()
-    live = np.abs(y - np.clip(y, mu.lo, mu.hi)) < _ZERO_RADIUS * sigma
-    out = np.zeros(spec.n)
-    out[live] = segment_masses(mu, sigma, y[live]).sum(axis=1)
-    lost = 1.0 - float(trapezoid(out, dx=spec.spacing))
-    if lost > COVERAGE_MASS_TOL:
-        raise CoverageError(
-            f"domain [{spec.lo}, {spec.hi}] too small for range(mu)="
-            f"[{mu.lo:.4g}, {mu.hi:.4g}] with sigma={sigma:.4g}: "
-            f"lost mass {lost:.3e}"
-        )
-    return GridDensity(spec.lo, spec.hi, out, mass_loss=lost)
-
+    return _live_masses(mu, sigma, spec)[0]

@@ -597,6 +597,9 @@ def gp_support_probe(
     that a positive fraction of conditional draws stays inside the tube.
     """
     _check_deltas(deltas)
+    for name, count in (("n_draws", n_draws), ("n_conditional", n_conditional)):
+        if count < 1:
+            raise ValueError(f"{name} must be at least 1, got {count}")
     rng = seeded_rng(seed, "gp-support")
     coarse = quantile_of(f0, n_knots=(_PROBE_KNOTS + 1) // 2)
     knots = np.linspace(0.0, 1.0, _PROBE_KNOTS)

@@ -277,6 +277,16 @@ class TestMainEndToEnd:
         assert "nllvm-lab: error:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("alpha", ["nan", "-0.2"])
+    def test_vi_alpha_outside_unit_interval_rejected(self, tmp_path, capsys, alpha):
+        csv = tmp_path / "vi.csv"
+        csv.write_text("0.1\n0.4\n0.2\n")
+        out = tmp_path / "vi.json"
+        rc = main(["vi", "--data", str(csv), f"--alpha={alpha}", "--out", str(out)])
+        assert rc == 1
+        assert "nllvm-lab: error: alpha must lie in (0,1)" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_vi_logistic_uses_quadrature_posterior(self, tmp_path):
         rng = np.random.default_rng(2)
         csv = tmp_path / "logit.csv"

@@ -17,6 +17,7 @@ Oracles
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -26,12 +27,13 @@ from hypothesis.extra import numpy as hnp
 from scipy.integrate import trapezoid
 from scipy.stats import norm
 
+from nllvm_lab import gpivi, transfer_map
 from nllvm_lab.gpivi import (
     BayesModel,
     _MARGIN_Z,
     _FeasibleMap,
     _default_init,
-    _objective_gradient,
+    _objective_and_gradient,
     RestrictedFamily,
     SupportError,
     VariationalParams,
@@ -57,7 +59,13 @@ from nllvm_lab.grid_density import (
     ResolutionError,
     kl_values,
 )
-from nllvm_lab.transfer_map import TransferFunction, mixture_density
+from nllvm_lab.transfer_map import (
+    _ZERO_RADIUS,
+    TransferFunction,
+    mixture_density,
+    mixture_vjp,
+    segment_masses,
+)
 
 
 @pytest.fixture(scope="module")
@@ -240,7 +248,7 @@ class TestObjective:
         bad = VariationalParams(normal_quantile_transfer(0.95, 0.2), math.log(0.1))
         with pytest.raises(SupportError, match="outside the prior support"):
             practical_objective(
-                bad, nm, np.array([0.3]), 0.5, spec=GridSpec(-3.0, 3.0, 2048)
+                bad, nm, np.array([0.3]), 0.5, q=q_density(bad, GridSpec(-3.0, 3.0, 2048))
             )
 
 
@@ -259,6 +267,17 @@ _FEASIBLE_CASES = {
     "normal-normal": _feasible_case(normal_normal_model()),
     "logistic": _feasible_case(logistic_model()),
 }
+
+
+def _gradient_points(init: VariationalParams, feasible: _FeasibleMap) -> tuple:
+    """The start; a perturbed start with one increment logit at -30; and
+    sigma at half the grid spacing, below the optimizer's box, where the
+    trapezoid mass of the raw mixture departs from 1 and the
+    renormalization enters the gradient."""
+    x0 = feasible.coords(init)
+    moved = x0 + np.random.default_rng(11).normal(0.0, 0.5, x0.size)
+    moved[3], moved[-1] = -30.0, x0[-1] + 0.2
+    return x0, moved, np.append(x0[:-1], math.log(0.5 * feasible.spec.spacing))
 
 
 class TestOptimize:
@@ -324,24 +343,17 @@ class TestOptimize:
 
     @pytest.mark.parametrize("name", sorted(_FEASIBLE_CASES))
     def test_gradient_matches_central_differences(self, name):
-        # the start; a perturbed start with one increment logit at -30; and
-        # sigma at half the grid spacing, below the optimizer's box, where
-        # the trapezoid mass of the raw mixture departs from 1 and the
-        # renormalization enters the gradient
         model, data, init, feasible = _FEASIBLE_CASES[name]
         loglik = total_loglik(model, data, feasible.spec.points())
-        x0 = feasible.coords(init)
-        moved = x0 + np.random.default_rng(11).normal(0.0, 0.5, x0.size)
-        moved[3], moved[-1] = -30.0, x0[-1] + 0.2
-        coarse = np.append(x0[:-1], math.log(0.5 * feasible.spec.spacing))
 
         def objective(x):
             params = feasible.params(x)
-            return practical_objective(params, model, data, 0.9, spec=feasible.spec, loglik=loglik)
+            q = q_density(params, feasible.spec)
+            return practical_objective(params, model, data, 0.9, q=q, loglik=loglik)
 
         h = 1e-5
-        for x in (x0, moved, coarse):
-            grad = _objective_gradient(feasible, x, model, 0.9, loglik)
+        for x in _gradient_points(init, feasible):
+            grad = _objective_and_gradient(x, feasible, model, data, 0.9, loglik)[1]
             steps = h * np.eye(x.size)
             # fourth-order central differences
             fd = np.array([
@@ -350,6 +362,63 @@ class TestOptimize:
                 for e in steps
             ])
             assert np.max(np.abs(grad - fd)) <= 1e-6 * np.max(np.abs(fd))
+
+    @pytest.mark.parametrize("name", sorted(_FEASIBLE_CASES))
+    def test_one_mass_build_matches_three(self, name):
+        # the value equals the objective on a freshly built q, and the
+        # gradient equals the one whose q and segment masses are built anew
+        model, data, init, feasible = _FEASIBLE_CASES[name]
+        spec, y = feasible.spec, feasible.spec.points()
+        loglik = total_loglik(model, data, y)
+        w = np.full(spec.n, spec.spacing)
+        w[[0, -1]] *= 0.5
+        for x in _gradient_points(init, feasible):
+            value, grad = _objective_and_gradient(x, feasible, model, data, 0.9, loglik)
+            params = feasible.params(x)
+            mu, sigma = params.mu, params.sigma
+            q = q_density(params, spec)
+            assert value == practical_objective(params, model, data, 0.9, q=q, loglik=loglik)
+
+            prior_vals = np.maximum(model.prior_density.pdf_at(y), DENSITY_FLOOR)
+            log_ratio = np.log(q.values / prior_vals, out=np.zeros(spec.n), where=q.values > 0)
+            g = w * (log_ratio - 0.9 * loglik)
+            r = (g - w * (g @ q.values)) / (1.0 - q.mass_loss)
+            live = np.abs(y - np.clip(y, mu.lo, mu.hi)) < _ZERO_RADIUS * sigma
+            masses = segment_masses(mu, sigma, y[live])
+            reference = feasible.pullback(x, *mixture_vjp(mu, sigma, y[live], masses, r[live]))
+            assert np.array_equal(grad, reference)
+
+    @pytest.mark.parametrize("make", [normal_mean_model, normal_normal_model, logistic_model])
+    def test_one_mass_build_per_evaluation(self, make, monkeypatch):
+        counts = {"masses": 0, "evaluations": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(transfer_map, "segment_masses", counted("masses", segment_masses))
+        monkeypatch.setattr(gpivi, "practical_objective", counted("evaluations", practical_objective))
+        model = make()
+        optimize(model, model.sample_data(np.random.default_rng(3), 50), 0.9, knots=12, iters=10)
+        assert counts["evaluations"] > 1
+        assert counts["masses"] == counts["evaluations"]
+
+    @pytest.mark.parametrize("make", [normal_mean_model, normal_normal_model, logistic_model])
+    @pytest.mark.parametrize("alpha", [math.nan, -0.2, 0.0, 1.0])
+    def test_alpha_rejected_before_any_work(self, make, alpha, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("optimize started before validating alpha")
+
+        model = make()
+        if model.init_guess is not None:
+            model.init_guess = no_work
+        monkeypatch.setattr(gpivi, "_default_init", no_work)
+        data = model.sample_data(np.random.default_rng(0), 5)
+        with pytest.raises(ValueError, match=re.escape(f"alpha must lie in (0,1), got {alpha}")):
+            optimize(model, data, alpha)
 
     @pytest.mark.parametrize("name", sorted(_FEASIBLE_CASES))
     @settings(max_examples=50)
@@ -362,7 +431,7 @@ class TestOptimize:
         model, data, init, feasible = _FEASIBLE_CASES[name]
         lo, hi = feasible.log_sigma_bounds
         params = feasible.params(np.append(logits, lo + frac * (hi - lo)))
-        value = practical_objective(params, model, data, 0.9, spec=feasible.spec)
+        value = practical_objective(params, model, data, 0.9, q=q_density(params, feasible.spec))
         assert math.isfinite(value)
 
 

@@ -307,7 +307,8 @@ class TestMixtureVjp:
             path = TransferFunction(mu.knots, p[:-1])
             return segment_masses(path, p[-1], spec.points()).sum(axis=1) @ r
 
-        grad_v, grad_sigma = mixture_vjp(mu, sigma, spec, r)
+        y = spec.points()
+        grad_v, grad_sigma = mixture_vjp(mu, sigma, y, segment_masses(mu, sigma, y), r)
         # fourth-order central differences.  A knot moves by at most 8e-6
         # sigma, so no segment crosses FLAT_RISE; sigma scales every rise
         # alike, so its step can be larger and beat the rounding of the

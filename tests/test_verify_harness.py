@@ -252,6 +252,17 @@ class TestGpSupportProbe:
         with pytest.raises(ValueError, match="deltas must be positive"):
             gp_support_probe(bump, deltas=deltas, n_draws=500, n_conditional=50)
 
+    @pytest.mark.parametrize("count", ["n_draws", "n_conditional"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_draw_counts_at_least_one(self, bump, count, value, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("probe started before validating draw counts")
+
+        monkeypatch.setattr("nllvm_lab.verify_harness.seeded_rng", no_work)
+        kwargs = {"n_draws": 500, "n_conditional": 50, count: value}
+        with pytest.raises(ValueError, match=f"{count} must be at least 1, got {value}"):
+            gp_support_probe(bump, deltas=(0.3,), **kwargs)
+
     def test_conditional_construction_lands_inside(self, bump):
         report = gp_support_probe(
             bump, deltas=(0.3,), seed=0, n_draws=500, n_conditional=50
