@@ -274,7 +274,7 @@ def _cmd_vi(cfg: RunConfig):
     if model.exact_posterior is not None:
         posterior = model.exact_posterior(data)
     else:
-        posterior = quadrature_posterior(model, data)
+        posterior = quadrature_posterior(model, data, 1.0)
     metrics = {
         "model": params["model"],
         "alpha": params["alpha"],

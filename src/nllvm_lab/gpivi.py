@@ -58,15 +58,17 @@ class SupportError(ValueError):
 class BayesModel:
     """A one-parameter IID Bayesian model with analytic per-datum divergences.
 
-    ``log_likelihood(theta, y)`` must broadcast over numpy arrays in both
-    arguments.  ``kl1(thetas)`` and ``v1(thetas)`` are KL(p_theta_star ||
-    p_theta) and the matching second log-ratio moment per datum,
-    ``renyi1(alpha, thetas)`` is D_alpha(p_theta || p_theta_star) per datum,
-    and ``sample_data(rng, n)`` draws n observations under theta_star.
+    ``loglik_sum(data, thetas)`` is sum_i log p(y_i | theta) at every theta
+    of an array, 0 for empty data; the shipped models compute it from the
+    sufficient statistics of ``data``.  ``kl1(thetas)`` and ``v1(thetas)``
+    are KL(p_theta_star || p_theta) and the matching second log-ratio moment
+    per datum, ``renyi1(alpha, thetas)`` is D_alpha(p_theta || p_theta_star)
+    per datum, and ``sample_data(rng, n)`` draws n observations under
+    theta_star.
     """
 
     name: str
-    log_likelihood: Callable[[Any, Any], Any]
+    loglik_sum: Callable[[Any, Any], Any]
     theta_star: float
     prior_density: GridDensity
     kl1: Callable[[Any], Any]
@@ -147,17 +149,6 @@ def kl_ball_mask(model: BayesModel, eps: float, thetas) -> np.ndarray:
 # the variational objective
 
 
-def total_loglik(model: BayesModel, data: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """sum_i log p(y_i | theta) evaluated on a theta grid, chunked over data."""
-    data = np.asarray(data, dtype=float)
-    out = np.zeros(grid.size)
-    chunk = max(1, int(4_000_000 / max(grid.size, 1)))
-    for start in range(0, data.size, chunk):
-        block = data[start : start + chunk]
-        out += model.log_likelihood(grid[None, :], block[:, None]).sum(axis=0)
-    return out
-
-
 def _prior_on(model: BayesModel, grid: np.ndarray) -> np.ndarray:
     return model.prior_density.pdf_at(grid)
 
@@ -199,7 +190,7 @@ def practical_objective(
     _check_support(q, prior_vals)
     kl = kl_values(q.values, prior_vals, q.spacing)
     if loglik is None:
-        loglik = total_loglik(model, data, q.grid)
+        loglik = model.loglik_sum(data, q.grid)
     return alpha * -float(trapezoid(q.values * loglik, dx=q.spacing)) + kl
 
 
@@ -221,16 +212,12 @@ class OptimizeResult:
 def _default_init(
     model: BayesModel, data: np.ndarray, alpha: float, knots: int
 ) -> VariationalParams:
-    """Moment-matched start: a grid MAP fit of the tempered posterior."""
-    grid = model.prior_density.grid
-    logpost = alpha * total_loglik(model, data, grid) + np.log(
-        np.maximum(_prior_on(model, grid), DENSITY_FLOOR)
-    )
-    w = np.exp(logpost - logpost.max())
-    w /= trapezoid(w, dx=model.prior_density.spacing)
-    mean = float(trapezoid(w * grid, dx=model.prior_density.spacing))
-    var = float(trapezoid(w * (grid - mean) ** 2, dx=model.prior_density.spacing))
-    sd = max(math.sqrt(max(var, 0.0)), 2.0 * model.prior_density.spacing)
+    """Moment-matched start: the mean and variance of the tempered grid posterior."""
+    post = quadrature_posterior(model, data, alpha)
+    grid, h = post.grid, post.spacing
+    mean = float(trapezoid(post.values * grid, dx=h))
+    var = float(trapezoid(post.values * (grid - mean) ** 2, dx=h))
+    sd = max(math.sqrt(max(var, 0.0)), 2.0 * h)
     tau = sd / math.sqrt(2.0)
     return VariationalParams(
         mu=normal_quantile_transfer(mean, tau, n_knots=knots),
@@ -374,7 +361,7 @@ def optimize(
         init = _default_init(model, data, alpha, knots)
 
     feasible = _FeasibleMap.around(init, model)
-    loglik = total_loglik(model, data, feasible.spec.points())
+    loglik = model.loglik_sum(data, feasible.spec.points())
     res = minimize(
         _objective_and_gradient,
         feasible.coords(init),
@@ -522,26 +509,47 @@ def risk_bound_rhs(model: BayesModel, data, alpha: float, eps: float) -> RiskBou
 # shipped models
 
 
-def _gaussian_kl1(sigma: float, theta_star: float) -> Callable:
+def _check_params(scales: dict, values: dict) -> None:
+    """Reject a scale outside (0, inf) or a non-finite value, naming it."""
+    for name, x in scales.items():
+        if not 0 < x < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {x}")
+    for name, x in values.items():
+        if not math.isfinite(x):
+            raise ValueError(f"{name} must be finite, got {x}")
+
+
+def _gaussian_hooks(sigma: float, theta_star: float) -> dict:
+    """The data-side hooks of the observation model y ~ N(theta, sigma^2)."""
+    log_norm = -0.5 * math.log(2.0 * math.pi * sigma**2)
+
+    def loglik_sum(data, thetas):
+        # centred, so the quadratic in theta does not cancel at large n;
+        # max(n, 1) makes empty data sum to 0
+        data = np.asarray(data, float)
+        n = data.size
+        ybar = data.sum() / max(n, 1)
+        ss = np.sum((data - ybar) ** 2)
+        return n * log_norm - (ss + n * (ybar - np.asarray(thetas, float)) ** 2) / (
+            2.0 * sigma**2
+        )
+
     def kl1(thetas):
         return (np.asarray(thetas, float) - theta_star) ** 2 / (2.0 * sigma**2)
 
-    return kl1
-
-
-def _gaussian_v1(sigma: float, theta_star: float) -> Callable:
     def v1(thetas):
         d2 = (np.asarray(thetas, float) - theta_star) ** 2 / sigma**2
         return (d2 / 2.0) ** 2 + d2
 
-    return v1
-
-
-def _gaussian_renyi1(sigma: float, theta_star: float) -> Callable:
     def renyi1(alpha: float, thetas):
         return alpha * (np.asarray(thetas, float) - theta_star) ** 2 / (2.0 * sigma**2)
 
-    return renyi1
+    def sample_data(rng, n):
+        return theta_star + sigma * rng.standard_normal(n)
+
+    return dict(
+        loglik_sum=loglik_sum, kl1=kl1, v1=v1, renyi1=renyi1, sample_data=sample_data
+    )
 
 
 def normal_mean_model(
@@ -557,18 +565,13 @@ def normal_mean_model(
     KL-neighborhood masses exact length ratios — convenient for checking the
     complexity term by hand.
     """
-    if not (sigma > 0 and prior_halfwidth > 0):
-        raise ValueError("sigma and prior_halfwidth must be positive")
+    _check_params(
+        {"sigma": sigma, "prior_halfwidth": prior_halfwidth}, {"theta_star": theta_star}
+    )
     if abs(theta_star) >= prior_halfwidth:
         raise ValueError("theta_star must lie inside the prior support")
     prior_spec = GridSpec(-prior_halfwidth, prior_halfwidth, grid_n)
     prior = GridDensity(prior_spec.lo, prior_spec.hi, np.ones(grid_n))
-    log_norm = -0.5 * math.log(2.0 * math.pi * sigma**2)
-
-    def log_likelihood(theta, y):
-        return log_norm - (np.asarray(y, float) - np.asarray(theta, float)) ** 2 / (
-            2.0 * sigma**2
-        )
 
     def exact_posterior(data):
         data = np.asarray(data, float)
@@ -591,20 +594,13 @@ def normal_mean_model(
             log_sigma=math.log(tau),
         )
 
-    def sample_data(rng, n):
-        return theta_star + sigma * rng.standard_normal(n)
-
     return BayesModel(
         name="normal-mean",
-        log_likelihood=log_likelihood,
         theta_star=theta_star,
         prior_density=prior,
         exact_posterior=exact_posterior,
-        kl1=_gaussian_kl1(sigma, theta_star),
-        v1=_gaussian_v1(sigma, theta_star),
-        renyi1=_gaussian_renyi1(sigma, theta_star),
         init_guess=init_guess,
-        sample_data=sample_data,
+        **_gaussian_hooks(sigma, theta_star),
     )
 
 
@@ -618,8 +614,10 @@ def normal_normal_model(
     grid_n: int = 4096,
 ) -> BayesModel:
     """Conjugate Gaussian location model with a Gaussian prior."""
-    if not (sigma > 0 and prior_sigma > 0):
-        raise ValueError("sigma and prior_sigma must be positive")
+    _check_params(
+        {"sigma": sigma, "prior_sigma": prior_sigma},
+        {"prior_mu": prior_mu, "theta_star": theta_star},
+    )
     prior_spec = GridSpec(window[0], window[1], grid_n)
     grid = prior_spec.points()
     prior = GridDensity(
@@ -627,12 +625,6 @@ def normal_normal_model(
         prior_spec.hi,
         np.exp(-((grid - prior_mu) ** 2) / (2.0 * prior_sigma**2)),
     )
-    log_norm = -0.5 * math.log(2.0 * math.pi * sigma**2)
-
-    def log_likelihood(theta, y):
-        return log_norm - (np.asarray(y, float) - np.asarray(theta, float)) ** 2 / (
-            2.0 * sigma**2
-        )
 
     def _posterior_moments(data, alpha):
         data = np.asarray(data, float)
@@ -657,21 +649,14 @@ def normal_normal_model(
             log_sigma=math.log(tau),
         )
 
-    def sample_data(rng, n):
-        return theta_star + sigma * rng.standard_normal(n)
-
     return BayesModel(
         name="normal-normal",
-        log_likelihood=log_likelihood,
         theta_star=theta_star,
         prior_density=prior,
         exact_posterior=exact_posterior,
         exact_alpha_posterior=exact_alpha_posterior,
-        kl1=_gaussian_kl1(sigma, theta_star),
-        v1=_gaussian_v1(sigma, theta_star),
-        renyi1=_gaussian_renyi1(sigma, theta_star),
         init_guess=init_guess,
-        sample_data=sample_data,
+        **_gaussian_hooks(sigma, theta_star),
     )
 
 
@@ -688,17 +673,21 @@ def logistic_model(
     The outcome space is {0, 1}, so the per-datum divergences are two-point
     sums, supplied analytically.
     """
+    _check_params({"prior_sigma": prior_sigma}, {"theta_star": theta_star})
     prior_spec = GridSpec(window[0], window[1], grid_n)
     grid = prior_spec.points()
     prior = GridDensity(
         prior_spec.lo, prior_spec.hi, np.exp(-(grid**2) / (2.0 * prior_sigma**2))
     )
 
-    def log_likelihood(theta, y):
-        theta = np.asarray(theta, float)
-        y = np.asarray(y, float)
-        # y*theta - log(1 + exp(theta)) in a stable form
-        return y * theta - np.logaddexp(0.0, theta)
+    def loglik_sum(data, thetas):
+        data = np.asarray(data, float)
+        bad = data[(data != 0.0) & (data != 1.0)]
+        if bad.size:
+            raise ValueError(f"logistic-intercept data must be 0 or 1, got {bad[0]}")
+        thetas = np.asarray(thetas, float)
+        # sum_i y_i theta - log(1 + exp(theta)) in a stable form
+        return data.sum() * thetas - data.size * np.logaddexp(0.0, thetas)
 
     def _log_pq(theta):
         theta = np.asarray(theta, float)
@@ -730,7 +719,7 @@ def logistic_model(
 
     return BayesModel(
         name="logistic-intercept",
-        log_likelihood=log_likelihood,
+        loglik_sum=loglik_sum,
         theta_star=theta_star,
         prior_density=prior,
         kl1=kl1,
@@ -740,11 +729,11 @@ def logistic_model(
     )
 
 
-def quadrature_posterior(model: BayesModel, data) -> GridDensity:
-    """Grid posterior on the prior's grid, for models without a conjugate form."""
+def quadrature_posterior(model: BayesModel, data, alpha: float) -> GridDensity:
+    """The alpha-tempered posterior, prior times likelihood^alpha, on the prior's grid."""
     spec = model.prior_density.spec
     grid = spec.points()
-    logpost = total_loglik(model, np.asarray(data, float), grid) + np.log(
+    logpost = alpha * model.loglik_sum(data, grid) + np.log(
         np.maximum(model.prior_density.pdf_at(grid), DENSITY_FLOOR)
     )
     vals = np.exp(logpost - logpost.max())

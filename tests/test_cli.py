@@ -287,6 +287,35 @@ class TestMainEndToEnd:
         assert "nllvm-lab: error: alpha must lie in (0,1)" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("values", ["0.5,0.3,0.9,0.2", "1,0,3,2.5"])
+    def test_vi_logistic_rejects_non_binary_data(self, tmp_path, capsys, values):
+        csv = tmp_path / "logit.csv"
+        csv.write_text(values.replace(",", "\n") + "\n")
+        out = tmp_path / "logit.json"
+        rc = main(["vi", "--data", str(csv), "--model", "logistic", "--out", str(out)])
+        assert rc == 1
+        assert "error: logistic-intercept data must be 0 or 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, name",
+        [
+            (["--theta-star", "nan"], "theta_star"),
+            (["--model", "logistic", "--theta-star", "inf"], "theta_star"),
+            (["--prior-sigma", "inf"], "prior_sigma"),
+            (["--prior-mu", "nan"], "prior_mu"),
+        ],
+        ids=["nan-theta-star", "logistic-inf-theta-star", "inf-prior-sigma", "nan-prior-mu"],
+    )
+    def test_vi_non_finite_model_parameter_rejected(self, tmp_path, capsys, flags, name):
+        csv = tmp_path / "vi.csv"
+        csv.write_text("0.1\n0.4\n0.2\n")
+        out = tmp_path / "vi.json"
+        rc = main(["vi", "--data", str(csv), *flags, "--out", str(out)])
+        assert rc == 1
+        assert f"nllvm-lab: error: {name} must be" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_vi_logistic_uses_quadrature_posterior(self, tmp_path):
         rng = np.random.default_rng(2)
         csv = tmp_path / "logit.csv"

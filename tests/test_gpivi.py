@@ -50,7 +50,6 @@ from nllvm_lab.gpivi import (
     quadrature_posterior,
     risk_bound_rhs,
     risk_integral,
-    total_loglik,
 )
 from nllvm_lab.grid_density import (
     DENSITY_FLOOR,
@@ -78,20 +77,31 @@ def nm() -> BayesModel:
     return normal_mean_model()
 
 
-def _quadrature_divergences(model: BayesModel, alpha: float, thetas, lo, hi) -> tuple:
+def _gaussian_loglik(sigma: float):
+    """Per-datum log p(y | theta) of y ~ N(theta, sigma^2), from scipy.stats."""
+    return lambda theta, y: norm.logpdf(y, theta, sigma)
+
+
+def _bernoulli_loglik(theta, y):
+    """Per-datum log p(y | theta) of y ~ Bernoulli(sigmoid(theta))."""
+    return y * theta - np.logaddexp(0.0, theta)
+
+
+def _quadrature_divergences(log_lik, theta_star: float, alpha: float, thetas, lo, hi) -> tuple:
     """Per-datum KL, second log-ratio moment and Renyi by quadrature over y.
 
-    The window [lo, hi] must carry the data distribution under theta_star.
+    ``log_lik(theta, y)`` is the per-datum log-likelihood; the window
+    [lo, hi] must carry the data distribution under theta_star.
     """
     y = np.linspace(lo, hi, 4097)
-    ll_star = model.log_likelihood(model.theta_star, y)
+    ll_star = log_lik(theta_star, y)
     p_star = np.exp(ll_star)
     kl, v, renyi = np.empty(thetas.size), np.empty(thetas.size), np.empty(thetas.size)
     for i, th in enumerate(thetas):
-        log_ratio = ll_star - model.log_likelihood(th, y)
+        log_ratio = ll_star - log_lik(th, y)
         kl[i] = trapezoid(p_star * log_ratio, y)
         v[i] = trapezoid(p_star * log_ratio**2, y)
-        mix = alpha * model.log_likelihood(th, y) + (1.0 - alpha) * ll_star
+        mix = alpha * log_lik(th, y) + (1.0 - alpha) * ll_star
         renyi[i] = math.log(trapezoid(np.exp(mix), y)) / (alpha - 1.0)
     return kl, v, renyi
 
@@ -162,18 +172,23 @@ class TestPerDatumDivergences:
     """Analytic hooks against a quadrature reference."""
 
     THETAS = np.array([0.25, 0.3, 0.42])
-    # theta_star +- 10 sigma of the normal-mean fixture
+    # theta_star +- 10 sigma of the normal-mean fixture, whose sigma is 0.3
     WINDOW = (0.3 - 3.0, 0.3 + 3.0)
+
+    def _quadrature(self, nm) -> tuple:
+        return _quadrature_divergences(
+            _gaussian_loglik(0.3), nm.theta_star, 0.6, self.THETAS, *self.WINDOW
+        )
 
     def test_kl_v_quadrature_matches_analytic(self, nm):
         kl_a, v_a = per_datum_kl_v(nm, self.THETAS)
-        kl_q, v_q, _ = _quadrature_divergences(nm, 0.6, self.THETAS, *self.WINDOW)
+        kl_q, v_q, _ = self._quadrature(nm)
         np.testing.assert_allclose(kl_q, kl_a, atol=1e-12)
         np.testing.assert_allclose(v_q, v_a, atol=1e-12)
 
     def test_renyi_quadrature_matches_analytic(self, nm):
         r_a = per_datum_renyi(nm, 0.6, self.THETAS)
-        _, _, r_q = _quadrature_divergences(nm, 0.6, self.THETAS, *self.WINDOW)
+        _, _, r_q = self._quadrature(nm)
         np.testing.assert_allclose(r_q, r_a, atol=1e-12)
 
     def test_renyi_alpha_range(self, nm):
@@ -186,18 +201,18 @@ class TestPerDatumDivergences:
         model = logistic_model(theta_star=0.5)
         thetas = np.array([-0.4, 0.5, 1.3])
         y = np.array([0.0, 1.0])
-        p_star = np.exp(model.log_likelihood(0.5, y))
+        p_star = np.exp(_bernoulli_loglik(0.5, y))
         kl_hand = np.empty(3)
         v_hand = np.empty(3)
         renyi_hand = np.empty(3)
         alpha = 0.7
         for i, th in enumerate(thetas):
-            log_ratio = model.log_likelihood(0.5, y) - model.log_likelihood(th, y)
+            log_ratio = _bernoulli_loglik(0.5, y) - _bernoulli_loglik(th, y)
             kl_hand[i] = np.sum(p_star * log_ratio)
             v_hand[i] = np.sum(p_star * log_ratio**2)
             mix = np.exp(
-                alpha * model.log_likelihood(th, y)
-                + (1 - alpha) * model.log_likelihood(0.5, y)
+                alpha * _bernoulli_loglik(th, y)
+                + (1 - alpha) * _bernoulli_loglik(0.5, y)
             )
             renyi_hand[i] = math.log(np.sum(mix)) / (alpha - 1.0)
         kl, v = per_datum_kl_v(model, thetas)
@@ -226,13 +241,26 @@ class TestKlBall:
 class TestObjective:
     """The tempered objective."""
 
-    def test_total_loglik_matches_direct_sum(self, nn):
-        grid = np.linspace(-1.0, 1.0, 11)
-        data = nn.sample_data(np.random.default_rng(0), 7)
-        direct = np.array(
-            [sum(float(nn.log_likelihood(g, y)) for y in data) for g in grid]
-        )
-        np.testing.assert_allclose(total_loglik(nn, data, grid), direct, atol=1e-10)
+    # each shipped model with its per-datum reference, at the model's
+    # default observation scale
+    LOGLIK_CASES = {
+        "normal-normal": (normal_normal_model, _gaussian_loglik(1.0)),
+        "normal-mean": (normal_mean_model, _gaussian_loglik(0.3)),
+        "logistic": (logistic_model, _bernoulli_loglik),
+    }
+
+    @pytest.mark.parametrize("n", [0, 1, 50, 3200])
+    @pytest.mark.parametrize("name", sorted(LOGLIK_CASES))
+    def test_loglik_sum_matches_per_datum_sum(self, name, n):
+        make, log_lik = self.LOGLIK_CASES[name]
+        model = make()
+        thetas = model.prior_density.grid
+        data = model.sample_data(np.random.default_rng(n), n)
+        direct = np.array([math.fsum(log_lik(theta, data)) for theta in thetas])
+        # 1e-12 relative, with an absolute floor of 1e-12 per datum for the
+        # normal-mean sum, which crosses 0 because its log normalizer is positive
+        err = np.abs(model.loglik_sum(data, thetas) - direct)
+        assert np.all(err <= 1e-12 * np.maximum(np.abs(direct), n))
 
     def test_validations(self, nn):
         params = VariationalParams(normal_quantile_transfer(0.3, 0.1), -3.0)
@@ -344,7 +372,7 @@ class TestOptimize:
     @pytest.mark.parametrize("name", sorted(_FEASIBLE_CASES))
     def test_gradient_matches_central_differences(self, name):
         model, data, init, feasible = _FEASIBLE_CASES[name]
-        loglik = total_loglik(model, data, feasible.spec.points())
+        loglik = model.loglik_sum(data, feasible.spec.points())
 
         def objective(x):
             params = feasible.params(x)
@@ -369,7 +397,7 @@ class TestOptimize:
         # gradient equals the one whose q and segment masses are built anew
         model, data, init, feasible = _FEASIBLE_CASES[name]
         spec, y = feasible.spec, feasible.spec.points()
-        loglik = total_loglik(model, data, y)
+        loglik = model.loglik_sum(data, y)
         w = np.full(spec.n, spec.spacing)
         w[[0, -1]] *= 0.5
         for x in _gradient_points(init, feasible):
@@ -560,6 +588,32 @@ class TestShippedModels:
         with pytest.raises(ValueError, match="positive"):
             normal_normal_model(prior_sigma=0.0)
 
+    @pytest.mark.parametrize(
+        "make, name, value",
+        [
+            (normal_mean_model, "sigma", math.inf),
+            (normal_mean_model, "theta_star", math.nan),
+            (normal_mean_model, "prior_halfwidth", math.inf),
+            (normal_normal_model, "sigma", math.nan),
+            (normal_normal_model, "prior_mu", math.nan),
+            (normal_normal_model, "prior_sigma", math.inf),
+            (normal_normal_model, "theta_star", math.nan),
+            (logistic_model, "theta_star", math.inf),
+            (logistic_model, "prior_sigma", math.inf),
+            (logistic_model, "prior_sigma", 0.0),
+        ],
+        ids=lambda v: getattr(v, "__name__", str(v)),
+    )
+    def test_parameters_finite_up_front(self, make, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be .*got {value}$"):
+            make(**{name: value})
+
+    def test_logistic_data_must_be_binary(self):
+        model = logistic_model()
+        for data in ([0.0, 1.0, 0.5], [1.0, 3.0], [np.nan]):
+            with pytest.raises(ValueError, match="logistic-intercept data must be 0 or 1"):
+                model.loglik_sum(np.array(data), model.prior_density.grid)
+
     def test_priors_are_normalized(self, nn, nm):
         for model in (nn, nm, logistic_model()):
             prior = model.prior_density
@@ -571,7 +625,7 @@ class TestShippedModels:
 
     def test_quadrature_posterior_matches_conjugate(self, nn):
         data = nn.sample_data(np.random.default_rng(0), 50)
-        quad = quadrature_posterior(nn, data)
+        quad = quadrature_posterior(nn, data, 1.0)
         exact = nn.exact_posterior(data)
         np.testing.assert_allclose(quad.values, exact.values, atol=1e-10)
 
@@ -592,7 +646,5 @@ class TestShippedModels:
     def test_logistic_likelihood_normalizes(self):
         model = logistic_model()
         for theta in (-1.0, 0.0, 2.0):
-            total = sum(
-                math.exp(float(model.log_likelihood(theta, y))) for y in (0.0, 1.0)
-            )
+            total = sum(math.exp(float(model.loglik_sum([y], theta))) for y in (0.0, 1.0))
             assert total == pytest.approx(1.0, abs=1e-12)
