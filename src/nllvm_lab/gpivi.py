@@ -64,7 +64,8 @@ class BayesModel:
     are KL(p_theta_star || p_theta) and the matching second log-ratio moment
     per datum, ``renyi1(alpha, thetas)`` is D_alpha(p_theta || p_theta_star)
     per datum, and ``sample_data(rng, n)`` draws n observations under
-    theta_star.
+    theta_star.  :func:`optimize` needs nothing more: it starts every model
+    from the moments of its tempered grid posterior.
     """
 
     name: str
@@ -77,7 +78,6 @@ class BayesModel:
     sample_data: Callable[[np.random.Generator, int], np.ndarray]
     exact_posterior: Optional[Callable[..., GridDensity]] = None
     exact_alpha_posterior: Optional[Callable[..., GridDensity]] = None
-    init_guess: Optional[Callable[..., "VariationalParams"]] = None
 
 
 @dataclass(eq=False)
@@ -149,10 +149,6 @@ def kl_ball_mask(model: BayesModel, eps: float, thetas) -> np.ndarray:
 # the variational objective
 
 
-def _prior_on(model: BayesModel, grid: np.ndarray) -> np.ndarray:
-    return model.prior_density.pdf_at(grid)
-
-
 def _check_support(q: GridDensity, prior_vals: np.ndarray) -> None:
     outside = float(
         trapezoid(np.where(prior_vals <= DENSITY_FLOOR, q.values, 0.0), dx=q.spacing)
@@ -186,7 +182,7 @@ def practical_objective(
         raise ValueError("data must be non-empty")
     if q is None:
         q = q_density(params, model.prior_density.spec)
-    prior_vals = _prior_on(model, q.grid)
+    prior_vals = model.prior_density.pdf_at(q.grid)
     _check_support(q, prior_vals)
     kl = kl_values(q.values, prior_vals, q.spacing)
     if loglik is None:
@@ -209,15 +205,30 @@ class OptimizeResult:
     n_sweeps: int
 
 
+def _prior_support(model: BayesModel) -> tuple:
+    """The first and last grid points where the prior exceeds ``DENSITY_FLOOR``."""
+    prior = model.prior_density
+    support = prior.grid[prior.values > DENSITY_FLOOR]
+    return float(support[0]), float(support[-1])
+
+
 def _default_init(
     model: BayesModel, data: np.ndarray, alpha: float, knots: int
 ) -> VariationalParams:
-    """Moment-matched start: the mean and variance of the tempered grid posterior."""
+    """Moment-matched start: the mean and variance of the tempered grid posterior.
+
+    The spread is capped at a tenth of the room between the mean and the
+    nearer end of the prior's support, so tau <= room / (10 sqrt 2): the
+    knots and their ``_MARGIN_Z`` sigma margin reach (4.75 + 6.0) tau from
+    the mean, and the start always lies in :class:`_FeasibleMap`.
+    """
     post = quadrature_posterior(model, data, alpha)
     grid, h = post.grid, post.spacing
     mean = float(trapezoid(post.values * grid, dx=h))
     var = float(trapezoid(post.values * (grid - mean) ** 2, dx=h))
-    sd = max(math.sqrt(max(var, 0.0)), 2.0 * h)
+    lo, hi = _prior_support(model)
+    room = min(mean - lo, hi - mean)
+    sd = min(max(math.sqrt(max(var, 0.0)), 2.0 * h), room / 10.0)
     tau = sd / math.sqrt(2.0)
     return VariationalParams(
         mu=normal_quantile_transfer(mean, tau, n_knots=knots),
@@ -243,21 +254,40 @@ class _FeasibleMap:
     increase inside [lo + z sigma, hi - z sigma] with z = ``_MARGIN_Z``, so
     every x whose log sigma lies in ``log_sigma_bounds`` passes both the
     coverage and the support check.  [lo, hi] is the work window cut to the
-    prior's support.
+    prior's support.  The map also keeps what stays fixed for the fit: the
+    window's ``points``, their trapezoid ``weights``, the ``prior`` there
+    floored at ``DENSITY_FLOOR`` and ``loglik``, the data's log-likelihood
+    sum there.
     """
 
     spec: GridSpec
     knots: np.ndarray
     lo: float
     hi: float
+    points: np.ndarray
+    weights: np.ndarray
+    prior: np.ndarray
+    loglik: np.ndarray
 
     @classmethod
-    def around(cls, init: VariationalParams, model: BayesModel) -> "_FeasibleMap":
+    def around(
+        cls, init: VariationalParams, model: BayesModel, data: np.ndarray
+    ) -> "_FeasibleMap":
         spec = _work_window(init)
-        prior = model.prior_density
-        support = prior.grid[prior.values > DENSITY_FLOOR]
-        lo, hi = max(spec.lo, float(support[0])), min(spec.hi, float(support[-1]))
-        return cls(spec, init.mu.knots, lo, hi)
+        lo, hi = _prior_support(model)
+        points = spec.points()
+        weights = np.full(spec.n, spec.spacing)
+        weights[[0, -1]] *= 0.5
+        return cls(
+            spec,
+            init.mu.knots,
+            max(spec.lo, lo),
+            min(spec.hi, hi),
+            points,
+            weights,
+            np.maximum(model.prior_density.pdf_at(points), DENSITY_FLOOR),
+            model.loglik_sum(data, points),
+        )
 
     @property
     def log_sigma_bounds(self) -> tuple:
@@ -303,7 +333,6 @@ def _objective_and_gradient(
     model: BayesModel,
     data: np.ndarray,
     alpha: float,
-    loglik: np.ndarray,
 ) -> tuple:
     """:func:`practical_objective` at ``feasible.params(x)`` and its exact gradient in x.
 
@@ -312,18 +341,16 @@ def _objective_and_gradient(
     sum_j w_j (kl_div(q_j, p_j) - alpha q_j loglik_j) for the floored prior
     p.  Its derivative in q_j is g_j = w_j (log(q_j / p_j) - alpha loglik_j),
     0 where q_j = 0, and in q_raw_i (g_i - w_i sum_j g_j q_j) / Z, which
-    :func:`mixture_vjp` carries to the knot values and sigma.
+    :func:`mixture_vjp` carries to the knot values and sigma.  The grid, w,
+    p and loglik are the ones ``feasible`` keeps for the fit.
     """
-    params, spec = feasible.params(x), feasible.spec
-    q, live, masses = _live_masses(params.mu, params.sigma, spec)
+    params, w, loglik = feasible.params(x), feasible.weights, feasible.loglik
+    q, live, masses = _live_masses(params.mu, params.sigma, feasible.spec)
     value = practical_objective(params, model, data, alpha, q=q, loglik=loglik)
-    prior_vals = np.maximum(_prior_on(model, q.grid), DENSITY_FLOOR)
-    w = np.full(spec.n, spec.spacing)
-    w[[0, -1]] *= 0.5
-    log_ratio = np.log(q.values / prior_vals, out=np.zeros(spec.n), where=q.values > 0)
+    log_ratio = np.log(q.values / feasible.prior, out=np.zeros(w.size), where=q.values > 0)
     g = w * (log_ratio - alpha * loglik)
     r = (g - w * (g @ q.values)) / (1.0 - q.mass_loss)
-    vjp = mixture_vjp(params.mu, params.sigma, q.grid[live], masses, r[live])
+    vjp = mixture_vjp(params.mu, params.sigma, feasible.points[live], masses, r[live])
     return value, feasible.pullback(x, *vjp)
 
 
@@ -355,17 +382,12 @@ def optimize(
     if iters < 1:
         raise ValueError(f"iters must be at least 1, got {iters}")
 
-    if model.init_guess is not None:
-        init = model.init_guess(data, alpha, knots)
-    else:
-        init = _default_init(model, data, alpha, knots)
-
-    feasible = _FeasibleMap.around(init, model)
-    loglik = model.loglik_sum(data, feasible.spec.points())
+    init = _default_init(model, data, alpha, knots)
+    feasible = _FeasibleMap.around(init, model, data)
     res = minimize(
         _objective_and_gradient,
         feasible.coords(init),
-        args=(feasible, model, data, alpha, loglik),
+        args=(feasible, model, data, alpha),
         method="L-BFGS-B",
         jac=True,
         bounds=[(None, None)] * (knots + 1) + [feasible.log_sigma_bounds],
@@ -580,26 +602,11 @@ def normal_mean_model(
         vals = np.exp(-((grid - data.mean()) ** 2) / (2.0 * post_sd**2))
         return GridDensity(prior_spec.lo, prior_spec.hi, vals)
 
-    def init_guess(data, alpha, knots):
-        data = np.asarray(data, float)
-        m0 = float(np.clip(data.mean(), -prior_halfwidth + 0.05, prior_halfwidth - 0.05))
-        # ten spreads inside the flat prior's edge keep q's start within its support
-        s0 = min(
-            sigma / math.sqrt(max(1.0, alpha * data.size)),
-            (prior_halfwidth - abs(m0)) / 10.0,
-        )
-        tau = s0 / math.sqrt(2.0)
-        return VariationalParams(
-            mu=normal_quantile_transfer(m0, tau, n_knots=knots),
-            log_sigma=math.log(tau),
-        )
-
     return BayesModel(
         name="normal-mean",
         theta_star=theta_star,
         prior_density=prior,
         exact_posterior=exact_posterior,
-        init_guess=init_guess,
         **_gaussian_hooks(sigma, theta_star),
     )
 
@@ -626,14 +633,11 @@ def normal_normal_model(
         np.exp(-((grid - prior_mu) ** 2) / (2.0 * prior_sigma**2)),
     )
 
-    def _posterior_moments(data, alpha):
+    def exact_alpha_posterior(data, alpha):
         data = np.asarray(data, float)
         prec = alpha * data.size / sigma**2 + 1.0 / prior_sigma**2
         mean = (alpha * data.sum() / sigma**2 + prior_mu / prior_sigma**2) / prec
-        return mean, math.sqrt(1.0 / prec)
-
-    def exact_alpha_posterior(data, alpha):
-        mean, sd = _posterior_moments(data, alpha)
+        sd = math.sqrt(1.0 / prec)
         return GridDensity(
             prior_spec.lo, prior_spec.hi, np.exp(-((grid - mean) ** 2) / (2.0 * sd**2))
         )
@@ -641,21 +645,12 @@ def normal_normal_model(
     def exact_posterior(data):
         return exact_alpha_posterior(data, 1.0)
 
-    def init_guess(data, alpha, knots):
-        mean, sd = _posterior_moments(data, alpha)
-        tau = sd / math.sqrt(2.0)
-        return VariationalParams(
-            mu=normal_quantile_transfer(mean, tau, n_knots=knots),
-            log_sigma=math.log(tau),
-        )
-
     return BayesModel(
         name="normal-normal",
         theta_star=theta_star,
         prior_density=prior,
         exact_posterior=exact_posterior,
         exact_alpha_posterior=exact_alpha_posterior,
-        init_guess=init_guess,
         **_gaussian_hooks(sigma, theta_star),
     )
 

@@ -370,9 +370,7 @@ def contraction_experiment(
     q = 0) over the same n values; the pass flag asserts only that the
     medians decrease.
     """
-    n_arr = np.asarray(sorted(sample_sizes(n_list, reps)), dtype=int)
-    if n_arr.size < 3:
-        raise ValueError(f"n_list needs at least 3 sample sizes, got {n_arr.tolist()}")
+    n_arr = np.asarray(sorted(sample_sizes(n_list, reps, 3)), dtype=int)
     if n_arr[-1] < 16 * n_arr[0]:
         raise ValueError(
             f"n_list must span a factor of 16, got {n_arr[0]} .. {n_arr[-1]}"

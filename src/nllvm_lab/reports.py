@@ -15,11 +15,12 @@ from typing import Any, Sequence
 import numpy as np
 
 
-def sample_sizes(n_list: Sequence[int], reps: int) -> list[int]:
+def sample_sizes(n_list: Sequence[int], reps: int, at_least: int = 1) -> list[int]:
     """``n_list`` as ints, after checking that it and ``reps`` are usable.
 
     Each size must be at least 1 and appear once: results are reported per
-    size, and a repeated size would leave one entry for two runs.
+    size, and a repeated size would leave one entry for two runs.  An
+    experiment that compares sizes asks for ``at_least`` of them.
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
@@ -29,6 +30,8 @@ def sample_sizes(n_list: Sequence[int], reps: int) -> list[int]:
     for i, n in enumerate(n_arr):
         if n in n_arr[:i]:
             raise ValueError(f"n_list repeats the sample size {n}")
+    if len(n_arr) < at_least:
+        raise ValueError(f"n_list needs at least {at_least} sample sizes, got {n_arr}")
     return n_arr
 
 

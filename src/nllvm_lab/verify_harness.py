@@ -399,14 +399,16 @@ def risk_bound_experiment(
     eps = eps_rule(n) (default 1/sqrt(n)).  Up to one violation in twenty
     replicates is tolerated per sample size.  Each sample size also checks
     the truncated witness density: its KL to the prior must stay within
-    1.1x the neighborhood's log inverse mass.
+    1.1x the neighborhood's log inverse mass.  The sizes run in increasing
+    order, and at least two are needed: the median risk must fall from the
+    smallest to the largest.
     """
     if model.exact_alpha_posterior is None:
         raise UnsupportedError(
             "risk_bound_experiment needs a conjugate model with an exact "
             "tempered posterior"
         )
-    n_arr = sample_sizes(n_list, reps)
+    n_arr = sorted(sample_sizes(n_list, reps, 2))
     if eps_rule is None:
         eps_rule = lambda n: 1.0 / math.sqrt(n)
     eps_of = {n: float(eps_rule(n)) for n in n_arr}
@@ -494,9 +496,10 @@ def hellinger_risk_experiment(
 
     The per-datum squared Hellinger distance is recovered from the
     order-1/2 Renyi divergence; the report passes when the fitted log-log
-    slope is at most -0.8, the parametric 1/n behaviour up to fit noise.
+    slope is at most -0.8, the parametric 1/n behaviour up to fit noise,
+    over at least three sample sizes.
     """
-    n_arr = sorted(sample_sizes(n_list, reps))
+    n_arr = sorted(sample_sizes(n_list, reps, 3))
     tasks = [(n, rep) for n in n_arr for rep in range(reps)]
 
     def one(task) -> float:

@@ -267,6 +267,24 @@ class TestMainEndToEnd:
         assert metrics["model"] == "normal-mean"
         assert np.isfinite(metrics["objective"])
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--model", "logistic", "--prior-sigma", "1.5"],
+            ["--model", "normal-normal", "--obs-sigma", "3", "--prior-sigma", "3"],
+        ],
+        ids=["logistic", "normal-normal"],
+    )
+    def test_vi_one_datum_under_a_wide_prior(self, tmp_path, flags):
+        # one datum leaves the tempered posterior almost as wide as the
+        # prior; the start must still fit inside the prior's window
+        csv = tmp_path / "one.csv"
+        csv.write_text("1\n")
+        out = tmp_path / "one.json"
+        rc = main(["vi", "--data", str(csv), *flags, "--out", str(out)])
+        assert rc == 0
+        assert np.isfinite(json.loads(out.read_text())["metrics"]["objective"])
+
     @pytest.mark.parametrize("iters", ["0", "-3"])
     def test_vi_iters_below_one_rejected(self, tmp_path, capsys, iters):
         csv = tmp_path / "vi.csv"
@@ -447,6 +465,10 @@ class TestMainEndToEnd:
              "n_list repeats the sample size 100"),
             (["contract", "--n-list", "20,20,320"], "n_list repeats the sample size 20"),
             (["contract", "--n-list", "20,320"], "n_list needs at least 3 sample sizes"),
+            (["verify", "risk-bound", "--n-list", "50"],
+             "n_list needs at least 2 sample sizes, got [50]"),
+            (["verify", "hellinger-risk", "--n-list", "50,200"],
+             "n_list needs at least 3 sample sizes, got [50, 200]"),
             (["verify", "risk-bound", "--eps-scale", "inf"],
              "eps_rule(50) must be positive and finite, got inf"),
             (["verify", "l1-support", "--eps", "nan"], "eps must be positive and finite"),
@@ -456,7 +478,8 @@ class TestMainEndToEnd:
               for bad in ("nan", "inf", "0", "-0.1")],
         ],
         ids=["risk-bound-repeat", "hellinger-risk-repeat", "restricted-kl-repeat",
-             "contract-repeat", "contract-two-sizes", "risk-bound-eps-inf",
+             "contract-repeat", "contract-two-sizes", "risk-bound-one-size",
+             "hellinger-risk-two-sizes", "risk-bound-eps-inf",
              "l1-support-eps-nan", "l1-support-eps-inf", "logsup-sigma-nan",
              "logsup-sigma-inf", "logsup-sigma-zero", "logsup-sigma-negative"],
     )

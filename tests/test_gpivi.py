@@ -282,11 +282,8 @@ class TestObjective:
 
 def _feasible_case(model: BayesModel) -> tuple:
     data = model.sample_data(np.random.default_rng(5), 200)
-    if model.init_guess is None:
-        init = _default_init(model, data, 0.9, 16)
-    else:
-        init = model.init_guess(data, 0.9, 16)
-    return model, data, init, _FeasibleMap.around(init, model)
+    init = _default_init(model, data, 0.9, 16)
+    return model, data, init, _FeasibleMap.around(init, model, data)
 
 
 # the flat prior's edge binds at theta* = 0.9; the work window binds otherwise
@@ -306,6 +303,39 @@ def _gradient_points(init: VariationalParams, feasible: _FeasibleMap) -> tuple:
     moved = x0 + np.random.default_rng(11).normal(0.0, 0.5, x0.size)
     moved[3], moved[-1] = -30.0, x0[-1] + 0.2
     return x0, moved, np.append(x0[:-1], math.log(0.5 * feasible.spec.spacing))
+
+
+# every shipped model at prior scales up to 5 with theta* near an end of
+# the prior's support: the flat prior's edge, or the [-8, 8] window's
+_EDGE_CASES = {
+    **{
+        f"normal-mean-hw{hw:g}-sigma{s:g}-{t:+g}": (
+            normal_mean_model, dict(sigma=s, theta_star=t * hw, prior_halfwidth=hw)
+        )
+        for hw in (1.0, 5.0) for s in (0.3, 3.0) for t in (-0.97, 0.97)
+    },
+    **{
+        f"normal-normal-prior{ps:g}-{t:+g}": (
+            normal_normal_model, dict(sigma=3.0, prior_sigma=ps, theta_star=t)
+        )
+        for ps in (0.2, 1.0, 5.0) for t in (-7.5, 7.5)
+    },
+    **{
+        f"logistic-prior{ps:g}-{t:+g}": (logistic_model, dict(theta_star=t, prior_sigma=ps))
+        for ps in (1.5, 5.0) for t in (-7.5, 7.5)
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EDGE_CASES))
+def test_default_start_is_always_feasible(name):
+    make, kwargs = _EDGE_CASES[name]
+    model = make(**kwargs)
+    for n in (1, 2, 5, 200):
+        data = model.sample_data(np.random.default_rng(n), n)
+        start = _default_init(model, data, 0.9, 8)
+        _FeasibleMap.around(start, model, data).coords(start)
+        assert math.isfinite(optimize(model, data, 0.9, knots=8, iters=3).objective)
 
 
 class TestOptimize:
@@ -333,7 +363,7 @@ class TestOptimize:
         assert kl < 0.01
 
         # improves on (or matches) the initializer
-        init = nn.init_guess(data, 0.9, 12)
+        init = _default_init(nn, data, 0.9, 12)
         assert res.objective <= practical_objective(init, nn, data, 0.9) + 1e-9
 
     def test_deterministic(self, nn):
@@ -373,6 +403,7 @@ class TestOptimize:
     def test_gradient_matches_central_differences(self, name):
         model, data, init, feasible = _FEASIBLE_CASES[name]
         loglik = model.loglik_sum(data, feasible.spec.points())
+        np.testing.assert_array_equal(feasible.loglik, loglik)
 
         def objective(x):
             params = feasible.params(x)
@@ -381,7 +412,7 @@ class TestOptimize:
 
         h = 1e-5
         for x in _gradient_points(init, feasible):
-            grad = _objective_and_gradient(x, feasible, model, data, 0.9, loglik)[1]
+            grad = _objective_and_gradient(x, feasible, model, data, 0.9)[1]
             steps = h * np.eye(x.size)
             # fourth-order central differences
             fd = np.array([
@@ -401,7 +432,7 @@ class TestOptimize:
         w = np.full(spec.n, spec.spacing)
         w[[0, -1]] *= 0.5
         for x in _gradient_points(init, feasible):
-            value, grad = _objective_and_gradient(x, feasible, model, data, 0.9, loglik)
+            value, grad = _objective_and_gradient(x, feasible, model, data, 0.9)
             params = feasible.params(x)
             mu, sigma = params.mu, params.sigma
             q = q_density(params, spec)
@@ -441,8 +472,6 @@ class TestOptimize:
             raise AssertionError("optimize started before validating alpha")
 
         model = make()
-        if model.init_guess is not None:
-            model.init_guess = no_work
         monkeypatch.setattr(gpivi, "_default_init", no_work)
         data = model.sample_data(np.random.default_rng(0), 5)
         with pytest.raises(ValueError, match=re.escape(f"alpha must lie in (0,1), got {alpha}")):

@@ -8,6 +8,7 @@ fast while still exercising every reporting path.
 
 from __future__ import annotations
 
+import json
 import math
 import re
 
@@ -38,6 +39,10 @@ pytestmark = pytest.mark.filterwarnings("ignore:flat CDF region")
 @pytest.fixture(scope="module")
 def bump():
     return _truth_density("bump", 1024)
+
+
+def _no_fit(*args, **kwargs):
+    raise AssertionError("experiment fitted before validating n_list")
 
 
 def _clean(report) -> None:
@@ -173,30 +178,46 @@ class TestRiskBoundExperiment:
         with pytest.raises(ValueError, match="n_list"):
             risk_bound_experiment(normal_normal_model(), [50, 0], 0.5, reps=2)
 
-    def test_single_n_mini_run(self):
-        report = risk_bound_experiment(normal_normal_model(), [50], 0.5, reps=2, seed=0)
-        # witness check plus two replicates
-        assert report.trials == 3
+    def test_single_n_rejected_before_any_fit(self, monkeypatch):
+        # one sample size cannot show the median risk falling
+        monkeypatch.setattr("nllvm_lab.verify_harness.optimize", _no_fit)
+        with pytest.raises(
+            ValueError, match=re.escape("n_list needs at least 2 sample sizes, got [50]")
+        ):
+            risk_bound_experiment(normal_normal_model(), [50], 0.5, reps=2)
+
+    def test_two_n_mini_run(self):
+        report = risk_bound_experiment(normal_normal_model(), [50, 200], 0.5, reps=2, seed=0)
+        # per size, the witness check plus two replicates
+        assert report.trials == 6
         assert report.violations == 0
-        per_n = report.params["per_n"]["50"]
-        assert set(per_n) == {
-            "eps",
-            "median_lhs",
-            "rhs",
-            "remainder",
-            "ball_mass",
-            "witness_reg",
-            "witness_bound",
-            "violations",
-            "a1_holds",
-        }
-        assert per_n["eps"] == pytest.approx(1.0 / np.sqrt(50.0))
-        assert per_n["witness_reg"] <= per_n["witness_bound"]
-        assert per_n["median_lhs"] <= per_n["rhs"] + per_n["remainder"]
-        # a single sample size cannot witness decay, so the flag stays down
-        assert not report.passed
-        assert report.params["median_decay_ok"] is False
+        per_n = report.params["per_n"]
+        assert list(per_n) == ["50", "200"]
+        for n, at in per_n.items():
+            assert set(at) == {
+                "eps",
+                "median_lhs",
+                "rhs",
+                "remainder",
+                "ball_mass",
+                "witness_reg",
+                "witness_bound",
+                "violations",
+                "a1_holds",
+            }
+            assert at["eps"] == pytest.approx(1.0 / np.sqrt(float(n)))
+            assert at["witness_reg"] <= at["witness_bound"]
+            assert at["median_lhs"] <= at["rhs"] + at["remainder"]
+        assert report.params["median_decay_ok"] is True
+        assert report.passed
         _clean(report)
+
+    def test_report_independent_of_n_list_order(self):
+        # the decay verdict compares the smallest size with the largest
+        ordered = risk_bound_experiment(normal_normal_model(), [50, 800], 0.5, reps=2)
+        backwards = risk_bound_experiment(normal_normal_model(), [800, 50], 0.5, reps=2)
+        assert ordered.passed and backwards.passed
+        assert json.dumps(backwards.to_dict()) == json.dumps(ordered.to_dict())
 
 
 class TestHellingerRiskExperiment:
@@ -207,6 +228,13 @@ class TestHellingerRiskExperiment:
             hellinger_risk_experiment(normal_normal_model(), (50, 200), reps=0)
         with pytest.raises(ValueError, match="n_list"):
             hellinger_risk_experiment(normal_normal_model(), (0, 200), reps=1)
+
+    @pytest.mark.parametrize("n_list", [(50,), (50, 200)])
+    def test_fewer_than_three_sizes_rejected_before_any_fit(self, n_list, monkeypatch):
+        monkeypatch.setattr("nllvm_lab.verify_harness.optimize", _no_fit)
+        named = f"n_list needs at least 3 sample sizes, got {list(n_list)}"
+        with pytest.raises(ValueError, match=re.escape(named)):
+            hellinger_risk_experiment(normal_normal_model(), n_list, reps=1)
 
     def test_mini_run_decays(self):
         report = hellinger_risk_experiment(
