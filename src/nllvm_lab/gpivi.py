@@ -217,16 +217,18 @@ def _default_init(
 ) -> VariationalParams:
     """Moment-matched start: the mean and variance of the tempered grid posterior.
 
-    The spread is capped at a tenth of the room between the mean and the
-    nearer end of the prior's support, so tau <= room / (10 sqrt 2): the
-    knots and their ``_MARGIN_Z`` sigma margin reach (4.75 + 6.0) tau from
-    the mean, and the start always lies in :class:`_FeasibleMap`.
+    The mean is kept 50 grid steps h inside the prior's support, and the
+    spread capped at a tenth of the room to the support's nearer end, so
+    sqrt(2) h <= tau <= room / (10 sqrt 2).  The knots and their ``_MARGIN_Z``
+    sigma margin reach (4.75 + 6.0) tau from the mean, so the start lies in
+    :class:`_FeasibleMap`, also for data far outside the support.
     """
     post = quadrature_posterior(model, data, alpha)
     grid, h = post.grid, post.spacing
     mean = float(trapezoid(post.values * grid, dx=h))
     var = float(trapezoid(post.values * (grid - mean) ** 2, dx=h))
     lo, hi = _prior_support(model)
+    mean = min(max(mean, lo + 50.0 * h), hi - 50.0 * h)
     room = min(mean - lo, hi - mean)
     sd = min(max(math.sqrt(max(var, 0.0)), 2.0 * h), room / 10.0)
     tau = sd / math.sqrt(2.0)
@@ -596,19 +598,17 @@ def normal_mean_model(
     prior = GridDensity(prior_spec.lo, prior_spec.hi, np.ones(grid_n))
 
     def exact_posterior(data):
-        data = np.asarray(data, float)
-        post_sd = sigma / math.sqrt(data.size)
-        grid = prior_spec.points()
-        vals = np.exp(-((grid - data.mean()) ** 2) / (2.0 * post_sd**2))
-        return GridDensity(prior_spec.lo, prior_spec.hi, vals)
+        # the flat prior makes the grid posterior exact
+        return quadrature_posterior(model, data, 1.0)
 
-    return BayesModel(
+    model = BayesModel(
         name="normal-mean",
         theta_star=theta_star,
         prior_density=prior,
         exact_posterior=exact_posterior,
         **_gaussian_hooks(sigma, theta_star),
     )
+    return model
 
 
 def normal_normal_model(

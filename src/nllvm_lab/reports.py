@@ -31,7 +31,7 @@ def sample_sizes(n_list: Sequence[int], reps: int, at_least: int = 1) -> list[in
         if n in n_arr[:i]:
             raise ValueError(f"n_list repeats the sample size {n}")
     if len(n_arr) < at_least:
-        raise ValueError(f"n_list needs at least {at_least} sample sizes, got {n_arr}")
+        raise ValueError(f"n_list needs at least {at_least} sample sizes, got {sorted(n_arr)}")
     return n_arr
 
 

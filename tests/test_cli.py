@@ -285,6 +285,20 @@ class TestMainEndToEnd:
         assert rc == 0
         assert np.isfinite(json.loads(out.read_text())["metrics"]["objective"])
 
+    @pytest.mark.parametrize("mean", [3.0, 50.0, -3.0])
+    def test_vi_normal_mean_data_outside_the_flat_prior(self, tmp_path, mean):
+        # the tempered posterior piles up at the prior's end; the start
+        # must still sit inside the support with a spread the window admits,
+        # and the reported posterior must keep its mass there
+        rng = np.random.default_rng(0)
+        csv = tmp_path / "far.csv"
+        csv.write_text("".join(f"{y:.17g}\n" for y in mean + 0.3 * rng.standard_normal(200)))
+        out = tmp_path / "far.json"
+        rc = main(["vi", "--data", str(csv), "--model", "normal-mean", "--alpha", "0.9",
+                   "--out", str(out)])
+        assert rc == 0
+        assert np.isfinite(json.loads(out.read_text())["metrics"]["objective"])
+
     @pytest.mark.parametrize("iters", ["0", "-3"])
     def test_vi_iters_below_one_rejected(self, tmp_path, capsys, iters):
         csv = tmp_path / "vi.csv"

@@ -338,6 +338,28 @@ def test_default_start_is_always_feasible(name):
         assert math.isfinite(optimize(model, data, 0.9, knots=8, iters=3).objective)
 
 
+# data that no theta in the prior's support explains: the tempered posterior
+# piles up at, or underflows to, the support's end
+_NOISE = 0.3 * np.random.default_rng(0).standard_normal(200)
+_FAR_DATA = {
+    **{f"normal-mean-{m:g}": (normal_mean_model(), m + _NOISE) for m in (3.0, 50.0, -3.0)},
+    "normal-normal-50": (normal_normal_model(), np.full(200, 50.0)),
+    "normal-normal--500": (normal_normal_model(), np.full(200, -500.0)),
+    "logistic-all-ones": (logistic_model(), np.ones(200)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FAR_DATA))
+def test_default_start_is_feasible_for_data_outside_the_support(name):
+    model, data = _FAR_DATA[name]
+    start = _default_init(model, data, 0.9, 16)
+    feasible = _FeasibleMap.around(start, model, data)
+    feasible.coords(start)
+    res = optimize(model, data, 0.9)
+    assert math.isfinite(res.objective)
+    assert feasible.lo <= res.params.mu.values.min() < res.params.mu.values.max() <= feasible.hi
+
+
 class TestOptimize:
     """Deterministic L-BFGS-B over the feasible parametrization."""
 

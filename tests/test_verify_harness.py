@@ -229,10 +229,10 @@ class TestHellingerRiskExperiment:
         with pytest.raises(ValueError, match="n_list"):
             hellinger_risk_experiment(normal_normal_model(), (0, 200), reps=1)
 
-    @pytest.mark.parametrize("n_list", [(50,), (50, 200)])
+    @pytest.mark.parametrize("n_list", [(50,), (50, 200), (200, 50)])
     def test_fewer_than_three_sizes_rejected_before_any_fit(self, n_list, monkeypatch):
         monkeypatch.setattr("nllvm_lab.verify_harness.optimize", _no_fit)
-        named = f"n_list needs at least 3 sample sizes, got {list(n_list)}"
+        named = f"n_list needs at least 3 sample sizes, got {sorted(n_list)}"
         with pytest.raises(ValueError, match=re.escape(named)):
             hellinger_risk_experiment(normal_normal_model(), n_list, reps=1)
 
