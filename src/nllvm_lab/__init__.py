@@ -54,7 +54,6 @@ from .gpivi import (
     OptimizeResult,
     RestrictedFamily,
     SupportError,
-    UnsupportedError,
     VariationalParams,
     logistic_model,
     normal_mean_model,
@@ -98,7 +97,6 @@ __all__ = [
     "SlopeReport",
     "SupportError",
     "TransferFunction",
-    "UnsupportedError",
     "VariationalParams",
     "approx_order_experiment",
     "contraction_experiment",

@@ -271,10 +271,7 @@ def _cmd_vi(cfg: RunConfig):
     )
     spec = model.prior_density.spec
     q = q_density(result.params, spec)
-    if model.exact_posterior is not None:
-        posterior = model.exact_posterior(data)
-    else:
-        posterior = quadrature_posterior(model, data, 1.0)
+    posterior = quadrature_posterior(model, data, 1.0)
     metrics = {
         "model": params["model"],
         "alpha": params["alpha"],
@@ -285,7 +282,6 @@ def _cmd_vi(cfg: RunConfig):
         "n_sweeps": result.n_sweeps,
         "noise_scale": result.params.sigma,
         "kl_to_posterior": divergence(KL, q, posterior),
-        "posterior_kind": "exact" if model.exact_posterior is not None else "quadrature",
     }
     rows = list(
         zip(spec.points().tolist(), q.values.tolist(), posterior.values.tolist())

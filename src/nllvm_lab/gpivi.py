@@ -13,7 +13,7 @@ is computed exactly on a grid — no density-ratio estimation anywhere.
 The module also ships the quantities used by the risk analysis: KL
 neighborhoods of the true parameter, prior mass of those neighborhoods, the
 per-datum Renyi risk of a fitted q, and the restricted Gaussian-family
-minimum KL to an exact Gaussian posterior.
+minimum KL to a Gaussian posterior.
 """
 
 from __future__ import annotations
@@ -44,10 +44,8 @@ _ABS_CONTINUITY_TOL = 1e-8
 _MARGIN_Z = float(-ndtri(0.1 * _ABS_CONTINUITY_TOL))
 MIN_OPT_KNOTS = 8
 MAX_OPT_KNOTS = 256
-
-
-class UnsupportedError(ValueError):
-    """The model lacks a hook (an exact tempered posterior) the op needs."""
+# the prior grid of the models with a Gaussian prior
+PRIOR_WINDOW = (-8.0, 8.0)
 
 
 class SupportError(ValueError):
@@ -64,11 +62,12 @@ class BayesModel:
     are KL(p_theta_star || p_theta) and the matching second log-ratio moment
     per datum, ``renyi1(alpha, thetas)`` is D_alpha(p_theta || p_theta_star)
     per datum, and ``sample_data(rng, n)`` draws n observations under
-    theta_star.  :func:`optimize` needs nothing more: it starts every model
-    from the moments of its tempered grid posterior.
+    theta_star.  Nothing more is needed: :func:`quadrature_posterior` gives
+    every model's tempered posterior on the prior's grid, :func:`optimize`
+    starts from its moments, and :func:`risk_bound_experiment` in
+    ``verify_harness`` runs on the divergences and ``sample_data``.
     """
 
-    name: str
     loglik_sum: Callable[[Any, Any], Any]
     theta_star: float
     prior_density: GridDensity
@@ -76,8 +75,6 @@ class BayesModel:
     v1: Callable[[Any], Any]
     renyi1: Callable[[float, Any], Any]
     sample_data: Callable[[np.random.Generator, int], np.ndarray]
-    exact_posterior: Optional[Callable[..., GridDensity]] = None
-    exact_alpha_posterior: Optional[Callable[..., GridDensity]] = None
 
 
 @dataclass(eq=False)
@@ -596,19 +593,11 @@ def normal_mean_model(
         raise ValueError("theta_star must lie inside the prior support")
     prior_spec = GridSpec(-prior_halfwidth, prior_halfwidth, grid_n)
     prior = GridDensity(prior_spec.lo, prior_spec.hi, np.ones(grid_n))
-
-    def exact_posterior(data):
-        # the flat prior makes the grid posterior exact
-        return quadrature_posterior(model, data, 1.0)
-
-    model = BayesModel(
-        name="normal-mean",
+    return BayesModel(
         theta_star=theta_star,
         prior_density=prior,
-        exact_posterior=exact_posterior,
         **_gaussian_hooks(sigma, theta_star),
     )
-    return model
 
 
 def normal_normal_model(
@@ -617,40 +606,23 @@ def normal_normal_model(
     prior_sigma: float = 1.0,
     theta_star: float = 0.3,
     *,
-    window: tuple = (-8.0, 8.0),
     grid_n: int = 4096,
 ) -> BayesModel:
-    """Conjugate Gaussian location model with a Gaussian prior."""
+    """Conjugate Gaussian location model with a Gaussian prior on ``PRIOR_WINDOW``."""
     _check_params(
         {"sigma": sigma, "prior_sigma": prior_sigma},
         {"prior_mu": prior_mu, "theta_star": theta_star},
     )
-    prior_spec = GridSpec(window[0], window[1], grid_n)
+    prior_spec = GridSpec(*PRIOR_WINDOW, grid_n)
     grid = prior_spec.points()
     prior = GridDensity(
         prior_spec.lo,
         prior_spec.hi,
         np.exp(-((grid - prior_mu) ** 2) / (2.0 * prior_sigma**2)),
     )
-
-    def exact_alpha_posterior(data, alpha):
-        data = np.asarray(data, float)
-        prec = alpha * data.size / sigma**2 + 1.0 / prior_sigma**2
-        mean = (alpha * data.sum() / sigma**2 + prior_mu / prior_sigma**2) / prec
-        sd = math.sqrt(1.0 / prec)
-        return GridDensity(
-            prior_spec.lo, prior_spec.hi, np.exp(-((grid - mean) ** 2) / (2.0 * sd**2))
-        )
-
-    def exact_posterior(data):
-        return exact_alpha_posterior(data, 1.0)
-
     return BayesModel(
-        name="normal-normal",
         theta_star=theta_star,
         prior_density=prior,
-        exact_posterior=exact_posterior,
-        exact_alpha_posterior=exact_alpha_posterior,
         **_gaussian_hooks(sigma, theta_star),
     )
 
@@ -659,17 +631,16 @@ def logistic_model(
     theta_star: float = 0.5,
     prior_sigma: float = 2.0,
     *,
-    window: tuple = (-8.0, 8.0),
     grid_n: int = 2048,
 ) -> BayesModel:
     """Intercept-only Bernoulli model: y ~ Bernoulli(sigmoid(theta)).
 
-    No exact posterior; quadrature_posterior provides a reference instead.
-    The outcome space is {0, 1}, so the per-datum divergences are two-point
-    sums, supplied analytically.
+    The prior is N(0, prior_sigma^2) on ``PRIOR_WINDOW``.  The outcome space
+    is {0, 1}, so the per-datum divergences are two-point sums, supplied
+    analytically.
     """
     _check_params({"prior_sigma": prior_sigma}, {"theta_star": theta_star})
-    prior_spec = GridSpec(window[0], window[1], grid_n)
+    prior_spec = GridSpec(*PRIOR_WINDOW, grid_n)
     grid = prior_spec.points()
     prior = GridDensity(
         prior_spec.lo, prior_spec.hi, np.exp(-(grid**2) / (2.0 * prior_sigma**2))
@@ -713,7 +684,6 @@ def logistic_model(
         return (rng.random(n) < p1_star).astype(float)
 
     return BayesModel(
-        name="logistic-intercept",
         loglik_sum=loglik_sum,
         theta_star=theta_star,
         prior_density=prior,

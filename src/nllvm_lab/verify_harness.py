@@ -33,7 +33,6 @@ from .gpivi import (
     D_CONST,
     BayesModel,
     RestrictedFamily,
-    UnsupportedError,
     _work_window,
     kl_ball_mask,
     optimize,
@@ -224,7 +223,8 @@ def _conjugate_posterior(sums, n: int, obs_sigma: float, prior_sigma: float):
     """Conjugate posterior (mean, variance) of a normal mean.
 
     ``n`` draws with sum ``sums`` (an array for several data sets), noise
-    ``obs_sigma``, prior N(0, prior_sigma^2).
+    ``obs_sigma``, prior N(0, prior_sigma^2).  With ``alpha * sums`` and
+    ``alpha * n`` it is the alpha-tempered posterior.
     """
     var = 1.0 / (n / obs_sigma**2 + 1.0 / prior_sigma**2)
     return sums / obs_sigma**2 * var, var
@@ -401,13 +401,9 @@ def risk_bound_experiment(
     the truncated witness density: its KL to the prior must stay within
     1.1x the neighborhood's log inverse mass.  The sizes run in increasing
     order, and at least two are needed: the median risk must fall from the
-    smallest to the largest.
+    smallest to the largest.  Any model runs: the check reads only its
+    ``kl1``, ``v1``, ``renyi1`` and ``sample_data`` hooks and its prior.
     """
-    if model.exact_alpha_posterior is None:
-        raise UnsupportedError(
-            "risk_bound_experiment needs a conjugate model with an exact "
-            "tempered posterior"
-        )
     n_arr = sorted(sample_sizes(n_list, reps, 2))
     if eps_rule is None:
         eps_rule = lambda n: 1.0 / math.sqrt(n)
@@ -540,12 +536,12 @@ def restricted_min_kl_experiment(
 
     For the conjugate Gaussian model at several sample sizes, the 95th
     percentile (over data replicates) of the minimum KL from the restricted
-    family (M = 1, c0 = 2) to the exact posterior N(a, b^2) (data
+    family (M = 1, c0 = 2) to the conjugate posterior N(a, b^2) (data
     N(0, 0.3^2), prior N(0, 1)) must stay within 1.5 times its value at the
     smallest n — boundedness, not decay.
     """
     gspec = GridSpec(-2.0 * _KL_M_BOUND, 2.0 * _KL_M_BOUND, grid_n)
-    n_arr = sample_sizes(n_list, reps)
+    n_arr = sorted(sample_sizes(n_list, reps))
 
     percentiles = []
     for n in n_arr:

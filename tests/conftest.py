@@ -14,6 +14,7 @@ from hypothesis import settings
 from scipy.stats import norm
 
 from nllvm_lab.grid_density import GridDensity, GridSpec
+from nllvm_lab.verify_harness import _conjugate_posterior
 
 # every property test is reproducible and free of wall-clock limits; each
 # test keeps its own max_examples
@@ -54,3 +55,23 @@ def sech_density() -> GridDensity:
     spec = GridSpec(-4.5, 5.5, 4096)
     x = spec.points()
     return GridDensity(spec.lo, spec.hi, 1.0 / np.cosh((x - 0.5) / 0.25))
+
+
+@pytest.fixture(scope="session")
+def conjugate_tempered():
+    """The closed-form alpha-tempered posterior of ``normal_normal_model()``.
+
+    ``f(model, data, alpha)`` tabulates N(mean, var) from
+    ``_conjugate_posterior(alpha * sum(data), alpha * n, 1, 1)`` on the
+    model's prior grid: the reference for ``quadrature_posterior`` and for
+    fits to the default conjugate model (noise 1, prior N(0, 1)).
+    """
+
+    def f(model, data, alpha: float) -> GridDensity:
+        data = np.asarray(data, dtype=float)
+        mean, var = _conjugate_posterior(alpha * data.sum(), alpha * data.size, 1.0, 1.0)
+        spec = model.prior_density.spec
+        grid = spec.points()
+        return GridDensity(spec.lo, spec.hi, np.exp(-((grid - mean) ** 2) / (2.0 * var)))
+
+    return f

@@ -310,14 +310,14 @@ def test_c13_hellinger_risk_parametric_decay(acceptance_log):
     )
 
 
-def test_c14_variational_fit_recovers_conjugate_posterior(acceptance_log):
-    """L-BFGS-B lands on the exact tempered posterior when one exists."""
+def test_c14_variational_fit_recovers_conjugate_posterior(acceptance_log, conjugate_tempered):
+    """L-BFGS-B lands on the closed-form tempered posterior of the conjugate model."""
     t0 = time.perf_counter()
     nn = normal_normal_model()
     data = nn.sample_data(np.random.default_rng(14), 100)
     res = optimize(nn, data, 0.99, knots=16, iters=60)
     q = q_density(res.params, nn.prior_density.spec)
-    exact = nn.exact_alpha_posterior(data, 0.99)
+    exact = conjugate_tempered(nn, data, 0.99)
     kl = kl_values(q.values, exact.values, q.spacing)
     ok = kl < 0.05
     _finish(

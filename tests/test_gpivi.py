@@ -371,7 +371,7 @@ class TestOptimize:
         with pytest.raises(ValueError, match="non-empty"):
             optimize(nn, np.array([]), 0.5)
 
-    def test_recovers_the_tempered_posterior(self, nn):
+    def test_recovers_the_tempered_posterior(self, nn, conjugate_tempered):
         # conjugate target: the fitted q should sit on the alpha-posterior
         data = nn.sample_data(np.random.default_rng(7), 40)
         res = optimize(nn, data, 0.9, knots=12, iters=30)
@@ -380,7 +380,7 @@ class TestOptimize:
         assert math.isfinite(res.objective)
 
         q = q_density(res.params, nn.prior_density.spec)
-        exact = nn.exact_alpha_posterior(data, 0.9)
+        exact = conjugate_tempered(nn, data, 0.9)
         kl = kl_values(q.values, exact.values, q.spacing)
         assert kl < 0.01
 
@@ -629,7 +629,7 @@ class TestRiskQuantities:
 
 
 class TestShippedModels:
-    """Constructor validation and the exact-posterior hooks."""
+    """Constructor validation, priors, likelihoods and the grid posterior."""
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError, match="positive"):
@@ -674,19 +674,23 @@ class TestShippedModels:
         data = nn.sample_data(np.random.default_rng(0), 4000)
         assert data.mean() == pytest.approx(nn.theta_star, abs=0.05)
 
-    def test_quadrature_posterior_matches_conjugate(self, nn):
-        data = nn.sample_data(np.random.default_rng(0), 50)
-        quad = quadrature_posterior(nn, data, 1.0)
-        exact = nn.exact_posterior(data)
-        np.testing.assert_allclose(quad.values, exact.values, atol=1e-10)
+    def test_quadrature_posterior_matches_conjugate(self, nn, conjugate_tempered):
+        # the grid posterior is the closed-form tempered posterior, from one
+        # datum (nearly the prior) to n = 3200 (about 4.5 grid steps per sd)
+        for n in (1, 10, 100, 3200):
+            data = nn.sample_data(np.random.default_rng(n), n)
+            for alpha in (0.2, 0.9, 0.99, 1.0):
+                quad = quadrature_posterior(nn, data, alpha)
+                exact = conjugate_tempered(nn, data, alpha)
+                np.testing.assert_allclose(
+                    quad.values, exact.values, rtol=0, atol=1e-10 * exact.values.max()
+                )
 
     def test_alpha_posterior_interpolates(self, nn):
-        # alpha = 1 recovers the ordinary posterior; alpha < 1 is wider
+        # alpha < 1 flattens the likelihood, so the posterior is wider
         data = nn.sample_data(np.random.default_rng(2), 30)
-        full = nn.exact_alpha_posterior(data, 1.0)
-        exact = nn.exact_posterior(data)
-        np.testing.assert_allclose(full.values, exact.values, atol=1e-14)
-        tempered = nn.exact_alpha_posterior(data, 0.2)
+        full = quadrature_posterior(nn, data, 1.0)
+        tempered = quadrature_posterior(nn, data, 0.2)
         grid = nn.prior_density.grid
         sd_t = math.sqrt(trapezoid(tempered.values * grid**2, grid)
                          - trapezoid(tempered.values * grid, grid) ** 2)

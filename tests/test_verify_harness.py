@@ -20,7 +20,7 @@ from hypothesis.extra import numpy as hnp
 from scipy.stats import kstest
 
 from nllvm_lab.cli import _truth_density
-from nllvm_lab.gpivi import UnsupportedError, normal_mean_model, normal_normal_model
+from nllvm_lab.gpivi import logistic_model, normal_mean_model, normal_normal_model
 from nllvm_lab.verify_harness import (
     _ks_distance_chi2_1,
     check_hellinger_bound,
@@ -168,9 +168,16 @@ class TestL1SupportSearch:
 class TestRiskBoundExperiment:
     """Fitted Renyi risk against the high-probability bound."""
 
-    def test_needs_conjugate_model(self):
-        with pytest.raises(UnsupportedError, match="exact"):
-            risk_bound_experiment(normal_mean_model(), [50], 0.5, reps=2)
+    def test_runs_on_every_model(self):
+        """No conjugate posterior needed: the check reads only the prior and
+        the kl1, v1, renyi1 and sample_data hooks, which every model has."""
+        for model in (normal_mean_model(), logistic_model()):
+            report = risk_bound_experiment(model, [50, 200], 0.5, reps=3, seed=0)
+            assert report.trials == 8
+            assert list(report.params["per_n"]) == ["50", "200"]
+            assert math.isfinite(report.worst_margin)
+            assert report.passed
+            _clean(report)
 
     def test_empty_sizes_rejected(self):
         with pytest.raises(ValueError, match="reps"):
@@ -265,6 +272,12 @@ class TestRestrictedMinKlExperiment:
         assert len(p95) == 2
         assert p95[1] <= report.params["ratio_cap"] * p95[0]
         _clean(report)
+
+    def test_report_independent_of_n_list_order(self):
+        # the base is the percentile at the smallest size, wherever it is listed
+        ordered = restricted_min_kl_experiment(n_list=(100, 1000), reps=10, grid_n=2048)
+        backwards = restricted_min_kl_experiment(n_list=(1000, 100), reps=10, grid_n=2048)
+        assert json.dumps(backwards.to_dict()) == json.dumps(ordered.to_dict())
 
 
 class TestGpSupportProbe:
