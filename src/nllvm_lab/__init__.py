@@ -41,7 +41,6 @@ from .hi_order_kernel import (
 )
 from .gp_prior import ConditioningError, sample_path_conditional
 from .nllvm_posterior import (
-    McmcConfig,
     NLLVMState,
     PosteriorSamples,
     contraction_experiment,
@@ -83,7 +82,6 @@ __all__ = [
     "HELLINGER_SQ",
     "KL",
     "L1",
-    "McmcConfig",
     "NLLVMState",
     "NumericError",
     "OptimizeResult",

@@ -13,8 +13,10 @@ experiments that parallelize across replicates (default: logical cores).
 
 Each run writes a single JSON report (schema version "1") to ``--out`` and
 a plot-ready CSV sidecar next to it; the sidecar's file name and column
-names are recorded in the report's ``metrics``.  Exit codes: 0 success,
-1 experiment failure or runtime error, 2 usage error.
+names are recorded in the report's ``metrics``.  An ``--out`` whose report
+or sidecar would overwrite ``--data``, or that is its own sidecar, is a
+usage error.  Exit codes: 0 success, 1 experiment failure or runtime error,
+2 usage error.
 """
 
 from __future__ import annotations
@@ -40,12 +42,7 @@ from .gpivi import (
     quadrature_posterior,
 )
 from .grid_density import KL, GridDensity, GridSpec, divergence, smooth_bump
-from .nllvm_posterior import (
-    McmcConfig,
-    contraction_experiment,
-    fit_mcmc,
-    predictive_density,
-)
+from .nllvm_posterior import contraction_experiment, fit_mcmc, predictive_density
 
 SCHEMA_VERSION = "1"
 
@@ -85,6 +82,14 @@ class RunConfig:
             raise ValueError(f"--seed must be >= 0, got {self.seed}")
         if not self.output_path:
             raise ValueError("--out is required")
+        out = Path(self.output_path)
+        written = {out.resolve(), out.with_suffix(".csv").resolve()}
+        if len(written) == 1:
+            raise ValueError(f"--out {out} is its own CSV sidecar; give it another suffix")
+        if self.input_path is not None and Path(self.input_path).resolve() in written:
+            raise ValueError(
+                f"--out {out} or its CSV sidecar would overwrite --data {self.input_path}"
+            )
 
     def to_dict(self) -> dict:
         return {
@@ -229,13 +234,13 @@ def _cmd_estimate(cfg: RunConfig):
     scale = float(np.std(data))
     if scale == 0.0:
         scale = 1.0
-    mcmc = McmcConfig(
+    samples = fit_mcmc(
+        (data - center) / scale,
         iters=params["iters"],
         burn_in=params["burn"],
         thin=params["thin"],
         seed=cfg.seed,
     )
-    samples = fit_mcmc((data - center) / scale, mcmc)
 
     sigmas = np.array([s.sigma for s in samples.states])
     mus = np.array([s.mu_values for s in samples.states])
@@ -304,7 +309,6 @@ def _cmd_contract(cfg: RunConfig):
     )
     metrics = report.to_dict()
     passed = metrics.pop("pass")
-    metrics.pop("seed")
     rows = list(zip(metrics["xs"], metrics["ys"]))
     return metrics, passed, (("n", "median_hellinger_sq"), rows)
 
@@ -356,7 +360,7 @@ _CHECKS = {
         lambda r, p: [(r.params["n"], r.params["ks"], r.params["mean_statistic"])],
     ),
     "l1-support": (
-        lambda p, f0, seed: verify_harness.l1_support_search(f0, p["eps"], seed=seed),
+        lambda p, f0, seed: verify_harness.l1_support_search(f0, p["eps"]),
         ("bandwidth", "l1_distance"),
         lambda r, p: [(r.params["sigma"], r.params["l1"])],
     ),
@@ -365,7 +369,7 @@ _CHECKS = {
             normal_normal_model(),
             p["n_list"],
             p["alpha"],
-            eps_rule=lambda n: p["eps_scale"] / math.sqrt(n),
+            eps_scale=p["eps_scale"],
             reps=p["reps"],
             seed=seed,
         ),
@@ -406,7 +410,6 @@ def _cmd_verify(cfg: RunConfig):
     report = run(params, f0, cfg.seed)
     metrics = report.to_dict()
     passed = metrics.pop("pass")
-    metrics.pop("seed", None)
     return metrics, passed, (header, rows(report, params))
 
 
@@ -563,7 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
                     metavar="N1,N2,...")
     rb.add_argument("--reps", type=int, default=20, help="replicates per sample size")
     rb.add_argument("--eps-scale", type=float, default=1.0,
-                    help="eps(n) = eps-scale / sqrt(n)")
+                    help="eps(n) = eps-scale / sqrt(n), positive and finite at each n")
     _add_common(rb)
 
     hr = vsub.add_parser("hellinger-risk", help="Hellinger risk decay slope")

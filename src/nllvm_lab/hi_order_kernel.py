@@ -119,9 +119,7 @@ def _validate_sigma_ladder(sigmas: np.ndarray) -> None:
         )
 
 
-def approx_order_experiment(
-    f0: GridDensity, j: int, sigmas, *, seed: int = 0
-) -> SlopeReport:
+def approx_order_experiment(f0: GridDensity, j: int, sigmas) -> SlopeReport:
     """Rate of the smoothing error e(sigma) = sup |phi_sigma * f_j - f0|.
 
     The sup is restricted to the interior region {f0 >= INTERIOR_FLOOR},
@@ -149,14 +147,11 @@ def approx_order_experiment(
         r2=r2,
         target=float(2 * j + 2),
         passed=not invalid,
-        seed=seed,
         note="experiment-invalid: sup error non-monotone in sigma" if invalid else "",
     )
 
 
-def kl_rate_experiment(
-    f0: GridDensity, j: int, sigmas, *, seed: int = 0
-) -> SlopeReport:
+def kl_rate_experiment(f0: GridDensity, j: int, sigmas) -> SlopeReport:
     """Rate of KL(f0 || phi_sigma * f_j) along a decreasing sigma ladder.
 
     The expected log-log slope is 2 * beta with beta = 2j + 2.
@@ -179,5 +174,4 @@ def kl_rate_experiment(
         r2=r2,
         target=float(2 * (2 * j + 2)),
         passed=True,
-        seed=seed,
     )

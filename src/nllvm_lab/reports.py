@@ -3,7 +3,8 @@
 ``SlopeReport`` captures rate experiments (log-log slope against a
 theoretical target), ``CheckReport`` captures bound checks (violation counts
 over randomized trials).  Both are plain dataclasses serialized by the CLI;
-``passed`` maps to the JSON key ``"pass"``.  ``sample_sizes`` is the input
+``passed`` maps to the JSON key ``"pass"``.  Neither holds a seed: the CLI
+report records the run's seed.  ``sample_sizes`` is the input
 check shared by the experiments that run over several sample sizes.
 """
 
@@ -77,7 +78,6 @@ class SlopeReport:
     r2: float
     target: float | None
     passed: bool
-    seed: int
     note: str = ""
 
     def to_dict(self) -> dict[str, Any]:
@@ -88,7 +88,6 @@ class SlopeReport:
             "r2": float(self.r2),
             "target": None if self.target is None else float(self.target),
             "pass": bool(self.passed),
-            "seed": int(self.seed),
             "note": self.note,
         }
 
@@ -107,7 +106,6 @@ class CheckReport:
     violations: int
     worst_margin: float
     passed: bool
-    seed: int
     params: dict[str, Any] = field(default_factory=dict)
     note: str = ""
 
@@ -124,7 +122,6 @@ class CheckReport:
             "violations": int(self.violations),
             "worst_margin": float(self.worst_margin),
             "pass": bool(self.passed),
-            "seed": int(self.seed),
             "params": dict(self.params),
             "note": self.note,
         }

@@ -1,22 +1,23 @@
 """Randomized verification experiments behind the ``verify`` CLI command.
 
 Each experiment turns one analytic claim about the latent-transfer mixture
-model or the variational risk analysis into a seeded, reproducible check:
+model or the variational risk analysis into a reproducible check:
 divergence inequalities between mixture densities, the chi-square limit of
 the posterior-to-variational KL in the conjugate model, approximation
 searches witnessing prior support, and the high-probability risk bound with
 its truncated witness density.
 
-Every experiment is a pure function of its parameters and seed, reports a
-``CheckReport`` or ``SlopeReport``, and counts a violation only when a
-margin (lhs - rhs - slack) is positive, so a clean report always has
-``worst_margin <= 0``.
+Every experiment is a pure function of its parameters, among them the seed
+of each one that draws random numbers (``l1_support_search`` draws none and
+takes no seed).  Each reports a ``CheckReport`` or ``SlopeReport`` and
+counts a violation only when a margin (lhs - rhs - slack) is positive, so a
+clean report always has ``worst_margin <= 0``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.integrate import trapezoid
@@ -150,7 +151,6 @@ def check_hellinger_bound(trials: int = 200, seed: int = 0) -> CheckReport:
         violations=violations,
         worst_margin=worst,
         passed=violations == 0,
-        seed=seed,
         params={
             "sigma_range": [0.05, 0.5],
             "rescale_range": [2.0, 15.0],
@@ -208,7 +208,6 @@ def check_logsup_bound(
         violations=violations,
         worst_margin=worst,
         passed=violations == 0,
-        seed=seed,
         params={
             "sigma": sigma,
             "deltas": [float(d) for d in deltas],
@@ -287,7 +286,6 @@ def chi2_limit_experiment(n: int, reps: int, *, seed: int = 0) -> CheckReport:
         violations=violations,
         worst_margin=max(margins),
         passed=violations == 0,
-        seed=seed,
         params={
             "n": n,
             "ks": ks,
@@ -311,7 +309,7 @@ def _widened(f0: GridDensity, pad: float) -> GridDensity:
     return GridDensity(lo, hi, f0.pdf_at(grid))
 
 
-def l1_support_search(f0: GridDensity, eps: float, *, seed: int = 0) -> CheckReport:
+def l1_support_search(f0: GridDensity, eps: float) -> CheckReport:
     """Scan bandwidths for an L1 approximation of f0 by a quantile mixture.
 
     The transfer is the 256-knot clipped quantile map of f0 (clip 1e-4); the
@@ -346,7 +344,6 @@ def l1_support_search(f0: GridDensity, eps: float, *, seed: int = 0) -> CheckRep
         violations=0 if found else tried,
         worst_margin=best_l1 - eps,
         passed=found,
-        seed=seed,
         params={
             "eps": eps,
             "sigma": best_sigma,
@@ -388,7 +385,7 @@ def risk_bound_experiment(
     model: BayesModel,
     n_list: Sequence[int],
     alpha: float,
-    eps_rule: Optional[Callable[[int], float]] = None,
+    eps_scale: float = 1.0,
     reps: int = 20,
     seed: int = 0,
 ) -> CheckReport:
@@ -396,7 +393,7 @@ def risk_bound_experiment(
 
     Per sample size and replicate: fit the variational density, evaluate
     the per-datum Renyi risk, and compare with the bound evaluated at
-    eps = eps_rule(n) (default 1/sqrt(n)).  Up to one violation in twenty
+    eps(n) = eps_scale / sqrt(n).  Up to one violation in twenty
     replicates is tolerated per sample size.  Each sample size also checks
     the truncated witness density: its KL to the prior must stay within
     1.1x the neighborhood's log inverse mass.  The sizes run in increasing
@@ -405,19 +402,19 @@ def risk_bound_experiment(
     ``kl1``, ``v1``, ``renyi1`` and ``sample_data`` hooks and its prior.
     """
     n_arr = sorted(sample_sizes(n_list, reps, 2))
-    if eps_rule is None:
-        eps_rule = lambda n: 1.0 / math.sqrt(n)
-    eps_of = {n: float(eps_rule(n)) for n in n_arr}
-    for n, eps in eps_of.items():
+    for n in n_arr:
+        eps = eps_scale / math.sqrt(n)
         if not (0 < eps < math.inf):
-            raise ValueError(f"eps_rule({n}) must be positive and finite, got {eps}")
+            raise ValueError(
+                f"eps_scale / sqrt({n}) must be positive and finite, got {eps}"
+            )
 
     per_n = {}
     worst = -math.inf
     violations = 0
     trials = 0
     for n in n_arr:
-        eps = eps_of[n]
+        eps = eps_scale / math.sqrt(n)
         reg, mass = _witness_regularization(model, eps)
         witness_bound = 1.1 * math.log(1.0 / mass)
         trials += 1
@@ -469,7 +466,6 @@ def risk_bound_experiment(
         violations=violations,
         worst_margin=worst,
         passed=budget_ok and witness_ok and decay_ok,
-        seed=seed,
         params={
             "alpha": alpha,
             "d_const": D_CONST,
@@ -519,7 +515,6 @@ def hellinger_risk_experiment(
         r2=r2,
         target=-1.0,
         passed=slope <= -0.8,
-        seed=seed,
         note="pass threshold: slope <= -0.8 (parametric 1/n decay of the "
         "squared-Hellinger risk)",
     )
@@ -565,7 +560,6 @@ def restricted_min_kl_experiment(
         violations=violations,
         worst_margin=worst,
         passed=violations == 0,
-        seed=seed,
         params={
             "n_list": n_arr,
             "percentiles_95": percentiles,
@@ -643,6 +637,5 @@ def gp_support_probe(
         violations=violations,
         worst_margin=worst,
         passed=violations == 0,
-        seed=seed,
         params={"n_knots": _PROBE_KNOTS, "anchor_stride": 2, "per_delta": per_delta},
     )

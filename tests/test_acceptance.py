@@ -38,7 +38,6 @@ from nllvm_lab.hi_order_kernel import (
     kl_rate_experiment,
 )
 from nllvm_lab.nllvm_posterior import (
-    McmcConfig,
     contraction_experiment,
     fit_mcmc,
     predictive_density,
@@ -222,7 +221,7 @@ def test_c08_mcmc_predictive_accuracy_and_agreement(acceptance_log):
     )
     preds = []
     for seed in (1, 2):
-        samples = fit_mcmc(data, McmcConfig(iters=3000, burn_in=1000, thin=10, seed=seed))
+        samples = fit_mcmc(data, iters=3000, burn_in=1000, thin=10, seed=seed)
         preds.append(predictive_density(samples, spec))
     h2 = [divergence(HELLINGER_SQ, p, f0) for p in preds]
     between = divergence(L1, preds[0], preds[1])

@@ -212,6 +212,32 @@ class TestParser:
                   "--out", str(tmp_path / "o.json")])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            # paths are compared after resolving, so ".." does not hide a clash
+            (["estimate", "--data", "{data}", "--out", "{dir}/../{dir_name}/est.json"],
+             "or its CSV sidecar would overwrite --data"),
+            (["vi", "--data", "{data}", "--out", "{data}"], "is its own CSV sidecar"),
+            (["verify", "support-probe", "--out", "{dir}/probe.csv"],
+             "is its own CSV sidecar"),
+        ],
+        ids=["sidecar-is-data", "out-is-data", "sidecar-is-report"],
+    )
+    def test_output_that_would_overwrite_data_or_report_exits_two(
+        self, normal_csv, tmp_path, capsys, argv, named
+    ):
+        # the data sits at est.csv, which est.json's sidecar would replace
+        data = normal_csv.rename(tmp_path / "est.csv")
+        before = data.read_bytes()
+        fields = {"data": data, "dir": tmp_path, "dir_name": tmp_path.name}
+        with pytest.raises(SystemExit) as exc:
+            main([arg.format(**fields) for arg in argv])
+        assert exc.value.code == 2
+        assert named in capsys.readouterr().err
+        assert data.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["est.csv"]
+
 
 class TestMainEndToEnd:
     """Full command runs with small chains and their report files."""
@@ -241,7 +267,7 @@ class TestMainEndToEnd:
 
     def test_vi_conjugate_model_matches_posterior(self, tmp_path):
         rng = np.random.default_rng(1)
-        csv = tmp_path / "vi.csv"
+        csv = tmp_path / "vi-data.csv"
         csv.write_text("\n".join(f"{v:.6f}" for v in rng.normal(0.3, 1.0, 30)) + "\n")
         out = tmp_path / "vi.json"
         rc = main(["vi", "--data", str(csv), "--alpha", "0.9", "--iters", "20",
@@ -257,7 +283,7 @@ class TestMainEndToEnd:
         # the flat prior on [-1, 1] with default flags: the start must put
         # no q mass outside the prior's support, or the fit cannot begin
         rng = np.random.default_rng(1)
-        csv = tmp_path / "nm.csv"
+        csv = tmp_path / "nm-data.csv"
         csv.write_text("\n".join(f"{v:.6f}" for v in rng.normal(0.3, 1.0, 30)) + "\n")
         out = tmp_path / "nm.json"
         rc = main(["vi", "--data", str(csv), "--model", "normal-mean", "--out", str(out)])
@@ -277,7 +303,7 @@ class TestMainEndToEnd:
     def test_vi_one_datum_under_a_wide_prior(self, tmp_path, flags):
         # one datum leaves the tempered posterior almost as wide as the
         # prior; the start must still fit inside the prior's window
-        csv = tmp_path / "one.csv"
+        csv = tmp_path / "one-data.csv"
         csv.write_text("1\n")
         out = tmp_path / "one.json"
         rc = main(["vi", "--data", str(csv), *flags, "--out", str(out)])
@@ -290,7 +316,7 @@ class TestMainEndToEnd:
         # must still sit inside the support with a spread the window admits,
         # and the reported posterior must keep its mass there
         rng = np.random.default_rng(0)
-        csv = tmp_path / "far.csv"
+        csv = tmp_path / "far-data.csv"
         csv.write_text("".join(f"{y:.17g}\n" for y in mean + 0.3 * rng.standard_normal(200)))
         out = tmp_path / "far.json"
         rc = main(["vi", "--data", str(csv), "--model", "normal-mean", "--alpha", "0.9",
@@ -301,7 +327,7 @@ class TestMainEndToEnd:
     def test_vi_normal_normal_data_far_outside_the_prior_window(self, tmp_path):
         # the posterior piles up at the window's end; its column is built
         # in log space, so it keeps its mass and the KL stays finite
-        csv = tmp_path / "far.csv"
+        csv = tmp_path / "far-data.csv"
         data = 50.0 + np.random.default_rng(0).standard_normal(200)
         csv.write_text("".join(f"{y:.17g}\n" for y in data))
         out = tmp_path / "far.json"
@@ -311,7 +337,7 @@ class TestMainEndToEnd:
 
     @pytest.mark.parametrize("iters", ["0", "-3"])
     def test_vi_iters_below_one_rejected(self, tmp_path, capsys, iters):
-        csv = tmp_path / "vi.csv"
+        csv = tmp_path / "vi-data.csv"
         csv.write_text("0.1\n0.4\n0.2\n")
         out = tmp_path / "vi.json"
         rc = main(["vi", "--data", str(csv), "--iters", iters, "--out", str(out)])
@@ -321,7 +347,7 @@ class TestMainEndToEnd:
 
     @pytest.mark.parametrize("alpha", ["nan", "-0.2"])
     def test_vi_alpha_outside_unit_interval_rejected(self, tmp_path, capsys, alpha):
-        csv = tmp_path / "vi.csv"
+        csv = tmp_path / "vi-data.csv"
         csv.write_text("0.1\n0.4\n0.2\n")
         out = tmp_path / "vi.json"
         rc = main(["vi", "--data", str(csv), f"--alpha={alpha}", "--out", str(out)])
@@ -331,7 +357,7 @@ class TestMainEndToEnd:
 
     @pytest.mark.parametrize("values", ["0.5,0.3,0.9,0.2", "1,0,3,2.5"])
     def test_vi_logistic_rejects_non_binary_data(self, tmp_path, capsys, values):
-        csv = tmp_path / "logit.csv"
+        csv = tmp_path / "logit-data.csv"
         csv.write_text(values.replace(",", "\n") + "\n")
         out = tmp_path / "logit.json"
         rc = main(["vi", "--data", str(csv), "--model", "logistic", "--out", str(out)])
@@ -350,7 +376,7 @@ class TestMainEndToEnd:
         ids=["nan-theta-star", "logistic-inf-theta-star", "inf-prior-sigma", "nan-prior-mu"],
     )
     def test_vi_non_finite_model_parameter_rejected(self, tmp_path, capsys, flags, name):
-        csv = tmp_path / "vi.csv"
+        csv = tmp_path / "vi-data.csv"
         csv.write_text("0.1\n0.4\n0.2\n")
         out = tmp_path / "vi.json"
         rc = main(["vi", "--data", str(csv), *flags, "--out", str(out)])
@@ -360,7 +386,7 @@ class TestMainEndToEnd:
 
     def test_vi_logistic_uses_quadrature_posterior(self, tmp_path):
         rng = np.random.default_rng(2)
-        csv = tmp_path / "logit.csv"
+        csv = tmp_path / "logit-data.csv"
         csv.write_text("\n".join(str(int(v)) for v in (rng.random(40) < 0.62)) + "\n")
         out = tmp_path / "logit.json"
         rc = main(["vi", "--data", str(csv), "--model", "logistic",
@@ -379,9 +405,23 @@ class TestMainEndToEnd:
         assert isinstance(report["pass"], bool)
         assert rc == (0 if report["pass"] else 1)
         assert len(report["metrics"]["ys"]) == 3
+        assert "seed" not in report["metrics"]
+        assert report["seed"] == report["config"]["seed"]
         sidecar = (tmp_path / "con.csv").read_text().splitlines()
         assert sidecar[0] == "n,median_hellinger_sq"
         assert len(sidecar) == 4
+
+    def test_contract_aborted_chain_exits_one(self, tmp_path, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("proposal out of range")
+
+        monkeypatch.setattr("nllvm_lab.nllvm_posterior.update_sigma", broken)
+        out = tmp_path / "con.json"
+        rc = main(["contract", "--n-list", "20,40,320", "--reps", "1",
+                   "--iters", "60", "--burn", "20", "--out", str(out)])
+        assert rc == 1
+        assert "nllvm-lab: error: chain aborted at iteration 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_verify_chi2_default_run_passes(self, tmp_path):
         out = tmp_path / "chi2.json"
@@ -492,8 +532,10 @@ class TestMainEndToEnd:
              "n_list needs at least 2 sample sizes, got [50]"),
             (["verify", "hellinger-risk", "--n-list", "50,200"],
              "n_list needs at least 3 sample sizes, got [50, 200]"),
-            (["verify", "risk-bound", "--eps-scale", "inf"],
-             "eps_rule(50) must be positive and finite, got inf"),
+            *[(["verify", "risk-bound", "--eps-scale", bad],
+               f"eps_scale / sqrt(50) must be positive and finite, got {got}")
+              for bad, got in (("inf", "inf"), ("0", "0.0"), ("nan", "nan"),
+                               ("5e-324", "0.0"))],
             (["verify", "l1-support", "--eps", "nan"], "eps must be positive and finite"),
             (["verify", "l1-support", "--eps", "inf"], "eps must be positive and finite"),
             *[(["verify", "logsup-bound", "--sigma", bad],
@@ -502,7 +544,8 @@ class TestMainEndToEnd:
         ],
         ids=["risk-bound-repeat", "hellinger-risk-repeat", "restricted-kl-repeat",
              "contract-repeat", "contract-two-sizes", "risk-bound-one-size",
-             "hellinger-risk-two-sizes", "risk-bound-eps-inf",
+             "hellinger-risk-two-sizes", "risk-bound-eps-inf", "risk-bound-eps-zero",
+             "risk-bound-eps-nan", "risk-bound-eps-underflow",
              "l1-support-eps-nan", "l1-support-eps-inf", "logsup-sigma-nan",
              "logsup-sigma-inf", "logsup-sigma-zero", "logsup-sigma-negative"],
     )
@@ -562,6 +605,9 @@ class TestMainEndToEnd:
         assert main(["verify", check, *flags, "--out", str(out)]) == 0
         report = json.loads(out.read_text())
         assert report["command"] == f"verify {check}"
+        # the seed is recorded once, by the run, not again in the metrics
+        assert "seed" not in report["metrics"]
+        assert report["seed"] == report["config"]["seed"]
         lines = (tmp_path / report["metrics"]["plot_csv"]).read_text().splitlines()
         assert lines[0].split(",") == report["metrics"]["plot_columns"]
         assert len(lines) == 1 + n_rows

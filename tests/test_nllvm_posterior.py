@@ -26,7 +26,6 @@ from scipy.stats import kstest
 from nllvm_lab.gp_prior import _chol_with_escalation, se_kernel
 from nllvm_lab.grid_density import GridSpec
 from nllvm_lab.nllvm_posterior import (
-    McmcConfig,
     NLLVMState,
     PosteriorSamples,
     _tridiagonal_gram,
@@ -42,18 +41,24 @@ from nllvm_lab.transfer_map import mixture_density
 
 
 class TestConfigAndState:
-    """Input validation on chain bookkeeping objects."""
+    """Input validation on chain settings and states."""
 
-    def test_mcmc_config_ordering(self):
-        McmcConfig(iters=100, burn_in=50)
-        with pytest.raises(ValueError, match="iters > burn_in"):
-            McmcConfig(iters=50, burn_in=50)
-        with pytest.raises(ValueError, match="iters > burn_in"):
-            McmcConfig(iters=50, burn_in=-1)
-        with pytest.raises(ValueError, match="thin"):
-            McmcConfig(iters=100, burn_in=10, thin=0)
+    def test_mcmc_config_ordering(self, monkeypatch):
+        data = np.linspace(0.0, 1.0, 20)
         with pytest.raises(ValueError, match="seed"):
-            McmcConfig(iters=100, burn_in=10, seed=-1)
+            fit_mcmc(data, iters=100, burn_in=10, seed=-1)
+
+        # chain lengths are rejected before any work: no stream is drawn
+        def no_work(*args):
+            raise AssertionError("chain started before validating its lengths")
+
+        monkeypatch.setattr("nllvm_lab.nllvm_posterior.seeded_rng", no_work)
+        with pytest.raises(ValueError, match=r"iters > burn_in >= 0, got \(50, 50\)"):
+            fit_mcmc(data, iters=50, burn_in=50)
+        with pytest.raises(ValueError, match="iters > burn_in"):
+            fit_mcmc(data, iters=50, burn_in=-1)
+        with pytest.raises(ValueError, match="thin must be >= 1, got 0"):
+            fit_mcmc(data, iters=100, burn_in=10, thin=0)
 
     def test_state_validation(self):
         mu = np.linspace(0.0, 1.0, 16)
@@ -221,14 +226,12 @@ class TestFitMcmc:
 
     def test_needs_ten_observations(self):
         with pytest.raises(ValueError, match="at least 10"):
-            fit_mcmc(np.zeros(9), McmcConfig(iters=10, burn_in=0))
+            fit_mcmc(np.zeros(9), iters=10, burn_in=0)
 
     def test_kept_count_and_bookkeeping(self):
         rng = np.random.default_rng(42)
         data = rng.normal(0.5, 0.2, 80)
-        out = fit_mcmc(
-            data, McmcConfig(iters=60, burn_in=20, thin=4, seed=5), n_knots=16
-        )
+        out = fit_mcmc(data, iters=60, burn_in=20, thin=4, seed=5, n_knots=16)
         # kept iterations are 21, 25, ..., 57
         assert len(out.states) == 10
         assert set(out.acceptance) == {"latents", "transfer", "sigma"}
@@ -240,9 +243,8 @@ class TestFitMcmc:
     def test_deterministic_under_seed(self):
         rng = np.random.default_rng(42)
         data = rng.normal(0.5, 0.2, 80)
-        mc = McmcConfig(iters=60, burn_in=20, thin=4, seed=5)
-        a = fit_mcmc(data, mc, n_knots=16)
-        b = fit_mcmc(data, mc, n_knots=16)
+        a = fit_mcmc(data, iters=60, burn_in=20, thin=4, seed=5, n_knots=16)
+        b = fit_mcmc(data, iters=60, burn_in=20, thin=4, seed=5, n_knots=16)
         for sa, sb in zip(a.states, b.states):
             np.testing.assert_array_equal(sa.mu_values, sb.mu_values)
             assert sa.sigma == sb.sigma
@@ -296,3 +298,15 @@ class TestContractionScaffolding:
     def test_reps_positive(self, gaussian_density):
         with pytest.raises(ValueError, match="reps"):
             contraction_experiment(gaussian_density, [100, 400, 1600], 0, seed=0)
+
+    def test_aborted_chain_raises(self, gaussian_density, monkeypatch):
+        # a failed fit propagates; it is not turned into a failing report
+        def broken(*args, **kwargs):
+            raise ValueError("proposal out of range")
+
+        monkeypatch.setattr("nllvm_lab.nllvm_posterior.update_sigma", broken)
+        with pytest.raises(
+            RuntimeError,
+            match=r"^chain aborted at iteration 1 \(kept 0 states, .*proposal out of range",
+        ):
+            contraction_experiment(gaussian_density, [100, 400, 1600], 1, seed=0)

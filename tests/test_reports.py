@@ -56,16 +56,15 @@ class TestSlopeReport:
             r2=1.0,
             target=-1.0,
             passed=True,
-            seed=3,
             note="n",
         )
         raw = report.to_dict()
-        assert set(raw) == {"xs", "ys", "slope", "r2", "target", "pass", "seed", "note"}
+        # no seed: the CLI report records the run's seed
+        assert set(raw) == {"xs", "ys", "slope", "r2", "target", "pass", "note"}
         assert raw["pass"] is True
-        assert raw["seed"] == 3
 
     def test_target_may_be_none(self):
-        report = SlopeReport([1, 2, 4], [1, 1, 1], 0.0, 0.0, None, False, 0)
+        report = SlopeReport([1, 2, 4], [1, 1, 1], 0.0, 0.0, None, False)
         assert report.to_dict()["target"] is None
 
 
@@ -75,14 +74,17 @@ class TestCheckReport:
     def test_violations_bounded_by_trials(self):
         with pytest.raises(ValueError, match="cannot exceed"):
             CheckReport("x", trials=5, violations=6, worst_margin=0.1,
-                        passed=False, seed=0)
+                        passed=False)
 
     def test_to_dict_round_trip_fields(self):
         report = CheckReport(
             "bound", trials=10, violations=1, worst_margin=0.02,
-            passed=False, seed=7, params={"eps": 0.1}, note="",
+            passed=False, params={"eps": 0.1}, note="",
         )
         raw = report.to_dict()
+        assert set(raw) == {
+            "name", "trials", "violations", "worst_margin", "pass", "params", "note"
+        }
         assert raw["name"] == "bound"
         assert raw["pass"] is False
         assert raw["params"] == {"eps": 0.1}

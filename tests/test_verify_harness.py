@@ -140,7 +140,7 @@ class TestL1SupportSearch:
     """Bandwidth scan for an L1-close quantile mixture."""
 
     def test_finds_a_bandwidth(self, bump):
-        report = l1_support_search(bump, 0.05, seed=0)
+        report = l1_support_search(bump, 0.05)
         assert report.passed
         assert report.violations == 0
         assert report.params["l1"] < 0.05
@@ -153,7 +153,7 @@ class TestL1SupportSearch:
         _clean(report)
 
     def test_unreachable_eps_reports_all_failures(self, bump):
-        report = l1_support_search(bump, 1e-6, seed=0)
+        report = l1_support_search(bump, 1e-6)
         assert not report.passed
         assert report.violations == report.trials == 25
         assert report.worst_margin > 0
