@@ -253,7 +253,6 @@ def _cmd_estimate(cfg: RunConfig):
     metrics = {
         "n_obs": int(data.size),
         "kept_states": len(samples.states),
-        "acceptance": dict(samples.acceptance),
         "noise_scale_mean": float(np.mean(sigmas)) * scale,
         "standardize_center": center,
         "standardize_scale": scale,

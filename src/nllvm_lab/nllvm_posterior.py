@@ -4,7 +4,9 @@ The model: each observation satisfies y_i = mu(eta_i) + eps_i with
 eta_i ~ U(0,1) latent, mu a GP-distributed transfer function, and
 eps_i ~ N(0, sigma^2).  Conditioning on the latents restores conjugacy for
 mu (a GP regression update), the latents have tractable one-dimensional
-full conditionals, and sigma moves by random-walk Metropolis on log sigma.
+full conditionals, and 1/sigma is drawn from its log-concave full
+conditional by rejection from a gamma proposal.  Every step draws exactly
+from its full conditional; no step is tuned.
 
 One Gibbs cycle is update_latents -> update_transfer -> update_sigma.  The
 transfer function is represented by its values on a fixed uniform knot grid
@@ -31,8 +33,6 @@ from .transfer_map import FLAT_RISE, TransferFunction, mixture_density, segment_
 
 logger = logging.getLogger(__name__)
 
-_ADAPT_WINDOW = 50
-_STEP_BOUNDS = (1e-3, 2.0)
 # contraction_experiment: the smoothness beta and the q of the target rate,
 # and the knot count of its fits
 _RATE_BETA = 2.0
@@ -72,17 +72,13 @@ class NLLVMState:
 
 @dataclass(eq=False)
 class PosteriorSamples:
-    """Kept post-burn-in states and the acceptance rate of each block."""
+    """Kept post-burn-in states of one chain."""
 
     states: list
-    acceptance: dict
 
     def __post_init__(self) -> None:
         if not self.states:
             raise ValueError("no kept states")
-        for name, rate in self.acceptance.items():
-            if not (0.0 <= rate <= 1.0):
-                raise ValueError(f"acceptance rate for {name} out of [0,1]: {rate}")
 
 
 def _residual_ss(state: NLLVMState, data: np.ndarray) -> float:
@@ -193,34 +189,27 @@ def _sigma_logtarget(sigma: float, ss: float, n: int) -> float:
 
 
 def update_sigma(
-    state: NLLVMState,
-    data: np.ndarray,
-    rng: np.random.Generator,
-    *,
-    step: float = 0.1,
+    state: NLLVMState, data: np.ndarray, rng: np.random.Generator
 ) -> NLLVMState:
-    """Random-walk Metropolis on log sigma.
+    """Exact Gibbs draw of sigma from its full conditional.
 
-    The target combines the inverse-gamma prior with the Gaussian residual
-    likelihood; the log-scale proposal contributes the usual Jacobian term.
-    A rejected proposal returns the state unchanged, so callers can detect
-    acceptance by comparing sigma values.
+    With the IG(a, b) prior and residual sum of squares S over n data,
+    t = 1/sigma has log-density k log t - b t - S t^2 / 2, k = a + n - 1,
+    with mode m = 2k / (b + sqrt(b^2 + 4 S k)).  A Gamma(k + 1, scale m/k)
+    proposal is accepted with probability exp(-S (t - m)^2 / 2): because
+    k/m = b + S m, that factor is the target-to-proposal ratio up to a
+    constant, and its maximum is 1.  Each proposal takes one gamma and one
+    uniform from ``rng``.
     """
     data = np.asarray(data, dtype=float)
+    a, b = SIGMA_PRIOR
     ss = _residual_ss(state, data)
-    n = data.size
-
-    log_prop = math.log(state.sigma) + step * rng.standard_normal()
-    prop = math.exp(log_prop)
-    log_ratio = (
-        _sigma_logtarget(prop, ss, n)
-        - _sigma_logtarget(state.sigma, ss, n)
-        + log_prop
-        - math.log(state.sigma)
-    )
-    if math.log(1.0 - rng.random()) < log_ratio:
-        return replace(state, sigma=prop)
-    return state
+    k = a + data.size - 1.0
+    mode = 2.0 * k / (b + math.sqrt(b * b + 4.0 * ss * k))
+    while True:
+        t = rng.gamma(k + 1.0, mode / k)
+        if rng.random() < math.exp(-0.5 * ss * (t - mode) ** 2):
+            return replace(state, sigma=1.0 / t)
 
 
 def _initial_state(data: np.ndarray, n_knots: int) -> NLLVMState:
@@ -242,9 +231,9 @@ def fit_mcmc(
     """Run the blocked Gibbs chain and return thinned post-burn-in states.
 
     The chain runs ``iters`` cycles and keeps every ``thin``-th state after
-    the first ``burn_in``.  The log-sigma step size adapts toward a
-    0.3 +/- 0.1 acceptance rate in windows of 50 during burn-in only,
-    keeping the kept chain a fixed-kernel Markov chain.
+    the first ``burn_in``.  Every step draws from its exact full
+    conditional, so the burn-in serves convergence from the start state
+    only; nothing is tuned.
     """
     if burn_in < 0 or iters <= burn_in:
         raise ValueError(f"need iters > burn_in >= 0, got ({iters}, {burn_in})")
@@ -261,46 +250,22 @@ def fit_mcmc(
 
     state = _initial_state(data, n_knots)
 
-    step = 0.1
     kept = []
-    accepted_total = 0
-    window_accepted = 0
     for it in range(1, iters + 1):
         try:
             state = update_latents(state, data, rng)
             state = update_transfer(state, data, rng, k_inv)
-            prev_sigma = state.sigma
-            state = update_sigma(state, data, rng, step=step)
+            state = update_sigma(state, data, rng)
         except (ValueError, ArithmeticError) as exc:
             raise RuntimeError(
                 f"chain aborted at iteration {it} "
                 f"(kept {len(kept)} states, sigma={state.sigma:.4g}): {exc}"
             ) from exc
-        accepted = state.sigma != prev_sigma
-        accepted_total += accepted
-        window_accepted += accepted
-
-        if it <= burn_in and it % _ADAPT_WINDOW == 0:
-            rate = window_accepted / _ADAPT_WINDOW
-            if rate > 0.4:
-                step *= 1.5
-            elif rate < 0.2:
-                step /= 1.5
-            step = float(np.clip(step, *_STEP_BOUNDS))
-            window_accepted = 0
-
         if it > burn_in and (it - burn_in - 1) % thin == 0:
             state = replace(state, log_post=_full_log_post(state, data, kernel_chol))
             kept.append(state)
 
-    return PosteriorSamples(
-        states=kept,
-        acceptance={
-            "latents": 1.0,
-            "transfer": 1.0,
-            "sigma": accepted_total / iters,
-        },
-    )
+    return PosteriorSamples(states=kept)
 
 
 def _full_log_post(

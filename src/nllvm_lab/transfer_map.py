@@ -87,17 +87,19 @@ def quantile_of(
 
     The CDF is accumulated by cumulative trapezoid sums and inverted by
     monotone interpolation; repeated CDF values are resolved by the
-    left-continuous inverse.  Tails below float spacing repeat them too, so
-    only a true zero-density stretch (two adjacent zero values) warns.
-    Quantiles are clipped at the [clip, 1 - clip] levels, the constructive
-    stand-in for unbounded support.
+    left-continuous inverse.  Tails below float spacing repeat them too, and
+    so do zero tails outside a bounded support, which the clipped levels
+    never reach; only a zero-density gap (two adjacent zero values with
+    positive density on both sides) warns.  Quantiles are clipped at the
+    [clip, 1 - clip] levels, the constructive stand-in for unbounded support.
     """
     if n_knots < 16:
         raise ValueError(f"n_knots must be >= 16, got {n_knots}")
     cdf = cumulative_trapezoid(f.values, dx=f.spacing, initial=0.0)
     cdf /= cdf[-1]
     uniq, first = np.unique(cdf, return_index=True)
-    zero = f.values == 0.0
+    pos = np.flatnonzero(f.values > 0.0)
+    zero = f.values[pos[0] : pos[-1] + 1] == 0.0
     if np.any(zero[:-1] & zero[1:]):
         warnings.warn(
             "flat CDF region (zero-density stretch); using the "

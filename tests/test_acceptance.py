@@ -54,8 +54,6 @@ from nllvm_lab.verify_harness import (
     risk_bound_experiment,
 )
 
-pytestmark = pytest.mark.filterwarnings("ignore:flat CDF region")
-
 
 def _finish(log, num: int, title: str, cap_s: float, t0: float, ok: bool, detail: str):
     """Record the criterion line, then assert correctness and the budget."""
@@ -163,6 +161,8 @@ def test_c05_sup_log_ratio_perturbation_budget(acceptance_log):
     )
 
 
+# the bimodal truth has a zero-density gap between its modes
+@pytest.mark.filterwarnings("ignore:flat CDF region")
 def test_c06_l1_bandwidth_search(acceptance_log):
     """The bandwidth scan finds an L1-close quantile mixture on both truths."""
     t0 = time.perf_counter()

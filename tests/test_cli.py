@@ -572,7 +572,6 @@ class TestMainEndToEnd:
         assert "share the report key '0.3'" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("ignore:flat CDF region")
     def test_logsup_rows_carry_the_requested_delta(self, tmp_path):
         out = tmp_path / "ls.json"
         rc = main(["verify", "logsup-bound", "--deltas", "0.1234567,0.05",
@@ -585,7 +584,9 @@ class TestMainEndToEnd:
         budget = params["baseline"] + d**2 / params["sigma"] ** 2 + params["slack"]
         assert lines[2].split(",")[2] == str(budget)
 
-    # the smallest sizes each check accepts, and the CSV rows each should write
+    # the smallest sizes each check accepts, and the CSV rows each should
+    # write; on the default truth no run warns (l1-support runs all defaults)
+    @pytest.mark.filterwarnings("error::UserWarning")
     @pytest.mark.parametrize(
         "check, flags, n_rows",
         [
@@ -599,7 +600,6 @@ class TestMainEndToEnd:
             ("support-probe", ["--deltas", "0.3"], 1),
         ],
     )
-    @pytest.mark.filterwarnings("ignore:flat CDF region")
     def test_every_verify_check_runs(self, tmp_path, check, flags, n_rows):
         out = tmp_path / "v.json"
         assert main(["verify", check, *flags, "--out", str(out)]) == 0

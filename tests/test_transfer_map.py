@@ -19,7 +19,8 @@ from scipy.integrate import trapezoid
 from scipy.special import logsumexp
 from scipy.stats import norm
 
-from nllvm_lab.grid_density import GridDensity, GridSpec, convolve_gaussian, smooth_bump
+from nllvm_lab.cli import _truth_density
+from nllvm_lab.grid_density import GridDensity, GridSpec, convolve_gaussian
 from nllvm_lab.transfer_map import (
     FLAT_RISE,
     CoverageError,
@@ -91,10 +92,17 @@ class TestQuantileOf:
             quantile_of(f, n_knots=8)
 
     def test_flat_cdf_region_warns(self):
-        spec = GridSpec(-1.0, 2.0, 1024)
-        f = smooth_bump(spec, 0.1, 0.9, 2.0)
+        # the bimodal truth is zero between its modes, so its CDF is flat
+        # at 1/2 there
         with pytest.warns(UserWarning, match="flat CDF region"):
-            quantile_of(f, n_knots=64)
+            quantile_of(_truth_density("bimodal", 1024), n_knots=64)
+
+    def test_zero_tails_do_not_warn(self):
+        # the bump truth is zero outside [0.1, 0.9], but only in its tails,
+        # where the clipped levels never land
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            quantile_of(_truth_density("bump", 1024), n_knots=64)
 
     @pytest.mark.parametrize("n", [2048, 8192])
     def test_positive_density_does_not_warn(self, n):

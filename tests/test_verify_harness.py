@@ -33,9 +33,6 @@ from nllvm_lab.verify_harness import (
     risk_bound_experiment,
 )
 
-pytestmark = pytest.mark.filterwarnings("ignore:flat CDF region")
-
-
 @pytest.fixture(scope="module")
 def bump():
     return _truth_density("bump", 1024)
