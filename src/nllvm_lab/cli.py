@@ -243,10 +243,7 @@ def _cmd_estimate(cfg: RunConfig):
     )
 
     sigmas = np.array([s.sigma for s in samples.states])
-    mus = np.array([s.mu_values for s in samples.states])
-    pad = 8.0 * float(sigmas.max())
-    zspec = GridSpec(float(mus.min()) - pad, float(mus.max()) + pad, cfg.grid_n)
-    pred_z = predictive_density(samples, zspec)
+    pred_z = predictive_density(samples, GridSpec(*samples.covering_window(), cfg.grid_n))
     ygrid = center + scale * pred_z.grid
     predictive = GridDensity(float(ygrid[0]), float(ygrid[-1]), pred_z.values / scale)
 

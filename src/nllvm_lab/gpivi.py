@@ -255,8 +255,8 @@ class _FeasibleMap:
     coverage and the support check.  [lo, hi] is the work window cut to the
     prior's support.  The map also keeps what stays fixed for the fit: the
     window's ``points``, their trapezoid ``weights``, the ``prior`` there
-    floored at ``DENSITY_FLOOR`` and ``loglik``, the data's log-likelihood
-    sum there.
+    floored at ``DENSITY_FLOOR``, ``loglik``, the data's log-likelihood sum
+    there, and ``missed_mass``, the prior mass outside the window.
     """
 
     spec: GridSpec
@@ -267,6 +267,7 @@ class _FeasibleMap:
     weights: np.ndarray
     prior: np.ndarray
     loglik: np.ndarray
+    missed_mass: float
 
     @classmethod
     def around(
@@ -277,6 +278,7 @@ class _FeasibleMap:
         points = spec.points()
         weights = np.full(spec.n, spec.spacing)
         weights[[0, -1]] *= 0.5
+        prior = np.maximum(model.prior_density.pdf_at(points), DENSITY_FLOOR)
         return cls(
             spec,
             init.mu.knots,
@@ -284,8 +286,9 @@ class _FeasibleMap:
             min(spec.hi, hi),
             points,
             weights,
-            np.maximum(model.prior_density.pdf_at(points), DENSITY_FLOOR),
+            prior,
             model.loglik_sum(data, points),
+            1.0 - float(weights @ prior),
         )
 
     @property
@@ -366,8 +369,10 @@ def optimize(
     only constraint is a box on log sigma, with the exact gradient
     (:func:`_objective_and_gradient`) and at most ``iters`` iterations.
     ``converged`` is scipy's status 0, ``stalled`` its status 2 (the line
-    search failed) and ``n_sweeps`` the iteration count.  The procedure is
-    deterministic.
+    search failed) and ``n_sweeps`` the iteration count.  ``objective`` is
+    the tempered objective of the fit: the work window's value plus the
+    prior mass outside the window, which the window's KL integrand
+    q log(q/p) - q + p leaves out.  The procedure is deterministic.
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0,1), got {alpha}")
@@ -394,7 +399,7 @@ def optimize(
     )
     return OptimizeResult(
         params=feasible.params(res.x),
-        objective=float(res.fun),
+        objective=float(res.fun) + feasible.missed_mass,
         converged=res.status == 0,
         stalled=res.status == 2,
         n_sweeps=int(res.nit),

@@ -8,7 +8,8 @@ full conditionals, and 1/sigma is drawn from its log-concave full
 conditional by rejection from a gamma proposal.  Every step draws exactly
 from its full conditional; no step is tuned.
 
-One Gibbs cycle is update_latents -> update_transfer -> update_sigma.  The
+One Gibbs cycle is update_latents -> update_transfer -> update_sigma; each
+step takes the blocks it conditions on and returns the block it draws.  The
 transfer function is represented by its values on a fixed uniform knot grid
 in [0,1] and interpolated linearly in between; the GP rescale A stays fixed
 for the whole run.
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -42,10 +43,10 @@ _CONTRACT_KNOTS = 32
 
 @dataclass(eq=False)
 class NLLVMState:
-    """One point of the (mu, sigma, eta) chain.
+    """One kept point of the (mu, sigma, eta) chain.
 
-    ``log_post`` is the unnormalized log posterior that :func:`fit_mcmc`
-    sets on every kept state; the update steps carry it over unchanged.
+    ``log_post`` is its unnormalized log posterior, which :func:`fit_mcmc`
+    computes for every kept state.
     """
 
     mu_values: np.ndarray
@@ -80,17 +81,17 @@ class PosteriorSamples:
         if not self.states:
             raise ValueError("no kept states")
 
-
-def _residual_ss(state: NLLVMState, data: np.ndarray) -> float:
-    knots = np.linspace(0.0, 1.0, state.mu_values.size)
-    resid = data - np.interp(state.eta, knots, state.mu_values)
-    return float(resid @ resid)
+    def covering_window(self) -> tuple:
+        """(min mu - 8 sigma_max, max mu + 8 sigma_max): holds every kept mixture's mass."""
+        pad = 8.0 * max(s.sigma for s in self.states)
+        lo = min(float(s.mu_values.min()) for s in self.states)
+        return lo - pad, max(float(s.mu_values.max()) for s in self.states) + pad
 
 
 def update_latents(
-    state: NLLVMState, data: np.ndarray, rng: np.random.Generator
-) -> NLLVMState:
-    """Resample every latent from its exact full conditional on [0,1].
+    mu: TransferFunction, sigma: float, data: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """Draw every latent from its exact full conditional on [0,1] given mu and sigma.
 
     The conditional density of eta_i is proportional to
     phi_sigma(y_i - mu(eta_i)).  With mu linear between knots it is a
@@ -102,9 +103,7 @@ def update_latents(
     x.  If every segment mass underflows to zero the draw falls back to a
     uniform with a logged warning.
     """
-    data = np.asarray(data, dtype=float)
-    mu = state.transfer()
-    masses = segment_masses(mu, state.sigma, data)
+    masses = segment_masses(mu, sigma, data)
     cum = np.cumsum(masses, axis=1)
     total = cum[:, -1]
     dead = total <= 0.0
@@ -118,12 +117,12 @@ def update_latents(
 
     # standardized residuals at the chosen segment's ends; where both sit
     # above zero, work with -z so that the CDF values stay small
-    za = (data - mu.values[seg]) / state.sigma
-    zb = (data - mu.values[seg + 1]) / state.sigma
+    za = (data - mu.values[seg]) / sigma
+    zb = (data - mu.values[seg + 1]) / sigma
     side = np.where(za + zb > 0.0, -1.0, 1.0)
     pa, pb = special.ndtr(side * za), special.ndtr(side * zb)
     z = side * special.ndtri(pa + w * (pb - pa))
-    flat = (np.abs(np.diff(mu.values)) / state.sigma < FLAT_RISE)[seg]
+    flat = (np.abs(np.diff(mu.values)) / sigma < FLAT_RISE)[seg]
     frac = np.where(flat, w, (za - z) / np.where(flat, 1.0, za - zb))
     eta = mu.knots[seg] + np.clip(frac, 0.0, 1.0) * np.diff(mu.knots)[seg]
 
@@ -136,7 +135,7 @@ def update_latents(
         )
         eta = np.where(dead, u, eta)
 
-    return replace(state, eta=eta)
+    return eta
 
 
 def _tridiagonal_gram(eta: np.ndarray, data: np.ndarray, n_knots: int) -> tuple:
@@ -156,12 +155,13 @@ def _tridiagonal_gram(eta: np.ndarray, data: np.ndarray, n_knots: int) -> tuple:
 
 
 def update_transfer(
-    state: NLLVMState,
+    eta: np.ndarray,
+    sigma: float,
     data: np.ndarray,
     rng: np.random.Generator,
     k_inv: np.ndarray,
-) -> NLLVMState:
-    """Gibbs draw of the transfer values from the GP-regression conditional.
+) -> np.ndarray:
+    """Draw the knot values of mu from their GP-regression conditional given eta and sigma.
 
     Given the latents, the model is a Gaussian regression of y on mu at the
     interpolated latent positions, so the conditional of the knot values is
@@ -169,13 +169,12 @@ def update_transfer(
     prec^-1 W^T y / sigma^2.  ``k_inv`` is K^-1 on the knots, fixed for a
     run; with no data the draw comes from the prior.
     """
-    data = np.asarray(data, dtype=float)
-    k = state.mu_values.size
-    gram, wty = _tridiagonal_gram(state.eta, data, k)
-    prec_chol = _chol_with_escalation(k_inv + gram / state.sigma**2)
-    mean = cho_solve((prec_chol, True), wty / state.sigma**2)
+    k = k_inv.shape[0]
+    gram, wty = _tridiagonal_gram(eta, data, k)
+    prec_chol = _chol_with_escalation(k_inv + gram / sigma**2)
+    mean = cho_solve((prec_chol, True), wty / sigma**2)
     z = rng.standard_normal(k)
-    return replace(state, mu_values=mean + solve_triangular(prec_chol.T, z, lower=False))
+    return mean + solve_triangular(prec_chol.T, z, lower=False)
 
 
 def _sigma_logtarget(sigma: float, ss: float, n: int) -> float:
@@ -188,10 +187,8 @@ def _sigma_logtarget(sigma: float, ss: float, n: int) -> float:
     )
 
 
-def update_sigma(
-    state: NLLVMState, data: np.ndarray, rng: np.random.Generator
-) -> NLLVMState:
-    """Exact Gibbs draw of sigma from its full conditional.
+def update_sigma(resid: np.ndarray, rng: np.random.Generator) -> float:
+    """Exact Gibbs draw of sigma from its full conditional, given the residuals y - mu(eta).
 
     With the IG(a, b) prior and residual sum of squares S over n data,
     t = 1/sigma has log-density k log t - b t - S t^2 / 2, k = a + n - 1,
@@ -201,28 +198,14 @@ def update_sigma(
     constant, and its maximum is 1.  Each proposal takes one gamma and one
     uniform from ``rng``.
     """
-    data = np.asarray(data, dtype=float)
     a, b = SIGMA_PRIOR
-    ss = _residual_ss(state, data)
-    k = a + data.size - 1.0
+    ss = float(resid @ resid)
+    k = a + resid.size - 1.0
     mode = 2.0 * k / (b + math.sqrt(b * b + 4.0 * ss * k))
     while True:
         t = rng.gamma(k + 1.0, mode / k)
         if rng.random() < math.exp(-0.5 * ss * (t - mode) ** 2):
-            return replace(state, sigma=1.0 / t)
-
-
-def _initial_state(data: np.ndarray, n_knots: int) -> NLLVMState:
-    n = data.size
-    ranks = np.empty(n)
-    ranks[np.argsort(data, kind="stable")] = np.arange(n)
-    return NLLVMState(
-        # empirical quantiles put the transfer near the truth-quantile map
-        mu_values=np.quantile(data, np.linspace(0.0, 1.0, n_knots)),
-        sigma=max(0.5 * float(np.std(data)), 1e-3),
-        eta=(ranks + 0.5) / n,
-        log_post=0.0,
-    )
+            return 1.0 / t
 
 
 def fit_mcmc(
@@ -233,7 +216,8 @@ def fit_mcmc(
     The chain runs ``iters`` cycles and keeps every ``thin``-th state after
     the first ``burn_in``.  Every step draws from its exact full
     conditional, so the burn-in serves convergence from the start state
-    only; nothing is tuned.
+    only; nothing is tuned.  A failure in any cycle, the checks on a kept
+    state included, aborts the chain with a ``RuntimeError``.
     """
     if burn_in < 0 or iters <= burn_in:
         raise ValueError(f"need iters > burn_in >= 0, got ({iters}, {burn_in})")
@@ -248,33 +232,28 @@ def fit_mcmc(
     kernel_chol = _chol_with_escalation(se_kernel(knots, knots, VARIANCE, RESCALE))
     k_inv = cho_solve((kernel_chol, True), np.eye(n_knots))
 
-    state = _initial_state(data, n_knots)
-
+    # empirical quantiles put the transfer near the truth-quantile map
+    mu = TransferFunction(knots, np.quantile(data, knots))
+    sigma = max(0.5 * float(np.std(data)), 1e-3)
     kept = []
     for it in range(1, iters + 1):
         try:
-            state = update_latents(state, data, rng)
-            state = update_transfer(state, data, rng, k_inv)
-            state = update_sigma(state, data, rng)
+            eta = update_latents(mu, sigma, data, rng)
+            mu = TransferFunction(knots, update_transfer(eta, sigma, data, rng, k_inv))
+            resid = data - mu(eta)
+            sigma = update_sigma(resid, rng)
+            if it > burn_in and (it - burn_in - 1) % thin == 0:
+                v = solve_triangular(kernel_chol, mu.values, lower=True)
+                ss = float(resid @ resid)
+                log_post = float(-0.5 * (v @ v)) + _sigma_logtarget(sigma, ss, data.size)
+                kept.append(NLLVMState(mu.values, sigma, eta, log_post))
         except (ValueError, ArithmeticError) as exc:
             raise RuntimeError(
                 f"chain aborted at iteration {it} "
-                f"(kept {len(kept)} states, sigma={state.sigma:.4g}): {exc}"
+                f"(kept {len(kept)} states, sigma={sigma:.4g}): {exc}"
             ) from exc
-        if it > burn_in and (it - burn_in - 1) % thin == 0:
-            state = replace(state, log_post=_full_log_post(state, data, kernel_chol))
-            kept.append(state)
 
     return PosteriorSamples(states=kept)
-
-
-def _full_log_post(
-    state: NLLVMState, data: np.ndarray, kernel_chol: np.ndarray
-) -> float:
-    v = solve_triangular(kernel_chol, state.mu_values, lower=True)
-    return float(-0.5 * (v @ v)) + _sigma_logtarget(
-        state.sigma, _residual_ss(state, data), data.size
-    )
 
 
 def predictive_density(samples: PosteriorSamples, spec: GridSpec) -> GridDensity:
@@ -346,9 +325,8 @@ def contraction_experiment(
         # pad the evaluation window so every kept state's mixture keeps its
         # kernel mass (diffuse early states can stray past the f0 window);
         # f0 extends by zero, so the Hellinger integral is unchanged
-        sig_cap = max(s.sigma for s in samples.states)
-        lo = min(f0.lo, min(float(s.mu_values.min()) for s in samples.states) - 8 * sig_cap)
-        hi = max(f0.hi, max(float(s.mu_values.max()) for s in samples.states) + 8 * sig_cap)
+        lo, hi = samples.covering_window()
+        lo, hi = min(f0.lo, lo), max(f0.hi, hi)
         n_grid = min(8192, int(round((hi - lo) / f0.spacing)) + 1)
         wide = GridSpec(lo, hi, n_grid)
         pred = predictive_density(samples, wide)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
-from scipy.integrate import cumulative_trapezoid, trapezoid
+from scipy.integrate import trapezoid
 
 from .grid_density import GridDensity, GridSpec, _SQRT_2PI
 
@@ -85,8 +85,8 @@ def quantile_of(
 ) -> TransferFunction:
     """Quantile function of ``f`` as a transfer function.
 
-    The CDF is accumulated by cumulative trapezoid sums and inverted by
-    monotone interpolation; repeated CDF values are resolved by the
+    The CDF of :meth:`GridDensity.cdf_values` is inverted by monotone
+    interpolation; repeated CDF values are resolved by the
     left-continuous inverse.  Tails below float spacing repeat them too, and
     so do zero tails outside a bounded support, which the clipped levels
     never reach; only a zero-density gap (two adjacent zero values with
@@ -95,9 +95,7 @@ def quantile_of(
     """
     if n_knots < 16:
         raise ValueError(f"n_knots must be >= 16, got {n_knots}")
-    cdf = cumulative_trapezoid(f.values, dx=f.spacing, initial=0.0)
-    cdf /= cdf[-1]
-    uniq, first = np.unique(cdf, return_index=True)
+    uniq, first = np.unique(f.cdf_values(), return_index=True)
     pos = np.flatnonzero(f.values > 0.0)
     zero = f.values[pos[0] : pos[-1] + 1] == 0.0
     if np.any(zero[:-1] & zero[1:]):

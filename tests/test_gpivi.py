@@ -388,6 +388,26 @@ class TestOptimize:
         init = _default_init(nn, data, 0.9, 12)
         assert res.objective <= practical_objective(init, nn, data, 0.9) + 1e-9
 
+    def test_fit_is_tempered(self, nn, conjugate_tempered):
+        # at alpha = 0.5 the tempered posterior has about twice the untempered
+        # variance, so a fit that ignores alpha lands about 0.09 away in KL
+        data = nn.sample_data(np.random.default_rng(7), 40)
+        res = optimize(nn, data, 0.5, knots=12, iters=30)
+        q = q_density(res.params, nn.prior_density.spec)
+        exact = conjugate_tempered(nn, data, 0.5)
+        assert kl_values(q.values, exact.values, q.spacing) < 1e-3
+
+    @pytest.mark.parametrize("make", [normal_mean_model, normal_normal_model, logistic_model])
+    def test_objective_is_the_tempered_objective(self, make):
+        # the fit's work window misses some prior mass, which the reported
+        # value adds back; compared where the prior's grid resolves q
+        model = make()
+        data = model.sample_data(np.random.default_rng(200), 200)
+        res = optimize(model, data, 0.9)
+        assert res.params.sigma >= 4 * model.prior_density.spacing
+        expected = practical_objective(res.params, model, data, 0.9)
+        assert res.objective == pytest.approx(expected, rel=1e-5, abs=0)
+
     def test_deterministic(self, nn):
         data = nn.sample_data(np.random.default_rng(7), 40)
         a = optimize(nn, data, 0.9, knots=12, iters=30)

@@ -54,7 +54,9 @@ from nllvm_lab.nllvm_posterior import (
     update_sigma,
     update_transfer,
 )
-from nllvm_lab.transfer_map import mixture_density
+from nllvm_lab.transfer_map import TransferFunction, mixture_density
+
+_IDENTITY = TransferFunction(np.linspace(0.0, 1.0, 16), np.linspace(0.0, 1.0, 16))
 
 
 class TestConfigAndState:
@@ -100,19 +102,16 @@ class TestUpdateLatents:
 
     def test_concentrates_near_observations(self):
         # identity transfer, sigma = 0.05: eta_i should track y_i
-        state = NLLVMState(np.linspace(0.0, 1.0, 16), 0.05, np.full(2, 0.5), 0.0)
-        new = update_latents(state, np.array([0.2, 0.8]), np.random.default_rng(0))
-        assert abs(new.eta[0] - 0.2) < 0.1
-        assert abs(new.eta[1] - 0.8) < 0.1
-        assert np.all((new.eta >= 0.0) & (new.eta <= 1.0))
-        assert np.isfinite(new.log_post)
+        eta = update_latents(_IDENTITY, 0.05, np.array([0.2, 0.8]), np.random.default_rng(0))
+        assert abs(eta[0] - 0.2) < 0.1
+        assert abs(eta[1] - 0.8) < 0.1
+        assert np.all((eta >= 0.0) & (eta <= 1.0))
 
     def test_reproducible(self):
-        state = NLLVMState(np.linspace(0.0, 1.0, 16), 0.1, np.full(3, 0.5), 0.0)
         data = np.array([0.1, 0.5, 0.9])
-        a = update_latents(state, data, np.random.default_rng(3))
-        b = update_latents(state, data, np.random.default_rng(3))
-        np.testing.assert_array_equal(a.eta, b.eta)
+        a = update_latents(_IDENTITY, 0.1, data, np.random.default_rng(3))
+        b = update_latents(_IDENTITY, 0.1, data, np.random.default_rng(3))
+        np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize(
         "values, y",
@@ -130,10 +129,10 @@ class TestUpdateLatents:
         # phi_sigma(y - mu(x)), scaled by its maximum so it cannot underflow
         sigma = 0.1
         n = 20000
-        state = NLLVMState(values, sigma, np.full(n, 0.5), 0.0)
-        eta = update_latents(state, np.full(n, y), np.random.default_rng(11)).eta
+        mu = TransferFunction(np.linspace(0.0, 1.0, values.size), values)
+        eta = update_latents(mu, sigma, np.full(n, y), np.random.default_rng(11))
         edges = np.linspace(0.0, 1.0, (1 << 18) + 1)
-        logw = -0.5 * ((y - state.transfer()(0.5 * (edges[:-1] + edges[1:]))) / sigma) ** 2
+        logw = -0.5 * ((y - mu(0.5 * (edges[:-1] + edges[1:]))) / sigma) ** 2
         cdf = np.concatenate([[0.0], np.cumsum(np.exp(logw - logw.max()))])
         cdf /= cdf[-1]
         result = kstest(eta, lambda x: np.interp(x, edges, cdf))
@@ -141,11 +140,10 @@ class TestUpdateLatents:
 
     def test_underflow_falls_back_to_uniform(self, caplog):
         # data 40 sigma away from the whole transfer range underflows
-        state = NLLVMState(np.linspace(0.0, 1.0, 16), 0.01, np.array([0.5]), 0.0)
         with caplog.at_level("WARNING"):
-            new = update_latents(state, np.array([50.0]), np.random.default_rng(0))
+            eta = update_latents(_IDENTITY, 0.01, np.array([50.0]), np.random.default_rng(0))
         assert "underflowed" in caplog.text
-        assert 0.0 <= new.eta[0] <= 1.0
+        assert 0.0 <= eta[0] <= 1.0
 
 
 def _k_inv(n_knots: int) -> np.ndarray:
@@ -197,21 +195,20 @@ class TestUpdateTransfer:
         nk = 16
         knots = np.linspace(0.0, 1.0, nk)
         target = 0.3 * np.sin(2 * np.pi * knots) + 0.5
-        state = NLLVMState(np.zeros(nk), 0.01, np.tile(knots, 10), 0.0)
         data = np.tile(target, 10)
         for seed in (0, 1):
             drawn = update_transfer(
-                state, data, np.random.default_rng(seed), _k_inv(nk)
+                np.tile(knots, 10), 0.01, data, np.random.default_rng(seed), _k_inv(nk)
             )
-            assert np.max(np.abs(drawn.mu_values - target)) < 0.05
+            assert np.max(np.abs(drawn - target)) < 0.05
 
     def test_empty_data_gives_prior_draw(self):
-        state = NLLVMState(np.zeros(16), 0.1, np.array([]), 0.0)
         k_inv = _k_inv(16)
-        a = update_transfer(state, np.array([]), np.random.default_rng(2), k_inv)
-        b = update_transfer(state, np.array([]), np.random.default_rng(2), k_inv)
-        np.testing.assert_array_equal(a.mu_values, b.mu_values)
-        assert np.std(a.mu_values) > 0
+        empty = np.array([])
+        a = update_transfer(empty, 0.1, empty, np.random.default_rng(2), k_inv)
+        b = update_transfer(empty, 0.1, empty, np.random.default_rng(2), k_inv)
+        np.testing.assert_array_equal(a, b)
+        assert a.shape == (16,) and np.std(a) > 0
 
 
 class TestUpdateSigma:
@@ -230,10 +227,9 @@ class TestUpdateSigma:
         # sigma^-(a+1) e^(-b/sigma) * sigma^-n e^(-ss/(2 sigma^2)) over a
         # fine grid in log sigma
         a, b = SIGMA_PRIOR
-        state = NLLVMState(np.zeros(16), 1.0, np.full(n, 0.5), 0.0)
-        data = np.full(n, math.sqrt(ss / n))
+        resid = np.full(n, math.sqrt(ss / n))
         rng = np.random.default_rng(n)
-        sigmas = np.array([update_sigma(state, data, rng).sigma for _ in range(self.DRAWS)])
+        sigmas = np.array([update_sigma(resid, rng) for _ in range(self.DRAWS)])
         u = np.linspace(math.log(1e-3), math.log(1e2), 1 << 19)
         logq = -(a + n) * u - b * np.exp(-u) - 0.5 * ss * np.exp(-2.0 * u)
         cdf = cumulative_trapezoid(np.exp(logq - logq.max()), u, initial=0.0)
@@ -272,20 +268,20 @@ class TestGibbsKernel:
         chol = _chol_with_escalation(se_kernel(knots, knots, VARIANCE, RESCALE))
         k_inv = cho_solve((chol, True), np.eye(n_knots))
         a, b = SIGMA_PRIOR
-        state = NLLVMState(
-            chol @ rng.standard_normal(n_knots), 1.0 / rng.gamma(a, 1.0 / b), rng.random(n), 0.0
-        )
+        values = chol @ rng.standard_normal(n_knots)
+        s, eta = 1.0 / rng.gamma(a, 1.0 / b), rng.random(n)
         pick = [0, n_knots // 2, n_knots - 1]
         sigma = np.empty(cycles)
         mu = np.empty((cycles, len(pick)))
         with caplog.at_level("WARNING"):
             for c in range(cycles):
-                y = state.transfer()(state.eta) + state.sigma * rng.standard_normal(n)
-                state = update_latents(state, y, rng)
-                state = update_transfer(state, y, rng, k_inv)
-                state = update_sigma(state, y, rng)
-                sigma[c] = state.sigma
-                mu[c] = state.mu_values[pick]
+                transfer = TransferFunction(knots, values)
+                y = transfer(eta) + s * rng.standard_normal(n)
+                eta = update_latents(transfer, s, y, rng)
+                values = update_transfer(eta, s, y, rng, k_inv)
+                s = update_sigma(y - np.interp(eta, knots, values), rng)
+                sigma[c] = s
+                mu[c] = values[pick]
         # an underflow fallback is not an exact draw
         assert "underflowed" not in caplog.text
 
@@ -314,6 +310,16 @@ class TestFitMcmc:
             assert state.sigma > 0
             assert np.all((state.eta >= 0) & (state.eta <= 1))
             assert np.isfinite(state.log_post)
+
+    def test_failed_kept_state_check_aborts_the_chain(self, monkeypatch):
+        # kept states are checked inside the cycle, so a failed check aborts
+        # the chain like a failed step
+        monkeypatch.setattr("nllvm_lab.nllvm_posterior._sigma_logtarget", lambda *args: math.inf)
+        with pytest.raises(
+            RuntimeError,
+            match=r"^chain aborted at iteration 3 \(kept 0 states, .*log_post must be finite",
+        ):
+            fit_mcmc(np.linspace(0.0, 1.0, 20), iters=5, burn_in=2, n_knots=16)
 
     def test_deterministic_under_seed(self):
         rng = np.random.default_rng(42)
@@ -347,6 +353,14 @@ class TestPredictiveDensity:
         np.testing.assert_allclose(
             pred.values, 0.5 * (d1.values + d2.values), atol=1e-15
         )
+
+    def test_covering_window_pads_by_the_largest_sigma(self):
+        s1 = NLLVMState(np.linspace(0.0, 1.0, 32), 0.3, np.array([0.5]), 0.0)
+        s2 = NLLVMState(np.linspace(-0.5, 0.5, 32), 0.4, np.array([0.5]), 0.0)
+        lo, hi = PosteriorSamples([s1, s2]).covering_window()
+        assert (lo, hi) == (-0.5 - 8 * 0.4, 1.0 + 8 * 0.4)
+        for s in (s1, s2):
+            assert mixture_density(s.transfer(), s.sigma, GridSpec(lo, hi, 2048)).mass_loss < 1e-12
 
 
 class TestContractionScaffolding:
