@@ -28,12 +28,14 @@ def digest(n: int, n_knots: int) -> str:
     data = np.where(rng.random(n) < 0.3, rng.normal(-1.0, 0.3, n), rng.normal(1.0, 0.5, n))
     samples = fit_mcmc(data, iters=400, burn_in=100, thin=5, seed=7, n_knots=n_knots)
     h = hashlib.sha256()
-    for s in samples.states:
-        h.update(np.asarray(s.mu_values, dtype=np.float64).tobytes())
-        h.update(np.float64(s.sigma).tobytes())
-        h.update(np.asarray(s.eta, dtype=np.float64).tobytes())
-        h.update(np.float64(s.log_post).tobytes())
-    return f"n={n} knots={n_knots} kept={len(samples.states)} sha256={h.hexdigest()}"
+    for mu_values, sigma, eta, log_post in zip(
+        samples.mu_values, samples.sigma, samples.eta, samples.log_post
+    ):
+        h.update(mu_values.tobytes())
+        h.update(sigma.tobytes())
+        h.update(eta.tobytes())
+        h.update(log_post.tobytes())
+    return f"n={n} knots={n_knots} kept={samples.sigma.size} sha256={h.hexdigest()}"
 
 
 if __name__ == "__main__":

@@ -41,7 +41,6 @@ from .hi_order_kernel import (
 )
 from .gp_prior import ConditioningError, sample_path_conditional
 from .nllvm_posterior import (
-    NLLVMState,
     PosteriorSamples,
     contraction_experiment,
     fit_mcmc,
@@ -82,7 +81,6 @@ __all__ = [
     "HELLINGER_SQ",
     "KL",
     "L1",
-    "NLLVMState",
     "NumericError",
     "OptimizeResult",
     "PosteriorSamples",

@@ -242,15 +242,14 @@ def _cmd_estimate(cfg: RunConfig):
         seed=cfg.seed,
     )
 
-    sigmas = np.array([s.sigma for s in samples.states])
     pred_z = predictive_density(samples, GridSpec(*samples.covering_window(), cfg.grid_n))
     ygrid = center + scale * pred_z.grid
     predictive = GridDensity(float(ygrid[0]), float(ygrid[-1]), pred_z.values / scale)
 
     metrics = {
         "n_obs": int(data.size),
-        "kept_states": len(samples.states),
-        "noise_scale_mean": float(np.mean(sigmas)) * scale,
+        "kept_states": samples.sigma.size,
+        "noise_scale_mean": float(np.mean(samples.sigma)) * scale,
         "standardize_center": center,
         "standardize_scale": scale,
         "predictive_window": [predictive.lo, predictive.hi],

@@ -41,51 +41,41 @@ _RATE_Q = 0.0
 _CONTRACT_KNOTS = 32
 
 
-@dataclass(eq=False)
-class NLLVMState:
-    """One kept point of the (mu, sigma, eta) chain.
-
-    ``log_post`` is its unnormalized log posterior, which :func:`fit_mcmc`
-    computes for every kept state.
-    """
-
-    mu_values: np.ndarray
-    sigma: float
-    eta: np.ndarray
-    log_post: float
-
-    def __post_init__(self) -> None:
-        self.mu_values = np.asarray(self.mu_values, dtype=float)
-        self.eta = np.asarray(self.eta, dtype=float)
-        if not (self.sigma > 0):
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if self.eta.size and not (
-            np.min(self.eta) >= 0.0 and np.max(self.eta) <= 1.0
-        ):
-            raise ValueError("all latents must lie in [0, 1]")
-        if not np.isfinite(self.log_post):
-            raise ValueError(f"log_post must be finite, got {self.log_post}")
-
-    def transfer(self) -> TransferFunction:
-        knots = np.linspace(0.0, 1.0, self.mu_values.size)
-        return TransferFunction(knots, self.mu_values)
+def _check_states(sigma, eta, log_post) -> None:
+    """Raise unless each sigma > 0, each latent lies in [0, 1] and each log_post is finite."""
+    if not np.all(sigma > 0):
+        raise ValueError(f"sigma must be positive, got {np.min(sigma)}")
+    if eta.size and not (np.min(eta) >= 0.0 and np.max(eta) <= 1.0):
+        raise ValueError("all latents must lie in [0, 1]")
+    bad = np.extract(~np.isfinite(log_post), log_post)
+    if bad.size:
+        raise ValueError(f"log_post must be finite, got {bad[0]}")
 
 
 @dataclass(eq=False)
 class PosteriorSamples:
-    """Kept post-burn-in states of one chain."""
+    """Kept post-burn-in states of one chain, one row per state."""
 
-    states: list
+    mu_values: np.ndarray  # (S, K): the transfer on the uniform knot grid of [0, 1]
+    sigma: np.ndarray  # (S,)
+    eta: np.ndarray  # (S, n): the latents
+    log_post: np.ndarray  # (S,): the unnormalized log posterior
 
     def __post_init__(self) -> None:
-        if not self.states:
+        arrays = [
+            np.asarray(a, float) for a in (self.mu_values, self.sigma, self.eta, self.log_post)
+        ]
+        self.mu_values, self.sigma, self.eta, self.log_post = arrays
+        if not self.sigma.size:
             raise ValueError("no kept states")
+        if [a.ndim for a in arrays] != [2, 1, 2, 1] or len({len(a) for a in arrays}) > 1:
+            raise ValueError(f"need (S, K), (S,), (S, n), (S,), got {[a.shape for a in arrays]}")
+        _check_states(self.sigma, self.eta, self.log_post)
 
     def covering_window(self) -> tuple:
         """(min mu - 8 sigma_max, max mu + 8 sigma_max): holds every kept mixture's mass."""
-        pad = 8.0 * max(s.sigma for s in self.states)
-        lo = min(float(s.mu_values.min()) for s in self.states)
-        return lo - pad, max(float(s.mu_values.max()) for s in self.states) + pad
+        pad = 8.0 * float(self.sigma.max())
+        return float(self.mu_values.min()) - pad, float(self.mu_values.max()) + pad
 
 
 def update_latents(
@@ -217,13 +207,18 @@ def fit_mcmc(
     the first ``burn_in``.  Every step draws from its exact full
     conditional, so the burn-in serves convergence from the start state
     only; nothing is tuned.  A failure in any cycle, the checks on a kept
-    state included, aborts the chain with a ``RuntimeError``.
+    state included, aborts the chain with a ``RuntimeError``; data that are
+    not a finite 1-D array of at least 10 points raise before the first draw.
     """
     if burn_in < 0 or iters <= burn_in:
         raise ValueError(f"need iters > burn_in >= 0, got ({iters}, {burn_in})")
     if thin < 1:
         raise ValueError(f"thin must be >= 1, got {thin}")
-    data = np.asarray(list(data), dtype=float)
+    data = np.asarray(data, dtype=float)
+    if data.ndim != 1:
+        raise ValueError(f"data must be 1-D, got shape {data.shape}")
+    if not np.all(np.isfinite(data)):
+        raise ValueError("data must be finite")
     if data.size < 10:
         raise ValueError(f"need at least 10 observations, got {data.size}")
 
@@ -232,28 +227,34 @@ def fit_mcmc(
     kernel_chol = _chol_with_escalation(se_kernel(knots, knots, VARIANCE, RESCALE))
     k_inv = cho_solve((kernel_chol, True), np.eye(n_knots))
 
+    kept = range(burn_in + 1, iters + 1, thin)
+    mus, etas = np.empty((len(kept), n_knots)), np.empty((len(kept), data.size))
+    sigmas, log_posts = np.empty(len(kept)), np.empty(len(kept))
+    j = 0
+
     # empirical quantiles put the transfer near the truth-quantile map
     mu = TransferFunction(knots, np.quantile(data, knots))
     sigma = max(0.5 * float(np.std(data)), 1e-3)
-    kept = []
     for it in range(1, iters + 1):
         try:
             eta = update_latents(mu, sigma, data, rng)
             mu = TransferFunction(knots, update_transfer(eta, sigma, data, rng, k_inv))
             resid = data - mu(eta)
             sigma = update_sigma(resid, rng)
-            if it > burn_in and (it - burn_in - 1) % thin == 0:
+            if it in kept:
                 v = solve_triangular(kernel_chol, mu.values, lower=True)
                 ss = float(resid @ resid)
                 log_post = float(-0.5 * (v @ v)) + _sigma_logtarget(sigma, ss, data.size)
-                kept.append(NLLVMState(mu.values, sigma, eta, log_post))
+                _check_states(sigma, eta, log_post)
+                mus[j], sigmas[j], etas[j], log_posts[j] = mu.values, sigma, eta, log_post
+                j += 1
         except (ValueError, ArithmeticError) as exc:
             raise RuntimeError(
                 f"chain aborted at iteration {it} "
-                f"(kept {len(kept)} states, sigma={sigma:.4g}): {exc}"
+                f"(kept {j} states, sigma={sigma:.4g}): {exc}"
             ) from exc
 
-    return PosteriorSamples(states=kept)
+    return PosteriorSamples(mus, sigmas, etas, log_posts)
 
 
 def predictive_density(samples: PosteriorSamples, spec: GridSpec) -> GridDensity:
@@ -263,11 +264,11 @@ def predictive_density(samples: PosteriorSamples, spec: GridSpec) -> GridDensity
     :func:`mixture_density`, so the only error left is the Monte Carlo
     spread of the ensemble average.
     """
+    knots = np.linspace(0.0, 1.0, samples.mu_values.shape[1])
     acc = np.zeros(spec.n)
-    for state in samples.states:
-        dens = mixture_density(state.transfer(), state.sigma, spec)
-        acc += dens.values
-    return GridDensity(spec.lo, spec.hi, acc / len(samples.states))
+    for values, sigma in zip(samples.mu_values, samples.sigma):
+        acc += mixture_density(TransferFunction(knots, values), sigma, spec).values
+    return GridDensity(spec.lo, spec.hi, acc / samples.sigma.size)
 
 
 def theoretical_rate_exponent(beta: float, q: float) -> float:

@@ -43,7 +43,6 @@ from nllvm_lab.gp_prior import (
 )
 from nllvm_lab.grid_density import GridSpec
 from nllvm_lab.nllvm_posterior import (
-    NLLVMState,
     PosteriorSamples,
     _tridiagonal_gram,
     contraction_experiment,
@@ -57,6 +56,14 @@ from nllvm_lab.nllvm_posterior import (
 from nllvm_lab.transfer_map import TransferFunction, mixture_density
 
 _IDENTITY = TransferFunction(np.linspace(0.0, 1.0, 16), np.linspace(0.0, 1.0, 16))
+
+
+def _samples(mu_values, sigma, eta=None, log_post=None) -> PosteriorSamples:
+    """Kept states with the given rows; each latent 0.5 and each log_post 0.0 unless given."""
+    s = len(sigma)
+    eta = np.full((s, 1), 0.5) if eta is None else eta
+    log_post = np.zeros(s) if log_post is None else log_post
+    return PosteriorSamples(mu_values, sigma, eta, log_post)
 
 
 class TestConfigAndState:
@@ -79,22 +86,40 @@ class TestConfigAndState:
         with pytest.raises(ValueError, match="thin must be >= 1, got 0"):
             fit_mcmc(data, iters=100, burn_in=10, thin=0)
 
-    def test_state_validation(self):
-        mu = np.linspace(0.0, 1.0, 16)
-        with pytest.raises(ValueError, match="sigma"):
-            NLLVMState(mu, 0.0, np.array([0.5]), 0.0)
-        with pytest.raises(ValueError, match="latents"):
-            NLLVMState(mu, 0.1, np.array([0.5, 1.2]), 0.0)
-        with pytest.raises(ValueError, match="log_post"):
-            NLLVMState(mu, 0.1, np.array([0.5]), np.inf)
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (np.r_[np.nan, np.zeros(19)], "data must be finite"),
+            (np.r_[np.inf, np.zeros(19)], "data must be finite"),
+            (np.zeros((4, 5)), r"data must be 1-D, got shape \(4, 5\)"),
+        ],
+        ids=["nan", "inf", "2-d"],
+    )
+    def test_bad_data_is_rejected_before_any_draw(self, data, message, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("chain started before validating its data")
 
-    def test_state_transfer(self):
-        state = NLLVMState(np.linspace(-1.0, 1.0, 9), 0.1, np.array([0.5]), 0.0)
-        assert state.transfer()(np.array([0.5]))[0] == pytest.approx(0.0)
+        monkeypatch.setattr("nllvm_lab.nllvm_posterior.seeded_rng", no_work)
+        with pytest.raises(ValueError, match=message):
+            fit_mcmc(data, iters=10, burn_in=2)
 
     def test_samples_validation(self):
+        mu = np.linspace(0.0, 1.0, 16)[None, :]
         with pytest.raises(ValueError, match="no kept states"):
-            PosteriorSamples([])
+            _samples(np.empty((0, 16)), [])
+        with pytest.raises(ValueError, match=r"got \[\(1, 16\), \(2,\)"):
+            _samples(mu, [0.1, 0.2])
+        with pytest.raises(ValueError, match=r"got \[\(16,\)"):
+            _samples(mu[0], [0.1])
+
+    def test_state_validation(self):
+        mu = np.linspace(0.0, 1.0, 16)[None, :]
+        with pytest.raises(ValueError, match="sigma must be positive, got 0.0"):
+            _samples(mu, [0.0])
+        with pytest.raises(ValueError, match="latents"):
+            _samples(mu, [0.1], eta=np.array([[0.5, 1.2]]))
+        with pytest.raises(ValueError, match="log_post must be finite, got inf"):
+            _samples(mu, [0.1], log_post=[np.inf])
 
 
 class TestUpdateLatents:
@@ -303,13 +328,15 @@ class TestFitMcmc:
     def test_kept_count_and_bookkeeping(self):
         rng = np.random.default_rng(42)
         data = rng.normal(0.5, 0.2, 80)
-        out = fit_mcmc(data, iters=60, burn_in=20, thin=4, seed=5, n_knots=16)
-        # kept iterations are 21, 25, ..., 57
-        assert len(out.states) == 10
-        for state in out.states:
-            assert state.sigma > 0
-            assert np.all((state.eta >= 0) & (state.eta <= 1))
-            assert np.isfinite(state.log_post)
+        # kept iterations are 21, 25, ..., 57 whether iters - burn_in is a
+        # multiple of thin (40) or not (39)
+        for iters in (60, 59):
+            out = fit_mcmc(data, iters=iters, burn_in=20, thin=4, seed=5, n_knots=16)
+            shapes = [a.shape for a in (out.mu_values, out.sigma, out.eta, out.log_post)]
+            assert shapes == [(10, 16), (10,), (10, 80), (10,)]
+            assert np.all(out.sigma > 0)
+            assert np.all((out.eta >= 0) & (out.eta <= 1))
+            assert np.all(np.isfinite(out.log_post))
 
     def test_failed_kept_state_check_aborts_the_chain(self, monkeypatch):
         # kept states are checked inside the cycle, so a failed check aborts
@@ -326,41 +353,41 @@ class TestFitMcmc:
         data = rng.normal(0.5, 0.2, 80)
         a = fit_mcmc(data, iters=60, burn_in=20, thin=4, seed=5, n_knots=16)
         b = fit_mcmc(data, iters=60, burn_in=20, thin=4, seed=5, n_knots=16)
-        for sa, sb in zip(a.states, b.states):
-            np.testing.assert_array_equal(sa.mu_values, sb.mu_values)
-            assert sa.sigma == sb.sigma
+        for name in ("mu_values", "sigma", "eta", "log_post"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
 
 class TestPredictiveDensity:
     """Ensemble average of per-state location mixtures."""
 
     def test_single_state_equals_its_mixture(self):
-        state = NLLVMState(np.linspace(0.0, 1.0, 32), 0.3, np.array([0.5]), 0.0)
-        samples = PosteriorSamples([state])
+        knots = np.linspace(0.0, 1.0, 32)
+        samples = _samples([knots], [0.3])
         spec = GridSpec(-3.0, 4.0, 1024)
         pred = predictive_density(samples, spec)
-        direct = mixture_density(state.transfer(), 0.3, spec)
+        direct = mixture_density(TransferFunction(knots, knots), 0.3, spec)
         np.testing.assert_array_equal(pred.values, direct.values)
 
     def test_two_states_average(self):
-        s1 = NLLVMState(np.linspace(0.0, 1.0, 32), 0.3, np.array([0.5]), 0.0)
-        s2 = NLLVMState(np.linspace(-0.5, 0.5, 32), 0.4, np.array([0.5]), 0.0)
-        samples = PosteriorSamples([s1, s2])
+        knots = np.linspace(0.0, 1.0, 32)
+        m1, m2 = knots, np.linspace(-0.5, 0.5, 32)
+        samples = _samples([m1, m2], [0.3, 0.4])
         spec = GridSpec(-4.0, 4.0, 1024)
         pred = predictive_density(samples, spec)
-        d1 = mixture_density(s1.transfer(), 0.3, spec)
-        d2 = mixture_density(s2.transfer(), 0.4, spec)
+        d1 = mixture_density(TransferFunction(knots, m1), 0.3, spec)
+        d2 = mixture_density(TransferFunction(knots, m2), 0.4, spec)
         np.testing.assert_allclose(
             pred.values, 0.5 * (d1.values + d2.values), atol=1e-15
         )
 
     def test_covering_window_pads_by_the_largest_sigma(self):
-        s1 = NLLVMState(np.linspace(0.0, 1.0, 32), 0.3, np.array([0.5]), 0.0)
-        s2 = NLLVMState(np.linspace(-0.5, 0.5, 32), 0.4, np.array([0.5]), 0.0)
-        lo, hi = PosteriorSamples([s1, s2]).covering_window()
+        knots = np.linspace(0.0, 1.0, 32)
+        m1, m2 = knots, np.linspace(-0.5, 0.5, 32)
+        lo, hi = _samples([m1, m2], [0.3, 0.4]).covering_window()
         assert (lo, hi) == (-0.5 - 8 * 0.4, 1.0 + 8 * 0.4)
-        for s in (s1, s2):
-            assert mixture_density(s.transfer(), s.sigma, GridSpec(lo, hi, 2048)).mass_loss < 1e-12
+        spec = GridSpec(lo, hi, 2048)
+        for values, sigma in ((m1, 0.3), (m2, 0.4)):
+            assert mixture_density(TransferFunction(knots, values), sigma, spec).mass_loss < 1e-12
 
 
 class TestContractionScaffolding:
