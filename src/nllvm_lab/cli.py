@@ -4,9 +4,9 @@ Grammar::
 
     nllvm-lab <estimate|vi|verify <check-name>|contract> [flags]
 
-All flags are long-form, ``--out`` is required, and every command accepts a
-single ``--seed``; worker streams are derived from it by hashing stable
-labels (command, task indices), so identical invocations on identical
+All flags are long-form, ``--out`` is required, and each command that
+draws random numbers takes a single ``--seed``; worker streams are derived
+from it by hashing stable labels, so identical invocations on identical
 inputs produce byte-identical reports apart from ``runtime_ms``.  The
 environment variable ``NLLVM_LAB_THREADS`` caps the worker count of
 experiments that parallelize across replicates (default: logical cores).
@@ -484,7 +484,6 @@ def _add_common(sp, *, grid: Optional[int] = None) -> None:
             "--grid", type=int, default=grid, metavar="N",
             help=f"grid resolution in [{MIN_GRID_N}, {MAX_GRID_N}] (default {grid})",
         )
-    sp.add_argument("--seed", type=int, default=0, help="master RNG seed (default 0)")
     sp.add_argument(
         "--out", required=True, metavar="PATH", help="JSON report output path"
     )
@@ -583,6 +582,9 @@ def build_parser() -> argparse.ArgumentParser:
     spb.add_argument("--truth", choices=_TRUTHS, default="bump", help="f0 density")
     _add_common(spb, grid=1024)
 
+    # vi and l1-support draw no random numbers, so they take no seed
+    for sp in (est, con, hb, ls, ch, rb, hr, rk, spb):
+        sp.add_argument("--seed", type=int, default=0, help="master RNG seed (default 0)")
     return parser
 
 
@@ -602,7 +604,7 @@ def _config_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser)
         return RunConfig(
             command=args.command,
             output_path=args.out,
-            seed=args.seed,
+            seed=raw.get("seed", 0),
             grid_n=raw.get("grid", 1024),
             input_path=raw.get("data"),
             params=params,

@@ -23,8 +23,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 import numpy as np
-from scipy.integrate import trapezoid
-from scipy.optimize import minimize
 from scipy.special import ndtri, softmax
 
 from .grid_density import (
@@ -33,6 +31,8 @@ from .grid_density import (
     GridSpec,
     ResolutionError,
     kl_values,
+    trapezoid,
+    trapezoid_weights,
 )
 from .transfer_map import QUANTILE_CLIP, TransferFunction, _live_masses
 from .transfer_map import mixture_density, mixture_vjp
@@ -276,8 +276,7 @@ class _FeasibleMap:
         spec = _work_window(init)
         lo, hi = _prior_support(model)
         points = spec.points()
-        weights = np.full(spec.n, spec.spacing)
-        weights[[0, -1]] *= 0.5
+        weights = trapezoid_weights(spec.n, spec.spacing)
         prior = np.maximum(model.prior_density.pdf_at(points), DENSITY_FLOOR)
         return cls(
             spec,
@@ -385,6 +384,7 @@ def optimize(
         raise ValueError("data must be non-empty")
     if iters < 1:
         raise ValueError(f"iters must be at least 1, got {iters}")
+    from scipy.optimize import minimize  # loaded at the first fit, not with the package
 
     init = _default_init(model, data, alpha, knots)
     feasible = _FeasibleMap.around(init, model, data)
@@ -505,17 +505,13 @@ def risk_bound_rhs(model: BayesModel, data, alpha: float, eps: float) -> RiskBou
     n = data.size
     if n == 0:
         raise ValueError("data must be non-empty")
-    mask = kl_ball_mask(model, eps, model.prior_density.grid)
-    mass = float(
-        trapezoid(
-            np.where(mask, model.prior_density.values, 0.0),
-            dx=model.prior_density.spacing,
-        )
-    )
+    prior = model.prior_density
+    mask = kl_ball_mask(model, eps, prior.grid)
+    mass = float(trapezoid(np.where(mask, prior.values, 0.0), dx=prior.spacing))
     if mass <= 0.0:
         raise ResolutionError(
             f"KL neighborhood at eps={eps:.4g} carries no prior mass on the "
-            f"grid (spacing {model.prior_density.spacing:.3e}); use a finer grid"
+            f"grid (spacing {prior.spacing:.3e}); use a finer grid"
         )
     mass = min(mass, 1.0)
     log_inv_mass = math.log(1.0 / mass)

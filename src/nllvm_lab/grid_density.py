@@ -27,12 +27,25 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special
-from scipy.integrate import cumulative_trapezoid, trapezoid
 
 DENSITY_FLOOR = 1e-300
 DEFAULT_GRID_N = 1024
 
 _SQRT_2PI = float(np.sqrt(2.0 * np.pi))
+
+
+def _trapezoid_areas(y: np.ndarray, dx: float) -> np.ndarray:
+    return dx * (y[..., 1:] + y[..., :-1]) / 2.0
+
+
+def trapezoid(y: np.ndarray, dx: float):
+    """Trapezoid integral of ``y`` along its last axis, bit for bit scipy's."""
+    return np.sum(_trapezoid_areas(y, dx), axis=-1)
+
+
+def trapezoid_weights(n: int, dx: float) -> np.ndarray:
+    """The weights w of the trapezoid rule on n points: w @ y integrates y."""
+    return np.concatenate(([dx / 2.0], np.full(n - 2, dx), [dx / 2.0]))
 
 
 class ResolutionError(ValueError):
@@ -126,7 +139,7 @@ class GridDensity:
 
     def cdf_values(self) -> np.ndarray:
         """Cumulative trapezoid sums, normalized to end at exactly 1."""
-        cdf = cumulative_trapezoid(self.values, dx=self.spacing, initial=0.0)
+        cdf = np.concatenate(([0.0], np.cumsum(_trapezoid_areas(self.values, self.spacing))))
         return cdf / cdf[-1]
 
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -166,11 +179,9 @@ def convolve_values(
             f"fewer than 4 grid points per sigma: sigma={sigma:.4g}, "
             f"spacing={spacing:.4g} (need sigma >= {4 * spacing:.4g})"
         )
-    weights = np.full(values.size, spacing)
-    weights[0] = weights[-1] = spacing / 2.0
     kernel = gaussian_kernel(sigma, spacing)
     radius = (kernel.size - 1) // 2
-    full = np.convolve(values * weights, kernel, mode="full")
+    full = np.convolve(values * trapezoid_weights(values.size, spacing), kernel, mode="full")
     return full[radius : radius + values.size]
 
 

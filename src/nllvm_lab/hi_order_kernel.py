@@ -28,9 +28,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import trapezoid
 
 from .grid_density import DENSITY_FLOOR, GridDensity, NumericError, convolve_values, kl_values
+from .grid_density import trapezoid
 from .reports import SlopeReport, slope_fit
 
 NEGATIVE_MASS_LIMIT = 1e-3

@@ -20,9 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
-from scipy.integrate import trapezoid
 
-from .grid_density import GridDensity, GridSpec, _SQRT_2PI
+from .grid_density import GridDensity, GridSpec, _SQRT_2PI, trapezoid
 
 QUANTILE_CLIP = 1e-6
 COVERAGE_MASS_TOL = 1e-4

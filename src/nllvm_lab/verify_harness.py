@@ -20,7 +20,6 @@ import math
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import trapezoid
 from scipy.special import chdtr
 
 from ._runtime import parallel_map, seeded_rng
@@ -51,6 +50,7 @@ from .grid_density import (
     GridSpec,
     convolve_gaussian,
     divergence,
+    trapezoid,
 )
 from .hi_order_kernel import fbeta_iterative
 from .reports import CheckReport, SlopeReport, sample_sizes, slope_fit
@@ -177,6 +177,8 @@ def check_logsup_bound(
     if not (0 < sigma < math.inf):
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
     _check_deltas(deltas)
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     rng = seeded_rng(seed, "logsup-bound")
     mu0 = quantile_of(f0, n_knots=256)
     baseline = divergence(

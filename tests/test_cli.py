@@ -206,6 +206,21 @@ class TestParser:
             build_parser().parse_args(argv)
         assert exc.value.code == 2
 
+    # vi and l1-support draw no random numbers, so they take no seed
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["vi", "--data", "d.csv", "--seed", "1", "--out", "o.json"],
+            ["verify", "l1-support", "--seed", "1", "--out", "o.json"],
+        ],
+        ids=["vi", "l1-support"],
+    )
+    def test_seed_is_a_usage_error_where_nothing_is_drawn(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
     def test_grid_bounds_rejected_at_parse_time(self, normal_csv, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["estimate", "--data", str(normal_csv), "--grid", "32",
@@ -441,8 +456,9 @@ class TestMainEndToEnd:
             out = tmp_path / f"{tag}.json"
             assert main(["vi", "--data", str(csv), "--alpha", "0.9",
                          "--iters", "15", "--knots", "10", "--grid", "512",
-                         "--seed", "4", "--out", str(out)]) == 0
+                         "--out", str(out)]) == 0
             raw = json.loads(out.read_text())
+            assert raw["seed"] == raw["config"]["seed"] == 0
             raw.pop("runtime_ms")
             raw["config"].pop("output_path")
             raw["metrics"].pop("plot_csv")
@@ -541,13 +557,17 @@ class TestMainEndToEnd:
             *[(["verify", "logsup-bound", "--sigma", bad],
                f"sigma must be positive and finite, got {float(bad)}")
               for bad in ("nan", "inf", "0", "-0.1")],
+            *[(["verify", "logsup-bound", "--trials", bad],
+               f"trials must be at least 1, got {bad}")
+              for bad in ("0", "-3")],
         ],
         ids=["risk-bound-repeat", "hellinger-risk-repeat", "restricted-kl-repeat",
              "contract-repeat", "contract-two-sizes", "risk-bound-one-size",
              "hellinger-risk-two-sizes", "risk-bound-eps-inf", "risk-bound-eps-zero",
              "risk-bound-eps-nan", "risk-bound-eps-underflow",
              "l1-support-eps-nan", "l1-support-eps-inf", "logsup-sigma-nan",
-             "logsup-sigma-inf", "logsup-sigma-zero", "logsup-sigma-negative"],
+             "logsup-sigma-inf", "logsup-sigma-zero", "logsup-sigma-negative",
+             "logsup-trials-zero", "logsup-trials-negative"],
     )
     def test_bad_sizes_and_eps_rejected_before_any_work(
         self, tmp_path, capsys, monkeypatch, argv, named
@@ -638,12 +658,15 @@ class TestMainEndToEnd:
         assert proc.returncode == 0
         assert "estimate" in proc.stdout
 
-    def test_import_does_not_load_scipy_stats(self):
-        # a fresh interpreter: this one has scipy.stats from other tests. The
+    # scipy.optimize is imported at the first fit, and the trapezoid rule is
+    # grid_density's own, so the package loads only scipy.special and linalg
+    @pytest.mark.parametrize("module", ["scipy.stats", "scipy.integrate", "scipy.optimize"])
+    def test_import_does_not_load(self, module):
+        # a fresh interpreter: this one has these from other tests. The
         # package imports .cli and verify_harness, so this covers every command
         proc = subprocess.run(
             [sys.executable, "-c",
-             "import sys, nllvm_lab; print('scipy.stats' in sys.modules)"],
+             f"import sys, nllvm_lab; print({module!r} in sys.modules)"],
             capture_output=True, text=True, env=_src_env(),
         )
         assert proc.returncode == 0, proc.stderr

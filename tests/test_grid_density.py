@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from scipy.integrate import trapezoid
+from scipy.integrate import cumulative_trapezoid, trapezoid
 from scipy.stats import kstest, norm
 
 from nllvm_lab.grid_density import (
@@ -33,7 +33,9 @@ from nllvm_lab.grid_density import (
     divergence,
     kl_values,
     smooth_bump,
+    trapezoid_weights,
 )
+from nllvm_lab.grid_density import trapezoid as grid_trapezoid
 
 
 def _normal_density(mean: float, sd: float, spec: GridSpec) -> GridDensity:
@@ -139,6 +141,36 @@ class TestGridDensity:
     def test_spec_round_trip(self):
         g = GridDensity(0.0, 1.0, np.ones(64))
         assert g.spec == GridSpec(0.0, 1.0, 64)
+
+
+class TestTrapezoid:
+    """The package's one trapezoid rule gives scipy.integrate's bits."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_scipy_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 16 if seed == 0 else 16384 if seed == 1 else int(rng.integers(16, 16385))
+        dx = float(rng.uniform(1e-4, 2.0))
+        one = rng.random(n) * 10.0 ** rng.uniform(-3, 3)
+        two = rng.standard_normal((int(rng.integers(2, 10)), n))
+        for y in (one, two):
+            np.testing.assert_array_equal(grid_trapezoid(y, dx), trapezoid(y, dx=dx))
+        g = GridDensity(-dx, dx * (n - 2), one)
+        cdf = cumulative_trapezoid(g.values, dx=g.spacing, initial=0)
+        np.testing.assert_array_equal(g.cdf_values(), cdf / cdf[-1])
+
+    @pytest.mark.parametrize("n", [16, 1000])
+    def test_weights_match_the_hand_built_arrays(self, n):
+        dx = 0.37
+        scaled = np.full(n, dx)
+        scaled[[0, -1]] *= 0.5
+        halved = np.full(n, dx)
+        halved[0] = halved[-1] = dx / 2.0
+        w = trapezoid_weights(n, dx)
+        np.testing.assert_array_equal(w, scaled)
+        np.testing.assert_array_equal(w, halved)
+        y = np.random.default_rng(n).random(n)
+        assert w @ y == pytest.approx(trapezoid(y, dx=dx), rel=1e-13)
 
 
 class TestConvolveGaussian:
