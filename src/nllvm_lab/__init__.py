@@ -65,7 +65,7 @@ from .gpivi import (
     risk_integral,
 )
 from .reports import CheckReport, SlopeReport, slope_fit
-from .cli import Report, RunConfig, load_csv, main
+from .cli import RunConfig, load_csv, main
 
 __version__ = "0.1.0"
 
@@ -84,7 +84,6 @@ __all__ = [
     "NumericError",
     "OptimizeResult",
     "PosteriorSamples",
-    "Report",
     "ResolutionError",
     "RestrictedFamily",
     "RunConfig",

@@ -13,7 +13,9 @@ experiments that parallelize across replicates (default: logical cores).
 
 Each run writes a single JSON report (schema version "1") to ``--out`` and
 a plot-ready CSV sidecar next to it; the sidecar's file name and column
-names are recorded in the report's ``metrics``.  An ``--out`` whose report
+names are recorded in the report's ``metrics``.  Reports are strict
+RFC 8259 JSON: an undefined value is ``null``, and a run whose report would
+hold NaN or infinity exits 1 without writing it.  An ``--out`` whose report
 or sidecar would overwrite ``--data``, or that is its own sidecar, is a
 usage error.  Exit codes: 0 success, 1 experiment failure or runtime error,
 2 usage error.
@@ -26,7 +28,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -55,7 +57,7 @@ _MODELS = ("normal-mean", "normal-normal", "logistic")
 
 
 # ---------------------------------------------------------------------------
-# run configuration and report records
+# run configuration
 
 
 @dataclass(frozen=True)
@@ -90,60 +92,6 @@ class RunConfig:
             raise ValueError(
                 f"--out {out} or its CSV sidecar would overwrite --data {self.input_path}"
             )
-
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "output_path": str(self.output_path),
-            "seed": int(self.seed),
-            "grid_n": int(self.grid_n),
-            "input_path": None if self.input_path is None else str(self.input_path),
-            "params": _jsonable(self.params),
-        }
-
-
-@dataclass
-class Report:
-    """Serialized outcome of one CLI run (schema version "1").
-
-    ``passed`` is a three-way flag: True/False for experiments that assert
-    something, None for plain estimation commands; it is serialized under
-    the key ``"pass"`` and omitted when None.
-    """
-
-    command: str
-    config: dict
-    metrics: dict
-    runtime_ms: int
-    seed: int
-    passed: Optional[bool] = None
-    schema_version: str = SCHEMA_VERSION
-
-    def to_dict(self) -> dict:
-        out = {
-            "schema_version": self.schema_version,
-            "command": self.command,
-            "config": _jsonable(self.config),
-            "metrics": _jsonable(self.metrics),
-            "runtime_ms": int(self.runtime_ms),
-            "seed": int(self.seed),
-        }
-        if self.passed is not None:
-            out["pass"] = bool(self.passed)
-        return out
-
-
-def _jsonable(obj):
-    """Recursively convert numpy scalars/arrays so json.dumps succeeds."""
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, np.generic):
-        return obj.item()
-    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -302,8 +250,8 @@ def _cmd_contract(cfg: RunConfig):
         burn_in=params["burn"],
         thin=params["thin"],
     )
-    metrics = report.to_dict()
-    passed = metrics.pop("pass")
+    metrics = asdict(report)
+    passed = metrics.pop("passed")
     rows = list(zip(metrics["xs"], metrics["ys"]))
     return metrics, passed, (("n", "median_hellinger_sq"), rows)
 
@@ -403,8 +351,8 @@ def _cmd_verify(cfg: RunConfig):
     run, header, rows = _CHECKS[check]
     f0 = _truth_density(params["truth"], cfg.grid_n) if "truth" in params else None
     report = run(params, f0, cfg.seed)
-    metrics = report.to_dict()
-    passed = metrics.pop("pass")
+    metrics = asdict(report)
+    passed = metrics.pop("passed")
     return metrics, passed, (header, rows(report, params))
 
 
@@ -426,14 +374,24 @@ def _write_csv(path: Path, header: Sequence[str], rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def dispatch(cfg: RunConfig) -> Report:
-    """Route a validated configuration, write the report + CSV sidecar."""
+def _json_default(obj):
+    """numpy arrays and scalars as Python values; anything else is refused."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+def dispatch(cfg: RunConfig) -> dict:
+    """Route a validated configuration, write the report + CSV sidecar.
+
+    Returns the report dict.  Nothing is written if the report holds NaN or
+    infinity (``ValueError``) or a value that is neither JSON nor numpy
+    (``TypeError``).
+    """
     t0 = time.perf_counter()
     metrics, passed, (header, rows) = _HANDLERS[cfg.command](cfg)
 
     out = Path(cfg.output_path)
-    if out.parent != Path(""):
-        out.parent.mkdir(parents=True, exist_ok=True)
     csv_path = out.with_suffix(".csv")
     metrics["plot_csv"] = csv_path.name
     metrics["plot_columns"] = list(header)
@@ -441,15 +399,22 @@ def dispatch(cfg: RunConfig) -> Report:
     command = cfg.command
     if cfg.command == "verify":
         command = f"verify {cfg.params['check']}"
-    report = Report(
-        command=command,
-        config=cfg.to_dict(),
-        metrics=metrics,
-        runtime_ms=int(round(1000.0 * (time.perf_counter() - t0))),
-        seed=cfg.seed,
-        passed=passed,
+    report = {
+        "schema_version": SCHEMA_VERSION,
+        "command": command,
+        "config": asdict(cfg),
+        "metrics": metrics,
+        "runtime_ms": int(round(1000.0 * (time.perf_counter() - t0))),
+        "seed": cfg.seed,
+    }
+    if passed is not None:
+        report["pass"] = bool(passed)
+    text = json.dumps(
+        report, indent=2, sort_keys=True, allow_nan=False, default=_json_default
     )
-    out.write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
+    if out.parent != Path(""):
+        out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(text + "\n")
     _write_csv(csv_path, header, rows)
     return report
 
@@ -458,24 +423,21 @@ def dispatch(cfg: RunConfig) -> Report:
 # argument parsing
 
 
-def _int_list(text: str):
-    try:
-        values = [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}")
-    if not values:
-        raise argparse.ArgumentTypeError("empty list")
-    return values
+def _list_of(kind: type):
+    """An argparse type: a non-empty comma-separated list of ``kind`` values."""
 
+    def parse(text: str) -> list:
+        try:
+            values = [kind(tok) for tok in text.split(",") if tok.strip()]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"not a comma-separated {kind.__name__} list: {text!r}"
+            )
+        if not values:
+            raise argparse.ArgumentTypeError("empty list")
+        return values
 
-def _float_list(text: str):
-    try:
-        values = [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
-    if not values:
-        raise argparse.ArgumentTypeError("empty list")
-    return values
+    return parse
 
 
 def _add_common(sp, *, grid: Optional[int] = None) -> None:
@@ -520,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(vi, grid=4096)
 
     con = sub.add_parser("contract", help="posterior contraction rate experiment")
-    con.add_argument("--n-list", type=_int_list, default=[100, 400, 1600],
+    con.add_argument("--n-list", type=_list_of(int), default=[100, 400, 1600],
                      metavar="N1,N2,...", help="sample sizes (min/max ratio >= 16)")
     con.add_argument("--reps", type=int, default=5, help="replicates per sample size")
     con.add_argument("--iters", type=int, default=1500, help="MCMC iterations")
@@ -538,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ls = vsub.add_parser("logsup-bound", help="sup log-ratio perturbation bound")
     ls.add_argument("--sigma", type=float, default=0.1, help="mixture bandwidth")
-    ls.add_argument("--deltas", type=_float_list, default=[0.05, 0.1, 0.2],
+    ls.add_argument("--deltas", type=_list_of(float), default=[0.05, 0.1, 0.2],
                     metavar="D1,D2,...", help="sup-norm perturbation sizes")
     ls.add_argument("--trials", type=int, default=50, help="trials per delta")
     ls.add_argument("--truth", choices=_TRUTHS, default="bump", help="f0 density")
@@ -556,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     rb = vsub.add_parser("risk-bound", help="variational risk high-probability bound")
     rb.add_argument("--alpha", type=float, default=0.99, help="risk order in (0,1)")
-    rb.add_argument("--n-list", type=_int_list, default=[50, 200, 800],
+    rb.add_argument("--n-list", type=_list_of(int), default=[50, 200, 800],
                     metavar="N1,N2,...")
     rb.add_argument("--reps", type=int, default=20, help="replicates per sample size")
     rb.add_argument("--eps-scale", type=float, default=1.0,
@@ -565,19 +527,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     hr = vsub.add_parser("hellinger-risk", help="Hellinger risk decay slope")
     hr.add_argument("--alpha", type=float, default=0.5, help="risk order in (0,1)")
-    hr.add_argument("--n-list", type=_int_list, default=[50, 200, 800, 3200],
+    hr.add_argument("--n-list", type=_list_of(int), default=[50, 200, 800, 3200],
                     metavar="N1,N2,...")
     hr.add_argument("--reps", type=int, default=5, help="replicates per sample size")
     _add_common(hr)
 
     rk = vsub.add_parser("restricted-kl", help="comparator-family min-KL boundedness")
-    rk.add_argument("--n-list", type=_int_list, default=[100, 1000, 10000],
+    rk.add_argument("--n-list", type=_list_of(int), default=[100, 1000, 10000],
                     metavar="N1,N2,...")
     rk.add_argument("--reps", type=int, default=200, help="data replicates per n")
     _add_common(rk)
 
     spb = vsub.add_parser("support-probe", help="prior mass of sup-norm balls")
-    spb.add_argument("--deltas", type=_float_list, default=[0.3, 0.1],
+    spb.add_argument("--deltas", type=_list_of(float), default=[0.3, 0.1],
                      metavar="D1,D2,...", help="sup-norm ball radii")
     spb.add_argument("--truth", choices=_TRUTHS, default="bump", help="f0 density")
     _add_common(spb, grid=1024)
@@ -623,8 +585,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except Exception as exc:
         print(f"nllvm-lab: error: {exc}", file=sys.stderr)
         return 1
-    if report.passed is False:
-        print(f"nllvm-lab: {report.command}: FAIL (see {cfg.output_path})",
+    if report.get("pass") is False:
+        print(f"nllvm-lab: {report['command']}: FAIL (see {cfg.output_path})",
               file=sys.stderr)
         return 1
     return 0

@@ -2,10 +2,11 @@
 
 ``SlopeReport`` captures rate experiments (log-log slope against a
 theoretical target), ``CheckReport`` captures bound checks (violation counts
-over randomized trials).  Both are plain dataclasses serialized by the CLI;
-``passed`` maps to the JSON key ``"pass"``.  Neither holds a seed: the CLI
-report records the run's seed.  ``sample_sizes`` is the input
-check shared by the experiments that run over several sample sizes.
+over randomized trials).  Both are plain dataclasses that the CLI
+serializes with ``dataclasses.asdict``, moving ``passed`` to the report's
+top-level ``"pass"``.  Neither holds a seed: the CLI report records the
+run's seed.  ``sample_sizes`` is the input check shared by the experiments
+that run over several sample sizes.
 """
 
 from __future__ import annotations
@@ -76,20 +77,9 @@ class SlopeReport:
     ys: list[float]
     slope: float
     r2: float
-    target: float | None
+    target: float
     passed: bool
     note: str = ""
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "xs": list(map(float, self.xs)),
-            "ys": list(map(float, self.ys)),
-            "slope": float(self.slope),
-            "r2": float(self.r2),
-            "target": None if self.target is None else float(self.target),
-            "pass": bool(self.passed),
-            "note": self.note,
-        }
 
 
 @dataclass
@@ -114,14 +104,3 @@ class CheckReport:
             raise ValueError(
                 f"violations ({self.violations}) cannot exceed trials ({self.trials})"
             )
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "trials": int(self.trials),
-            "violations": int(self.violations),
-            "worst_margin": float(self.worst_margin),
-            "pass": bool(self.passed),
-            "params": dict(self.params),
-            "note": self.note,
-        }

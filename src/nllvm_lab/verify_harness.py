@@ -318,7 +318,8 @@ def l1_support_search(f0: GridDensity, eps: float) -> CheckReport:
     scan walks 25 bandwidths from 0.5 down to 0.005 and stops at the first
     L1 distance below ``eps``.  Distances are honest: densities are compared
     on a grid padded by eight times the largest bandwidth, so no kernel mass
-    is lost.
+    is lost.  ``delta_bookkeeping`` (eps * sigma / 4) is None when no
+    bandwidth reaches ``eps``.
     """
     if not (0 < eps < math.inf):
         raise ValueError(f"eps must be positive and finite, got {eps}")
@@ -339,7 +340,7 @@ def l1_support_search(f0: GridDensity, eps: float) -> CheckReport:
         if l1 < eps:
             found = True
             break
-    delta = eps * best_sigma / 4.0 if found else math.nan
+    delta = eps * best_sigma / 4.0 if found else None
     return CheckReport(
         name="l1-support-search",
         trials=tried,

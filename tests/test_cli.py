@@ -9,21 +9,22 @@ names embedded in the config.
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import trapezoid
 
+from nllvm_lab import CheckReport
 from nllvm_lab.cli import (
     MAX_GRID_N,
     MIN_GRID_N,
-    Report,
     RunConfig,
-    _jsonable,
     _truth_density,
     build_parser,
     load_csv,
@@ -32,6 +33,21 @@ from nllvm_lab.cli import (
 
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# the report's top-level keys, with "pass" only where the command has a verdict
+_REPORT_KEYS = {"schema_version", "command", "config", "metrics", "runtime_ms", "seed"}
+_PLOT_KEYS = {"plot_csv", "plot_columns"}
+_CHECK_METRICS = {"name", "trials", "violations", "worst_margin", "params", "note"} | _PLOT_KEYS
+_SLOPE_METRICS = {"xs", "ys", "slope", "r2", "target", "note"} | _PLOT_KEYS
+
+
+def _strict_json(text: str):
+    """Parse RFC 8259 JSON: the tokens NaN, Infinity and -Infinity are errors."""
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 def _src_env() -> dict:
@@ -95,7 +111,7 @@ class TestRunConfig:
     def test_round_trip(self):
         cfg = RunConfig("estimate", "out.json", seed=3, grid_n=256,
                         input_path="d.csv", params={"iters": 10})
-        raw = cfg.to_dict()
+        raw = asdict(cfg)
         assert raw["command"] == "estimate"
         assert raw["grid_n"] == 256
         assert raw["params"] == {"iters": 10}
@@ -111,35 +127,6 @@ class TestRunConfig:
             RunConfig("estimate", "out.json", seed=-1)
         with pytest.raises(ValueError, match="--out"):
             RunConfig("estimate", "")
-
-
-class TestReportSerialization:
-    """Schema round-trips and the three-way pass flag."""
-
-    def test_pass_omitted_when_none(self):
-        report = Report("estimate", {}, {}, 12, 0, passed=None)
-        assert "pass" not in report.to_dict()
-
-    def test_pass_round_trip(self):
-        for flag in (True, False):
-            report = Report("contract", {"a": 1}, {"m": 2.0}, 5, 9, passed=flag)
-            back = json.loads(json.dumps(report.to_dict()))
-            assert back["pass"] is flag
-            assert back["command"] == "contract"
-            assert back["schema_version"] == report.schema_version
-
-    def test_jsonable_strips_numpy_types(self):
-        blob = {
-            "a": np.float64(1.5),
-            "b": np.arange(3),
-            "c": [np.int32(2), {"d": np.bool_(True)}],
-        }
-        out = _jsonable(blob)
-        assert json.loads(json.dumps(out)) == {
-            "a": 1.5,
-            "b": [0, 1, 2],
-            "c": [2, {"d": True}],
-        }
 
 
 class TestTruthDensities:
@@ -206,6 +193,23 @@ class TestParser:
             build_parser().parse_args(argv)
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["contract", "--n-list", "20,x"], "not a comma-separated int list: '20,x'"),
+            (["contract", "--n-list", "1.5"], "not a comma-separated int list: '1.5'"),
+            (["verify", "support-probe", "--deltas", "0.1,y"],
+             "not a comma-separated float list: '0.1,y'"),
+            (["verify", "logsup-bound", "--deltas", " , "], "empty list"),
+        ],
+        ids=["int-word", "int-decimal", "float-word", "empty"],
+    )
+    def test_list_flags_name_their_type(self, capsys, argv, named):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([*argv, "--out", "o.json"])
+        assert exc.value.code == 2
+        assert named in capsys.readouterr().err
+
     # vi and l1-support draw no random numbers, so they take no seed
     @pytest.mark.parametrize(
         "argv",
@@ -263,11 +267,15 @@ class TestMainEndToEnd:
                    "--burn", "20", "--thin", "4", "--grid", "256",
                    "--out", str(out)])
         assert rc == 0
-        report = json.loads(out.read_text())
+        report = _strict_json(out.read_text())
+        assert set(report) == _REPORT_KEYS  # no "pass": estimation asserts nothing
         assert report["schema_version"] == "1"
         assert report["command"] == "estimate"
-        assert "pass" not in report  # estimation asserts nothing
         metrics = report["metrics"]
+        assert set(metrics) == {
+            "n_obs", "kept_states", "noise_scale_mean", "standardize_center",
+            "standardize_scale", "predictive_window",
+        } | _PLOT_KEYS
         assert metrics["n_obs"] == 80
         assert metrics["kept_states"] == 10
         assert metrics["plot_columns"] == ["y", "predictive_density"]
@@ -288,7 +296,13 @@ class TestMainEndToEnd:
         rc = main(["vi", "--data", str(csv), "--alpha", "0.9", "--iters", "20",
                    "--knots", "12", "--grid", "1024", "--out", str(out)])
         assert rc == 0
-        metrics = json.loads(out.read_text())["metrics"]
+        report = _strict_json(out.read_text())
+        assert set(report) == _REPORT_KEYS  # no "pass": a fit asserts nothing
+        metrics = report["metrics"]
+        assert set(metrics) == {
+            "model", "alpha", "n_obs", "objective", "converged", "stalled",
+            "n_sweeps", "noise_scale", "kl_to_posterior",
+        } | _PLOT_KEYS
         assert metrics["kl_to_posterior"] < 0.05
         assert metrics["plot_columns"] == [
             "theta", "variational_density", "posterior_density",
@@ -416,7 +430,9 @@ class TestMainEndToEnd:
         rc = main(["contract", "--n-list", "20,40,320", "--reps", "1",
                    "--iters", "60", "--burn", "20", "--thin", "4",
                    "--grid", "256", "--truth", "normal", "--out", str(out)])
-        report = json.loads(out.read_text())
+        report = _strict_json(out.read_text())
+        assert set(report) == _REPORT_KEYS | {"pass"}
+        assert set(report["metrics"]) == _SLOPE_METRICS
         assert isinstance(report["pass"], bool)
         assert rc == (0 if report["pass"] else 1)
         assert len(report["metrics"]["ys"]) == 3
@@ -622,7 +638,11 @@ class TestMainEndToEnd:
     def test_every_verify_check_runs(self, tmp_path, check, flags, n_rows):
         out = tmp_path / "v.json"
         assert main(["verify", check, *flags, "--out", str(out)]) == 0
-        report = json.loads(out.read_text())
+        report = _strict_json(out.read_text())
+        assert set(report) == _REPORT_KEYS | {"pass"}
+        assert report["pass"] is True
+        metric_keys = _SLOPE_METRICS if check == "hellinger-risk" else _CHECK_METRICS
+        assert set(report["metrics"]) == metric_keys
         assert report["command"] == f"verify {check}"
         # the seed is recorded once, by the run, not again in the metrics
         assert "seed" not in report["metrics"]
@@ -630,6 +650,69 @@ class TestMainEndToEnd:
         lines = (tmp_path / report["metrics"]["plot_csv"]).read_text().splitlines()
         assert lines[0].split(",") == report["metrics"]["plot_columns"]
         assert len(lines) == 1 + n_rows
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "l1-support", "--eps", "1e-6"],
+            ["verify", "support-probe", "--deltas", "0.001"],
+        ],
+        ids=["l1-support", "support-probe"],
+    )
+    def test_failing_check_writes_strict_json(self, tmp_path, capsys, argv):
+        out = tmp_path / "v.json"
+        assert main([*argv, "--out", str(out)]) == 1
+        assert f"nllvm-lab: {' '.join(argv[:2])}: FAIL" in capsys.readouterr().err
+        report = _strict_json(out.read_text())
+        assert report["pass"] is False
+        if argv[1] == "l1-support":
+            # no bandwidth reached eps, so there is no delta to report
+            assert report["metrics"]["params"]["delta_bookkeeping"] is None
+
+    # harness verdicts may be numpy bools; the report's "pass" is a JSON bool
+    @pytest.mark.parametrize("passed, rc", [(np.bool_(True), 0), (np.bool_(False), 1)],
+                             ids=["pass", "fail"])
+    def test_numpy_values_serialize(self, tmp_path, monkeypatch, passed, rc):
+        def numpy_report(trials, seed):
+            params = {"array": np.arange(3), "scalar": np.float32(0.5),
+                      "nested": [np.int64(2), {"flag": np.bool_(True)}]}
+            return CheckReport("numpy", trials=np.int64(trials), violations=np.int64(0),
+                               worst_margin=np.float64(-0.25), passed=passed, params=params)
+
+        monkeypatch.setattr("nllvm_lab.verify_harness.check_hellinger_bound", numpy_report)
+        out = tmp_path / "v.json"
+        assert main(["verify", "hellinger-bound", "--trials", "3", "--out", str(out)]) == rc
+        report = _strict_json(out.read_text())
+        assert report["pass"] is bool(passed)
+        metrics = report["metrics"]
+        assert (metrics["trials"], metrics["violations"], metrics["worst_margin"]) == (3, 0, -0.25)
+        assert metrics["params"] == {"array": [0, 1, 2], "scalar": 0.5,
+                                     "nested": [2, {"flag": True}]}
+
+    @pytest.mark.parametrize(
+        "margin, params, named",
+        [
+            (math.nan, {}, "Out of range float values are not JSON compliant"),
+            (-1.0, {"bound": -math.inf}, "Out of range float values are not JSON compliant"),
+            (-1.0, {"bound": np.float32("nan")},
+             "Out of range float values are not JSON compliant"),
+            (-1.0, {"bound": {1.0}}, "set is not JSON serializable"),
+        ],
+        ids=["nan-margin", "infinite-param", "numpy-nan-param", "set-param"],
+    )
+    def test_report_that_is_not_strict_json_is_not_written(
+        self, tmp_path, capsys, monkeypatch, margin, params, named
+    ):
+        def bad_report(trials, seed):
+            return CheckReport("bad", trials=trials, violations=0, worst_margin=margin,
+                               passed=True, params=params)
+
+        monkeypatch.setattr("nllvm_lab.verify_harness.check_hellinger_bound", bad_report)
+        out = tmp_path / "sub" / "v.json"
+        rc = main(["verify", "hellinger-bound", "--trials", "3", "--out", str(out)])
+        assert rc == 1
+        assert f"nllvm-lab: error: {named}" in capsys.readouterr().err
+        assert not out.parent.exists()
 
     def test_bad_thread_count_exits_one(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("NLLVM_LAB_THREADS", "abc")

@@ -186,9 +186,3 @@ class TestRateExperiments:
         assert report.target == 4.0
         assert 3.4 < report.slope < 4.6
         assert report.r2 > 0.99
-
-    def test_report_serialization_keys(self, gaussian_density):
-        report = approx_order_experiment(gaussian_density, 0, np.geomspace(0.1, 0.01, 5))
-        raw = report.to_dict()
-        assert set(raw) == {"xs", "ys", "slope", "r2", "target", "pass", "note"}
-        assert raw["pass"] is True

@@ -1,4 +1,4 @@
-"""Report dataclasses and the shared least-squares slope helper.
+"""The shared least-squares slope helper and the check-report invariant.
 
 Oracle: points generated exactly on y = c * x^b recover slope b with
 r^2 = 1 on log-log axes.
@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from nllvm_lab.reports import CheckReport, SlopeReport, slope_fit
+from nllvm_lab.reports import CheckReport, slope_fit
 
 
 class TestSlopeFit:
@@ -45,47 +45,10 @@ class TestSlopeFit:
             slope_fit([1.0, 2.0, 3.0], [1.0, -2.0, 3.0])
 
 
-class TestSlopeReport:
-    """Serialization of rate reports."""
-
-    def test_to_dict_keys_and_pass_rename(self):
-        report = SlopeReport(
-            xs=[1.0, 2.0, 4.0],
-            ys=[1.0, 0.5, 0.25],
-            slope=-1.0,
-            r2=1.0,
-            target=-1.0,
-            passed=True,
-            note="n",
-        )
-        raw = report.to_dict()
-        # no seed: the CLI report records the run's seed
-        assert set(raw) == {"xs", "ys", "slope", "r2", "target", "pass", "note"}
-        assert raw["pass"] is True
-
-    def test_target_may_be_none(self):
-        report = SlopeReport([1, 2, 4], [1, 1, 1], 0.0, 0.0, None, False)
-        assert report.to_dict()["target"] is None
-
-
 class TestCheckReport:
-    """Serialization and the violations-vs-trials invariant."""
+    """The violations-vs-trials invariant."""
 
     def test_violations_bounded_by_trials(self):
         with pytest.raises(ValueError, match="cannot exceed"):
             CheckReport("x", trials=5, violations=6, worst_margin=0.1,
                         passed=False)
-
-    def test_to_dict_round_trip_fields(self):
-        report = CheckReport(
-            "bound", trials=10, violations=1, worst_margin=0.02,
-            passed=False, params={"eps": 0.1}, note="",
-        )
-        raw = report.to_dict()
-        assert set(raw) == {
-            "name", "trials", "violations", "worst_margin", "pass", "params", "note"
-        }
-        assert raw["name"] == "bound"
-        assert raw["pass"] is False
-        assert raw["params"] == {"eps": 0.1}
-        assert raw["violations"] == 1
