@@ -67,7 +67,7 @@ class RunConfig:
     command: str
     output_path: str
     seed: int = 0
-    grid_n: int = 1024
+    grid_n: Optional[int] = None  # None where the command has no --grid
     input_path: Optional[str] = None
     params: dict = field(default_factory=dict)
 
@@ -76,7 +76,7 @@ class RunConfig:
             raise ValueError(
                 f"unknown command {self.command!r}; choose from {_COMMANDS}"
             )
-        if not (MIN_GRID_N <= self.grid_n <= MAX_GRID_N):
+        if self.grid_n is not None and not (MIN_GRID_N <= self.grid_n <= MAX_GRID_N):
             raise ValueError(
                 f"--grid must lie in [{MIN_GRID_N}, {MAX_GRID_N}], got {self.grid_n}"
             )
@@ -567,7 +567,7 @@ def _config_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser)
             command=args.command,
             output_path=args.out,
             seed=raw.get("seed", 0),
-            grid_n=raw.get("grid", 1024),
+            grid_n=raw.get("grid"),
             input_path=raw.get("data"),
             params=params,
         )

@@ -23,6 +23,7 @@ Numerical conventions
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,7 +66,7 @@ class GridSpec:
     n: int = DEFAULT_GRID_N
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.lo) and np.isfinite(self.hi)):
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
             raise ValueError("grid endpoints must be finite")
         if self.hi <= self.lo:
             raise ValueError(f"grid needs hi > lo, got [{self.lo}, {self.hi}]")
@@ -100,10 +101,7 @@ class GridDensity:
         vals = np.asarray(self.values, dtype=float)
         if vals.ndim != 1:
             raise ValueError(f"values must be 1-D, got shape {vals.shape}")
-        if vals.size < 16:
-            raise ValueError(f"need at least 16 grid points, got {vals.size}")
-        if self.hi <= self.lo:
-            raise ValueError(f"need hi > lo, got [{self.lo}, {self.hi}]")
+        GridSpec(self.lo, self.hi, vals.size)  # checks the window and the size
         if not np.all(np.isfinite(vals)):
             bad = int(np.argmin(np.isfinite(vals)))
             raise ValueError(f"non-finite density value at index {bad}")

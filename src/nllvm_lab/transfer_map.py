@@ -39,7 +39,8 @@ _ZERO_RADIUS = 40.0
 
 
 class CoverageError(ValueError):
-    """Output domain too small for the requested mixture density."""
+    """The grid loses mass of the requested mixture density: its window is too
+    narrow or its spacing too coarse for sigma."""
 
 
 @dataclass(eq=False)
@@ -212,9 +213,9 @@ def _live_masses(mu: TransferFunction, sigma: float, spec: GridSpec) -> tuple:
     lost = 1.0 - float(trapezoid(out, dx=spec.spacing))
     if lost > COVERAGE_MASS_TOL:
         raise CoverageError(
-            f"domain [{spec.lo}, {spec.hi}] too small for range(mu)="
-            f"[{mu.lo:.4g}, {mu.hi:.4g}] with sigma={sigma:.4g}: "
-            f"lost mass {lost:.3e}"
+            f"lost mass {lost:.3e} on the window [{spec.lo}, {spec.hi}] with grid "
+            f"spacing {spec.spacing:.4g}, for range(mu)=[{mu.lo:.4g}, {mu.hi:.4g}] "
+            f"and sigma={sigma:.4g}: widen the window or refine its grid"
         )
     return GridDensity(spec.lo, spec.hi, out, mass_loss=lost), live, masses
 

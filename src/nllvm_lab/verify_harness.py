@@ -56,20 +56,6 @@ from .hi_order_kernel import fbeta_iterative
 from .reports import CheckReport, SlopeReport, sample_sizes, slope_fit
 from .transfer_map import TransferFunction, mixture_density, quantile_of
 
-__all__ = [
-    "CheckReport",
-    "SlopeReport",
-    "slope_fit",
-    "check_hellinger_bound",
-    "check_logsup_bound",
-    "chi2_limit_experiment",
-    "l1_support_search",
-    "risk_bound_experiment",
-    "hellinger_risk_experiment",
-    "restricted_min_kl_experiment",
-    "gp_support_probe",
-]
-
 _QUAD_SLACK = 1e-6
 # the conjugate Gaussian model of chi2_limit_experiment
 _CHI2_THETA_STAR = 0.3

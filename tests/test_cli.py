@@ -20,16 +20,17 @@ import numpy as np
 import pytest
 from scipy.integrate import trapezoid
 
-from nllvm_lab import CheckReport
 from nllvm_lab.cli import (
     MAX_GRID_N,
     MIN_GRID_N,
     RunConfig,
+    _config_from_args,
     _truth_density,
     build_parser,
     load_csv,
     main,
 )
+from nllvm_lab.reports import CheckReport
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -125,6 +126,7 @@ class TestRunConfig:
             RunConfig("estimate", "out.json", grid_n=MAX_GRID_N + 1)
         with pytest.raises(ValueError, match="--seed"):
             RunConfig("estimate", "out.json", seed=-1)
+        assert RunConfig("verify", "out.json").grid_n is None
         with pytest.raises(ValueError, match="--out"):
             RunConfig("estimate", "")
 
@@ -224,6 +226,30 @@ class TestParser:
             build_parser().parse_args(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+    # a report records the grid its run used, and no grid where there is no --grid
+    @pytest.mark.parametrize(
+        "argv, grid_n",
+        [
+            (["estimate", "--data", "d.csv"], 1024),
+            (["vi", "--data", "d.csv"], 4096),
+            (["contract"], 1024),
+            (["verify", "logsup-bound"], 2048),
+            (["verify", "l1-support"], 2048),
+            (["verify", "support-probe", "--grid", "512"], 512),
+            (["verify", "hellinger-bound"], None),
+            (["verify", "chi2-limit"], None),
+            (["verify", "risk-bound"], None),
+            (["verify", "hellinger-risk"], None),
+            (["verify", "restricted-kl"], None),
+        ],
+        ids=["estimate", "vi", "contract", "logsup-bound", "l1-support", "support-probe",
+             "hellinger-bound", "chi2-limit", "risk-bound", "hellinger-risk", "restricted-kl"],
+    )
+    def test_config_holds_the_grid_only_where_there_is_one(self, argv, grid_n):
+        parser = build_parser()
+        cfg = _config_from_args(parser.parse_args([*argv, "--out", "o.json"]), parser)
+        assert cfg.grid_n == grid_n
 
     def test_grid_bounds_rejected_at_parse_time(self, normal_csv, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -338,6 +364,22 @@ class TestMainEndToEnd:
         rc = main(["vi", "--data", str(csv), *flags, "--out", str(out)])
         assert rc == 0
         assert np.isfinite(json.loads(out.read_text())["metrics"]["objective"])
+
+    def test_vi_grid_too_coarse_for_the_fit_names_its_spacing(self, tmp_path, capsys):
+        # --grid 64 is legal and the fit succeeds, but its q is narrower than
+        # the 64-point prior grid's spacing: the error blames the grid, not
+        # only the window
+        rng = np.random.default_rng(0)
+        csv = tmp_path / "coarse-data.csv"
+        csv.write_text("".join(f"{y!r}\n" for y in rng.normal(0.3, 1.0, 200).tolist()))
+        out = tmp_path / "coarse.json"
+        rc = main(["vi", "--data", str(csv), "--grid", "64", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "lost mass" in err
+        assert "grid spacing 0.254" in err
+        assert "widen the window or refine its grid" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("mean", [3.0, 50.0, -3.0])
     def test_vi_normal_mean_data_outside_the_flat_prior(self, tmp_path, mean):

@@ -102,8 +102,25 @@ class TestGridDensity:
             GridDensity(0.0, 1.0, np.zeros(64))
 
     def test_rejects_short_arrays(self):
-        with pytest.raises(ValueError, match="at least 16"):
+        with pytest.raises(ValueError, match="n >= 16"):
             GridDensity(0.0, 1.0, np.ones(8))
+
+    # an infinite window would give all zeros and a NaN one all NaN, each
+    # claiming unit mass
+    @pytest.mark.parametrize(
+        "lo, hi, named",
+        [
+            (0.0, math.inf, "endpoints must be finite"),
+            (-math.inf, 1.0, "endpoints must be finite"),
+            (math.nan, 1.0, "endpoints must be finite"),
+            (0.0, math.nan, "endpoints must be finite"),
+            (1.0, 0.0, "hi > lo"),
+        ],
+        ids=["inf-hi", "-inf-lo", "nan-lo", "nan-hi", "reversed"],
+    )
+    def test_rejects_bad_window(self, lo, hi, named):
+        with pytest.raises(ValueError, match=named):
+            GridDensity(lo, hi, np.ones(16))
 
     def test_pdf_at_zero_outside_window(self):
         g = GridDensity(0.0, 1.0, np.ones(64))

@@ -1,11 +1,51 @@
-"""The package's public surface: every exported name exists, once."""
+"""The package root holds its modules only, and importing it loads them all."""
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+PUBLIC_MODULES = [
+    "cli",
+    "gp_prior",
+    "gpivi",
+    "grid_density",
+    "hi_order_kernel",
+    "nllvm_posterior",
+    "reports",
+    "transfer_map",
+    "verify_harness",
+]
+
+_PROBE = """
+import json, sys, types
 import nllvm_lab
+public = sorted(n for n in vars(nllvm_lab) if not n.startswith("_"))
+print(json.dumps({
+    "public": public,
+    "modules": [isinstance(getattr(nllvm_lab, n), types.ModuleType) for n in public],
+    "cli_loaded": "nllvm_lab.cli" in sys.modules,
+}))
+"""
 
 
-def test_all_names_resolve_without_duplicates():
-    names = nllvm_lab.__all__
-    assert len(names) == len(set(names))
-    assert [n for n in names if not hasattr(nllvm_lab, n)] == []
+def test_root_holds_the_public_modules_only():
+    # a fresh interpreter: in this one other tests have imported nllvm_lab.cli
+    # already, so a root that no longer imports it would go unnoticed
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC), *filter(None, [env.get("PYTHONPATH")])])
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert seen["public"] == PUBLIC_MODULES
+    assert all(seen["modules"])
+    assert seen["cli_loaded"]
+    # the nine are every module of the package that is not private
+    assert sorted(p.stem for p in (SRC / "nllvm_lab").glob("[!_]*.py")) == PUBLIC_MODULES
