@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 import numpy as np
 from scipy.special import ndtri, softmax
@@ -113,33 +113,15 @@ def q_density(params: VariationalParams, spec: GridSpec) -> GridDensity:
 
 
 # ---------------------------------------------------------------------------
-# per-datum divergences and KL neighborhoods
-
-
-def per_datum_kl_v(model: BayesModel, thetas) -> tuple:
-    """KL1(theta_star || theta) and the matching uncentered second moment."""
-    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    return (
-        np.asarray(model.kl1(thetas), dtype=float),
-        np.asarray(model.v1(thetas), dtype=float),
-    )
-
-
-def per_datum_renyi(model: BayesModel, alpha: float, thetas) -> np.ndarray:
-    """D_alpha(p_theta || p_theta_star) per datum."""
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must lie in (0,1), got {alpha}")
-    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    return np.asarray(model.renyi1(alpha, thetas), dtype=float)
+# KL neighborhoods
 
 
 def kl_ball_mask(model: BayesModel, eps: float, thetas) -> np.ndarray:
     """Vectorized membership test for the KL neighborhood of radius ``eps``."""
     if not (0 < eps < math.inf):
         raise ValueError(f"eps must be positive and finite, got {eps}")
-    kl, v = per_datum_kl_v(model, thetas)
     bound = eps**2
-    return (kl <= bound) & (v <= bound)
+    return (model.kl1(thetas) <= bound) & (model.v1(thetas) <= bound)
 
 
 # ---------------------------------------------------------------------------
@@ -157,33 +139,19 @@ def _check_support(q: GridDensity, prior_vals: np.ndarray) -> None:
 
 
 def practical_objective(
-    params: VariationalParams,
-    model: BayesModel,
-    data,
-    alpha: float,
-    *,
-    q: Optional[GridDensity] = None,
-    loglik: Optional[np.ndarray] = None,
+    q: GridDensity, prior: np.ndarray, loglik: np.ndarray, alpha: float
 ) -> float:
-    """The tempered variational objective alpha * fit + KL(q || prior).
+    """The tempered variational objective alpha * fit + KL(q || prior) of a grid density.
 
-    Equal, up to an additive constant free of q, to alpha times the
-    regularized model-fit functional; all expectations are quadratures
-    against ``q``, the explicit density of ``params`` (default: built on
-    the prior's grid).
+    ``prior`` and ``loglik`` are the prior density and the data's
+    log-likelihood sum at q's grid points.  The value equals, up to an
+    additive constant free of q, alpha times the regularized model-fit
+    functional; all expectations are quadratures against q.
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0,1), got {alpha}")
-    data = np.asarray(data, dtype=float)
-    if data.size == 0:
-        raise ValueError("data must be non-empty")
-    if q is None:
-        q = q_density(params, model.prior_density.spec)
-    prior_vals = model.prior_density.pdf_at(q.grid)
-    _check_support(q, prior_vals)
-    kl = kl_values(q.values, prior_vals, q.spacing)
-    if loglik is None:
-        loglik = model.loglik_sum(data, q.grid)
+    _check_support(q, prior)
+    kl = kl_values(q.values, prior, q.spacing)
     return alpha * -float(trapezoid(q.values * loglik, dx=q.spacing)) + kl
 
 
@@ -328,13 +296,7 @@ class _FeasibleMap:
         return np.append(logits - logits.mean(), params.log_sigma)
 
 
-def _objective_and_gradient(
-    x: np.ndarray,
-    feasible: _FeasibleMap,
-    model: BayesModel,
-    data: np.ndarray,
-    alpha: float,
-) -> tuple:
+def _objective_and_gradient(x: np.ndarray, feasible: _FeasibleMap, alpha: float) -> tuple:
     """:func:`practical_objective` at ``feasible.params(x)`` and its exact gradient in x.
 
     Both from one build of the masses on ``feasible.spec``, with trapezoid
@@ -347,7 +309,7 @@ def _objective_and_gradient(
     """
     params, w, loglik = feasible.params(x), feasible.weights, feasible.loglik
     q, live, masses = _live_masses(params.mu, params.sigma, feasible.spec)
-    value = practical_objective(params, model, data, alpha, q=q, loglik=loglik)
+    value = practical_objective(q, feasible.prior, loglik, alpha)
     log_ratio = np.log(q.values / feasible.prior, out=np.zeros(w.size), where=q.values > 0)
     g = w * (log_ratio - alpha * loglik)
     r = (g - w * (g @ q.values)) / (1.0 - q.mass_loss)
@@ -391,7 +353,7 @@ def optimize(
     res = minimize(
         _objective_and_gradient,
         feasible.coords(init),
-        args=(feasible, model, data, alpha),
+        args=(feasible, alpha),
         method="L-BFGS-B",
         jac=True,
         bounds=[(None, None)] * (knots + 1) + [feasible.log_sigma_bounds],
@@ -475,9 +437,10 @@ def risk_integral(params: VariationalParams, model: BayesModel, alpha: float) ->
     this equals the scaled n-datum risk for every n.  q lives on the
     prior's grid.
     """
+    if not (0.0 < alpha < 1.0):
+        raise ValueError(f"alpha must lie in (0,1), got {alpha}")
     q = q_density(params, model.prior_density.spec)
-    renyi = per_datum_renyi(model, alpha, q.grid)
-    return float(trapezoid(q.values * renyi, dx=q.spacing))
+    return float(trapezoid(q.values * model.renyi1(alpha, q.grid), dx=q.spacing))
 
 
 @dataclass(eq=False)
@@ -491,7 +454,7 @@ class RiskBound:
     a1_holds: bool
 
 
-def risk_bound_rhs(model: BayesModel, data, alpha: float, eps: float) -> RiskBound:
+def risk_bound_rhs(model: BayesModel, n: int, alpha: float, eps: float) -> RiskBound:
     """Evaluate D*alpha/(1-alpha)*eps^2 plus the prior-complexity term.
 
     D is ``D_CONST``.  The KL-neighborhood mass is a quadrature of the prior
@@ -501,10 +464,8 @@ def risk_bound_rhs(model: BayesModel, data, alpha: float, eps: float) -> RiskBou
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0,1), got {alpha}")
-    data = np.asarray(data, dtype=float)
-    n = data.size
-    if n == 0:
-        raise ValueError("data must be non-empty")
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     prior = model.prior_density
     mask = kl_ball_mask(model, eps, prior.grid)
     mass = float(trapezoid(np.where(mask, prior.values, 0.0), dx=prior.spacing))
@@ -697,10 +658,8 @@ def logistic_model(
 
 def quadrature_posterior(model: BayesModel, data, alpha: float) -> GridDensity:
     """The alpha-tempered posterior, prior times likelihood^alpha, on the prior's grid."""
-    spec = model.prior_density.spec
-    grid = spec.points()
-    logpost = alpha * model.loglik_sum(data, grid) + np.log(
-        np.maximum(model.prior_density.pdf_at(grid), DENSITY_FLOOR)
+    prior = model.prior_density
+    logpost = alpha * model.loglik_sum(data, prior.grid) + np.log(
+        np.maximum(prior.values, DENSITY_FLOOR)
     )
-    vals = np.exp(logpost - logpost.max())
-    return GridDensity(spec.lo, spec.hi, vals)
+    return GridDensity(prior.lo, prior.hi, np.exp(logpost - logpost.max()))

@@ -11,7 +11,7 @@ squared Hellinger, L1 and the one-sided sup of log(p/q).
 
 Numerical conventions
 ---------------------
-* Trapezoid quadrature on a uniform grid; default resolution n = 1024.
+* Trapezoid quadrature on a uniform grid.
 * Densities with unbounded support are represented on a window carrying at
   least 1 - 1e-6 of their mass, then renormalized.
 * Log-ratio divergences floor the denominator density at 1e-300; the floored
@@ -30,7 +30,6 @@ import numpy as np
 from scipy import special
 
 DENSITY_FLOOR = 1e-300
-DEFAULT_GRID_N = 1024
 
 _SQRT_2PI = float(np.sqrt(2.0 * np.pi))
 
@@ -63,7 +62,7 @@ class GridSpec:
 
     lo: float
     hi: float
-    n: int = DEFAULT_GRID_N
+    n: int
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):

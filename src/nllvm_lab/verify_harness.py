@@ -36,7 +36,6 @@ from .gpivi import (
     _work_window,
     kl_ball_mask,
     optimize,
-    per_datum_renyi,
     risk_bound_rhs,
     risk_integral,
 )
@@ -411,8 +410,7 @@ def risk_bound_experiment(
         worst = max(worst, witness_margin)
         violations += witness_margin > 0
 
-        probe_data = model.sample_data(seeded_rng(seed, "risk-probe", n), n)
-        bound = risk_bound_rhs(model, probe_data, alpha, eps)
+        bound = risk_bound_rhs(model, n, alpha, eps)
         rhs_total = bound.rhs + bound.remainder
 
         def one(rep: int, n=n, rhs_total=rhs_total) -> tuple:
@@ -490,7 +488,7 @@ def hellinger_risk_experiment(
         fit = optimize(model, data, alpha, knots=_FIT_KNOTS, iters=_FIT_ITERS)
         qspec = _work_window(fit.params, n_grid=2048)
         q = mixture_density(fit.params.mu, fit.params.sigma, qspec)
-        renyi_half = per_datum_renyi(model, 0.5, q.grid)
+        renyi_half = model.renyi1(0.5, q.grid)
         h2 = 1.0 - np.exp(-renyi_half / 2.0)
         return float(trapezoid(q.values * h2, dx=q.spacing))
 

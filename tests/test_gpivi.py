@@ -43,8 +43,6 @@ from nllvm_lab.gpivi import (
     normal_normal_model,
     normal_quantile_transfer,
     optimize,
-    per_datum_kl_v,
-    per_datum_renyi,
     practical_objective,
     q_density,
     quadrature_posterior,
@@ -104,6 +102,13 @@ def _quadrature_divergences(log_lik, theta_star: float, alpha: float, thetas, lo
         mix = alpha * log_lik(th, y) + (1.0 - alpha) * ll_star
         renyi[i] = math.log(trapezoid(np.exp(mix), y)) / (alpha - 1.0)
     return kl, v, renyi
+
+
+def _on_prior_grid(params: VariationalParams, model: BayesModel, data, alpha: float) -> float:
+    """:func:`practical_objective` of ``params``'s density on the prior's grid."""
+    prior = model.prior_density
+    q = q_density(params, prior.spec)
+    return practical_objective(q, prior.values, model.loglik_sum(data, prior.grid), alpha)
 
 
 class TestParamsAndSpecs:
@@ -181,20 +186,15 @@ class TestPerDatumDivergences:
         )
 
     def test_kl_v_quadrature_matches_analytic(self, nm):
-        kl_a, v_a = per_datum_kl_v(nm, self.THETAS)
+        kl_a, v_a = nm.kl1(self.THETAS), nm.v1(self.THETAS)
         kl_q, v_q, _ = self._quadrature(nm)
         np.testing.assert_allclose(kl_q, kl_a, atol=1e-12)
         np.testing.assert_allclose(v_q, v_a, atol=1e-12)
 
     def test_renyi_quadrature_matches_analytic(self, nm):
-        r_a = per_datum_renyi(nm, 0.6, self.THETAS)
+        r_a = nm.renyi1(0.6, self.THETAS)
         _, _, r_q = self._quadrature(nm)
         np.testing.assert_allclose(r_q, r_a, atol=1e-12)
-
-    def test_renyi_alpha_range(self, nm):
-        for alpha in (0.0, 1.0, 1.5):
-            with pytest.raises(ValueError, match="alpha"):
-                per_datum_renyi(nm, alpha, self.THETAS)
 
     def test_bernoulli_two_point_sums(self):
         # recompute the divergences from the likelihood alone
@@ -215,16 +215,13 @@ class TestPerDatumDivergences:
                 + (1 - alpha) * _bernoulli_loglik(0.5, y)
             )
             renyi_hand[i] = math.log(np.sum(mix)) / (alpha - 1.0)
-        kl, v = per_datum_kl_v(model, thetas)
-        np.testing.assert_allclose(kl, kl_hand, atol=1e-12)
-        np.testing.assert_allclose(v, v_hand, atol=1e-12)
-        np.testing.assert_allclose(
-            per_datum_renyi(model, alpha, thetas), renyi_hand, atol=1e-12
-        )
+        np.testing.assert_allclose(model.kl1(thetas), kl_hand, atol=1e-12)
+        np.testing.assert_allclose(model.v1(thetas), v_hand, atol=1e-12)
+        np.testing.assert_allclose(model.renyi1(alpha, thetas), renyi_hand, atol=1e-12)
 
     def test_divergences_vanish_at_theta_star(self, nm):
-        kl, v = per_datum_kl_v(nm, np.array([nm.theta_star]))
-        assert kl[0] == 0.0 and v[0] == 0.0
+        theta = np.array([nm.theta_star])
+        assert nm.kl1(theta)[0] == 0.0 and nm.v1(theta)[0] == 0.0
 
 
 class TestKlBall:
@@ -264,20 +261,17 @@ class TestObjective:
 
     def test_validations(self, nn):
         params = VariationalParams(normal_quantile_transfer(0.3, 0.1), -3.0)
-        with pytest.raises(ValueError, match="alpha"):
-            practical_objective(params, nn, np.array([0.1]), 1.0)
-        with pytest.raises(ValueError, match="non-empty"):
-            practical_objective(params, nn, np.array([]), 0.5)
-        with pytest.raises(ValueError, match="alpha"):
-            practical_objective(params, nn, np.array([0.1]), 0.0)
+        for alpha in (1.0, 0.0):
+            with pytest.raises(ValueError, match="alpha"):
+                _on_prior_grid(params, nn, np.array([0.1]), alpha)
 
     def test_support_error_outside_uniform_prior(self, nm):
         # q mass beyond the prior's interval is flagged, not silently kept
         bad = VariationalParams(normal_quantile_transfer(0.95, 0.2), math.log(0.1))
+        q = q_density(bad, GridSpec(-3.0, 3.0, 2048))
+        loglik = nm.loglik_sum(np.array([0.3]), q.grid)
         with pytest.raises(SupportError, match="outside the prior support"):
-            practical_objective(
-                bad, nm, np.array([0.3]), 0.5, q=q_density(bad, GridSpec(-3.0, 3.0, 2048))
-            )
+            practical_objective(q, nm.prior_density.pdf_at(q.grid), loglik, 0.5)
 
 
 def _feasible_case(model: BayesModel) -> tuple:
@@ -386,7 +380,7 @@ class TestOptimize:
 
         # improves on (or matches) the initializer
         init = _default_init(nn, data, 0.9, 12)
-        assert res.objective <= practical_objective(init, nn, data, 0.9) + 1e-9
+        assert res.objective <= _on_prior_grid(init, nn, data, 0.9) + 1e-9
 
     def test_fit_is_tempered(self, nn, conjugate_tempered):
         # at alpha = 0.5 the tempered posterior has about twice the untempered
@@ -405,7 +399,7 @@ class TestOptimize:
         data = model.sample_data(np.random.default_rng(200), 200)
         res = optimize(model, data, 0.9)
         assert res.params.sigma >= 4 * model.prior_density.spacing
-        expected = practical_objective(res.params, model, data, 0.9)
+        expected = _on_prior_grid(res.params, model, data, 0.9)
         assert res.objective == pytest.approx(expected, rel=1e-5, abs=0)
 
     def test_deterministic(self, nn):
@@ -444,17 +438,18 @@ class TestOptimize:
     @pytest.mark.parametrize("name", sorted(_FEASIBLE_CASES))
     def test_gradient_matches_central_differences(self, name):
         model, data, init, feasible = _FEASIBLE_CASES[name]
-        loglik = model.loglik_sum(data, feasible.spec.points())
+        y = feasible.spec.points()
+        loglik = model.loglik_sum(data, y)
         np.testing.assert_array_equal(feasible.loglik, loglik)
+        prior = model.prior_density.pdf_at(y)
 
         def objective(x):
-            params = feasible.params(x)
-            q = q_density(params, feasible.spec)
-            return practical_objective(params, model, data, 0.9, q=q, loglik=loglik)
+            q = q_density(feasible.params(x), feasible.spec)
+            return practical_objective(q, prior, loglik, 0.9)
 
         h = 1e-5
         for x in _gradient_points(init, feasible):
-            grad = _objective_and_gradient(x, feasible, model, data, 0.9)[1]
+            grad = _objective_and_gradient(x, feasible, 0.9)[1]
             steps = h * np.eye(x.size)
             # fourth-order central differences
             fd = np.array([
@@ -473,14 +468,14 @@ class TestOptimize:
         loglik = model.loglik_sum(data, y)
         w = np.full(spec.n, spec.spacing)
         w[[0, -1]] *= 0.5
+        prior_vals = np.maximum(model.prior_density.pdf_at(y), DENSITY_FLOOR)
         for x in _gradient_points(init, feasible):
-            value, grad = _objective_and_gradient(x, feasible, model, data, 0.9)
+            value, grad = _objective_and_gradient(x, feasible, 0.9)
             params = feasible.params(x)
             mu, sigma = params.mu, params.sigma
             q = q_density(params, spec)
-            assert value == practical_objective(params, model, data, 0.9, q=q, loglik=loglik)
+            assert value == practical_objective(q, prior_vals, loglik, 0.9)
 
-            prior_vals = np.maximum(model.prior_density.pdf_at(y), DENSITY_FLOOR)
             log_ratio = np.log(q.values / prior_vals, out=np.zeros(spec.n), where=q.values > 0)
             g = w * (log_ratio - 0.9 * loglik)
             r = (g - w * (g @ q.values)) / (1.0 - q.mass_loss)
@@ -530,7 +525,8 @@ class TestOptimize:
         model, data, init, feasible = _FEASIBLE_CASES[name]
         lo, hi = feasible.log_sigma_bounds
         params = feasible.params(np.append(logits, lo + frac * (hi - lo)))
-        value = practical_objective(params, model, data, 0.9, q=q_density(params, feasible.spec))
+        q = q_density(params, feasible.spec)
+        value = practical_objective(q, feasible.prior, feasible.loglik, 0.9)
         assert math.isfinite(value)
 
 
@@ -613,13 +609,19 @@ class TestRiskQuantities:
         expected = 0.6 * ((theta0 - nn.theta_star) ** 2 + var_q) / 2.0
         assert got == pytest.approx(expected, rel=0.01)
 
+    def test_risk_integral_alpha_range(self, nm):
+        params = VariationalParams(normal_quantile_transfer(0.3, 0.05), math.log(0.02))
+        for alpha in (0.0, 1.0, 1.5):
+            with pytest.raises(ValueError, match="alpha"):
+                risk_integral(params, nm, alpha)
+
     def test_risk_bound_hand_oracle(self, nm):
         # uniform prior: ball mass = sigma * sqrt(r), every term by hand
         eps, alpha, d_const = 0.1, 0.5, 2.0
         r = 2.0 * (math.sqrt(1.0 + eps**2) - 1.0)
         mass_hand = 0.3 * math.sqrt(r)
         for n, a1 in ((100, False), (1000, True)):
-            rb = risk_bound_rhs(nm, np.zeros(n), alpha, eps)
+            rb = risk_bound_rhs(nm, n, alpha, eps)
             assert rb.ball_mass == pytest.approx(mass_hand, rel=0.03)
             complexity = math.log(1.0 / rb.ball_mass) / (n * (1.0 - alpha))
             assert rb.complexity == pytest.approx(complexity, rel=1e-12)
@@ -634,18 +636,18 @@ class TestRiskQuantities:
 
     def test_remainder_vanishes_when_n_eps2_is_one(self, nm):
         # (D-1)^2 n eps^2 = 1 makes the remainder exactly log(1) = 0
-        rb = risk_bound_rhs(nm, np.zeros(100), 0.5, 0.1)
+        rb = risk_bound_rhs(nm, 100, 0.5, 0.1)
         assert rb.remainder == pytest.approx(0.0, abs=1e-15)
 
     def test_validations(self, nm):
         with pytest.raises(ValueError, match="alpha"):
-            risk_bound_rhs(nm, np.zeros(10), 1.0, 0.1)
-        with pytest.raises(ValueError, match="non-empty"):
-            risk_bound_rhs(nm, np.array([]), 0.5, 0.1)
+            risk_bound_rhs(nm, 10, 1.0, 0.1)
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            risk_bound_rhs(nm, 0, 0.5, 0.1)
 
     def test_unresolvable_ball_raises(self, nm):
         with pytest.raises(ResolutionError, match="no prior mass"):
-            risk_bound_rhs(nm, np.zeros(100), 0.5, 1e-6)
+            risk_bound_rhs(nm, 100, 0.5, 1e-6)
 
 
 class TestShippedModels:
@@ -684,6 +686,14 @@ class TestShippedModels:
         for data in ([0.0, 1.0, 0.5], [1.0, 3.0], [np.nan]):
             with pytest.raises(ValueError, match="logistic-intercept data must be 0 or 1"):
                 model.loglik_sum(np.array(data), model.prior_density.grid)
+
+    def test_pdf_at_its_own_grid_is_its_values(self, nn, nm):
+        # quadrature_posterior takes the prior's values as its density at
+        # the prior's grid, which holds only if interpolation there is exact
+        values = np.random.default_rng(4).random(333)
+        densities = [m.prior_density for m in (nn, nm, logistic_model())]
+        for density in [*densities, GridDensity(-1.3, 2.9, values)]:
+            assert np.array_equal(density.pdf_at(density.grid), density.values)
 
     def test_priors_are_normalized(self, nn, nm):
         for model in (nn, nm, logistic_model()):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -216,6 +216,19 @@ class TestRiskBoundExperiment:
         assert report.params["median_decay_ok"] is True
         assert report.passed
         _clean(report)
+
+    def test_draws_one_data_set_per_replicate(self):
+        # the bound depends on the data only through n, so the fits' data
+        # are the only draws
+        model = normal_normal_model()
+        calls = []
+
+        def counting(rng, n):
+            calls.append(n)
+            return model.sample_data(rng, n)
+
+        risk_bound_experiment(replace(model, sample_data=counting), [50, 100], 0.9, reps=2)
+        assert sorted(calls) == [50, 50, 100, 100]
 
     def test_report_independent_of_n_list_order(self):
         # the decay verdict compares the smallest size with the largest
