@@ -88,21 +88,27 @@ def update_latents(
     mixture over knot segments with the masses of :func:`segment_masses`,
     and within a segment a normal truncated to [v_k, v_{k+1}] in mu-space,
     mapped back to x linearly.  One uniform per datum picks the segment by
-    inverse CDF and, rescaled, inverts the truncated normal on the side of
-    the segment where the normal CDF is small; a flat segment is uniform in
-    x.  If every segment mass underflows to zero the draw falls back to a
-    uniform with a logged warning.
+    inverse CDF, counting the knot-major cumulative masses below it, and,
+    rescaled, inverts the truncated normal on the side of the segment where
+    the normal CDF is small; a flat segment is uniform in x.  If every
+    segment mass underflows to zero the draw falls back to a uniform with a
+    logged warning.
     """
     masses = segment_masses(mu, sigma, data)
-    cum = np.cumsum(masses, axis=1)
-    total = cum[:, -1]
+    # the running sum over segments, row by row: the same bits as
+    # np.cumsum(masses, axis=0), which does not vectorize along this axis
+    cum = masses.copy()
+    for k in range(1, cum.shape[0]):
+        cum[k] += cum[k - 1]
+    total = cum[-1]
     dead = total <= 0.0
 
     u = rng.random(data.size)
     r = u * total
-    seg = np.minimum((cum < r[:, None]).sum(axis=1), masses.shape[1] - 1)
-    prev = np.where(seg > 0, np.take_along_axis(cum, np.maximum(seg - 1, 0)[:, None], 1)[:, 0], 0.0)
-    mass = masses[np.arange(data.size), seg]
+    idx = np.arange(data.size)
+    seg = np.minimum(np.count_nonzero(cum < r, axis=0), masses.shape[0] - 1)
+    prev = np.where(seg > 0, cum[np.maximum(seg - 1, 0), idx], 0.0)
+    mass = masses[seg, idx]
     w = np.clip((r - prev) / np.maximum(mass, 1e-300), 0.0, 1.0)
 
     # standardized residuals at the chosen segment's ends; where both sit
@@ -206,9 +212,12 @@ def fit_mcmc(
     The chain runs ``iters`` cycles and keeps every ``thin``-th state after
     the first ``burn_in``.  Every step draws from its exact full
     conditional, so the burn-in serves convergence from the start state
-    only; nothing is tuned.  A failure in any cycle, the checks on a kept
-    state included, aborts the chain with a ``RuntimeError``; data that are
-    not a finite 1-D array of at least 10 points raise before the first draw.
+    only; nothing is tuned.  The chain sorts the data once and runs on the
+    sorted copy, so any order of the same data gives the same states;
+    ``eta`` comes back in the order of ``data``.  A failure in any cycle,
+    the checks on a kept state included, aborts the chain with a
+    ``RuntimeError``; data that are not a finite 1-D array of at least 10
+    points raise before the first draw.
     """
     if burn_in < 0 or iters <= burn_in:
         raise ValueError(f"need iters > burn_in >= 0, got ({iters}, {burn_in})")
@@ -221,6 +230,11 @@ def fit_mcmc(
         raise ValueError("data must be finite")
     if data.size < 10:
         raise ValueError(f"need at least 10 observations, got {data.size}")
+
+    # the chain runs on the sorted data, where the knot-major normal CDFs of
+    # segment_masses stay branch-predictable; kept latents return in data order
+    order = np.argsort(data, kind="stable")
+    data = data[order]
 
     rng = seeded_rng(seed, "mcmc")
     knots = np.linspace(0.0, 1.0, n_knots)
@@ -246,7 +260,8 @@ def fit_mcmc(
                 ss = float(resid @ resid)
                 log_post = float(-0.5 * (v @ v)) + _sigma_logtarget(sigma, ss, data.size)
                 _check_states(sigma, eta, log_post)
-                mus[j], sigmas[j], etas[j], log_posts[j] = mu.values, sigma, eta, log_post
+                mus[j], sigmas[j], log_posts[j] = mu.values, sigma, log_post
+                etas[j, order] = eta
                 j += 1
         except (ValueError, ArithmeticError) as exc:
             raise RuntimeError(

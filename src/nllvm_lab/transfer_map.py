@@ -7,10 +7,11 @@ through mu and adding Gaussian noise of bandwidth sigma gives the marginal
     f_{mu,sigma}(y) = int_0^1 phi_sigma(y - mu(x)) dx.
 
 Because mu is linear on each knot segment, the integral over one segment is
-a difference of normal CDFs (:func:`segment_masses`); the marginal is the
-sum over segments, exact up to rounding.  Quantile functions are the
-canonical transfer functions: for mu_0 the quantile of f_0, the marginal
-equals the Gaussian smoothing of f_0.
+a difference of normal CDFs (:func:`segment_masses`, one row per segment and
+one column per point); the marginal is the column sum, exact up to
+rounding.  Quantile functions are the canonical transfer functions: for
+mu_0 the quantile of f_0, the marginal equals the Gaussian smoothing of
+f_0.
 """
 
 from __future__ import annotations
@@ -113,15 +114,17 @@ def quantile_of(
 def segment_masses(mu: TransferFunction, sigma: float, y: np.ndarray) -> np.ndarray:
     """Exact latent mass of every knot segment at every point of ``y``.
 
-    Entry ``[i, k]`` is ``int_{x_k}^{x_{k+1}} phi_sigma(y_i - mu(x)) dx``.
-    With mu linear on the segment this is
+    The table is knot-major, shape (K - 1, n): entry ``[k, i]`` is
+    ``int_{x_k}^{x_{k+1}} phi_sigma(y_i - mu(x)) dx``.  With mu linear on the
+    segment this is
 
         dx_k / dv_k * [Phi((y_i - v_k) / sigma) - Phi((y_i - v_{k+1}) / sigma)]
 
-    for either sign of dv_k.  Phi is evaluated once per knot; rows above the
-    median knot value use the complementary side Phi(-z), so a difference of
-    two values near 1 never cancels in the tail.  Segments rising less than
-    ``FLAT_RISE`` sigma take the limit ``dx_k * phi_sigma(y_i - mid_k)``.
+    for either sign of dv_k.  Phi is evaluated once per knot and point;
+    points above the median knot value use the complementary side Phi(-z),
+    so a difference of two values near 1 never cancels in the tail.
+    Segments rising less than ``FLAT_RISE`` sigma take the limit
+    ``dx_k * phi_sigma(y_i - mid_k)``.
     """
     if not (0 < sigma < np.inf):
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
@@ -131,16 +134,16 @@ def segment_masses(mu: TransferFunction, sigma: float, y: np.ndarray) -> np.ndar
     rise = np.abs(np.diff(v)) / sigma
     flat = rise < FLAT_RISE
     side = np.where(y > np.median(v), -1.0 / sigma, 1.0 / sigma)
-    cdf = y[:, None] - v[None, :]
-    cdf *= side[:, None]
+    cdf = y[None, :] - v[:, None]
+    cdf *= side
     special.ndtr(cdf, out=cdf)
-    out = cdf[:, :-1] - cdf[:, 1:]
+    out = cdf[:-1] - cdf[1:]
     np.abs(out, out=out)
-    out *= dx / (sigma * np.where(flat, 1.0, rise))
+    out *= (dx / (sigma * np.where(flat, 1.0, rise)))[:, None]
     if flat.any():
         mid = 0.5 * (v[:-1] + v[1:])[flat]
-        z = (y[:, None] - mid[None, :]) / sigma
-        out[:, flat] = np.exp(-0.5 * z * z) * (dx[flat] / (_SQRT_2PI * sigma))
+        z = (y[None, :] - mid[:, None]) / sigma
+        out[flat] = np.exp(-0.5 * z * z) * (dx[flat] / (_SQRT_2PI * sigma))[:, None]
     return out
 
 
@@ -149,7 +152,7 @@ def mixture_vjp(
 ) -> tuple:
     """``(sum_i r_i df_i/dv, sum_i r_i df_i/dsigma)`` for the unnormalized mixture.
 
-    f_i is the row sum of ``masses``, the :func:`segment_masses` of mu and
+    f_i is the column sum of ``masses``, the :func:`segment_masses` of mu and
     sigma at the points ``y`` (as :func:`_live_masses` returns them), and v
     the knot values.  With a = (y - v_k) / sigma, b = (y - v_{k+1}) / sigma,
     delta = a - b and E = (Phi(a) - Phi(b)) / delta, segment k's mass is
@@ -174,7 +177,7 @@ def mixture_vjp(
     phi = np.exp(-0.5 * z * z) / _SQRT_2PI
     r_phi = r @ phi
     r_dphi = -(r @ (z * phi))
-    r_e = (r @ masses) / (scale * sigma)
+    r_e = (masses @ r) / (scale * sigma)
     d = np.where(series, 1.0, delta)
     grad_lo = -scale * (r_phi[:-1] - r_e) / d
     grad_hi = -scale * (r_e - r_phi[1:]) / d
@@ -209,7 +212,7 @@ def _live_masses(mu: TransferFunction, sigma: float, spec: GridSpec) -> tuple:
     live = np.abs(y - np.clip(y, mu.lo, mu.hi)) < _ZERO_RADIUS * sigma
     masses = segment_masses(mu, sigma, y[live])
     out = np.zeros(spec.n)
-    out[live] = masses.sum(axis=1)
+    out[live] = masses.sum(axis=0)
     lost = 1.0 - float(trapezoid(out, dx=spec.spacing))
     if lost > COVERAGE_MASS_TOL:
         raise CoverageError(
@@ -223,7 +226,7 @@ def _live_masses(mu: TransferFunction, sigma: float, spec: GridSpec) -> tuple:
 def mixture_density(mu: TransferFunction, sigma: float, spec: GridSpec) -> GridDensity:
     """Marginal density f_{mu,sigma} on the grid of ``spec``.
 
-    The row sum of :func:`segment_masses`, so exact at every grid point;
+    The column sum of :func:`segment_masses`, so exact at every grid point;
     points farther than ``_ZERO_RADIUS`` sigma from range(mu) are 0.0 without
     evaluation.  A window covering range(mu) +- 8 sigma always passes the
     coverage check; the error reports the actually lost mass.

@@ -17,6 +17,8 @@ Oracles
   alternating a fresh y given the state with one Gibbs cycle leaves the
   prior invariant, so the chain's means of sigma, 1/sigma, mu_k and mu_k^2
   match the prior's.
+* The chain runs on the sorted data: a permutation of distinct data gives
+  the same states, with the latents permuted alike.
 * The posterior predictive of a single-state ensemble is exactly that
   state's location mixture.
 """
@@ -355,6 +357,19 @@ class TestFitMcmc:
         b = fit_mcmc(data, iters=60, burn_in=20, thin=4, seed=5, n_knots=16)
         for name in ("mu_values", "sigma", "eta", "log_post"):
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+    def test_data_order_permutes_only_the_latents(self):
+        # the chain runs on the sorted data, so any order of distinct data
+        # gives the same states, with each latent returned at its datum
+        rng = np.random.default_rng(42)
+        data = rng.normal(0.5, 0.2, 80)
+        perm = rng.permutation(data.size)
+        a = fit_mcmc(data, iters=60, burn_in=20, thin=4, seed=5, n_knots=16)
+        b = fit_mcmc(data[perm], iters=60, burn_in=20, thin=4, seed=5, n_knots=16)
+        for name in ("mu_values", "sigma", "log_post"):
+            np.testing.assert_array_equal(getattr(b, name), getattr(a, name))
+        np.testing.assert_array_equal(b.eta, a.eta[:, perm])
+        assert not np.array_equal(b.eta, a.eta)
 
 
 class TestPredictiveDensity:

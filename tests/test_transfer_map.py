@@ -22,6 +22,7 @@ from scipy.stats import norm
 from nllvm_lab.cli import _truth_density
 from nllvm_lab.grid_density import GridDensity, GridSpec, convolve_gaussian
 from nllvm_lab.transfer_map import (
+    _SERIES_RISE,
     FLAT_RISE,
     CoverageError,
     TransferFunction,
@@ -194,6 +195,30 @@ def _gp_transfer(rng, n_knots):
     return TransferFunction(knots, v)
 
 
+@st.composite
+def _mixed_transfers(draw):
+    """sigma and a transfer with rising, falling, flat (< FLAT_RISE sigma) and
+    series-branch (< _SERIES_RISE sigma) segments, at least one of each.
+
+    Each small rise keeps a factor of 2 from the thresholds, so rounding in
+    the knot values cannot move a segment across one."""
+    sigma = draw(st.floats(0.05, 1.0))
+    kinds = ["rise", "fall", "flat", "series"]
+    kinds += draw(st.lists(st.sampled_from(kinds), max_size=12))
+    values = [draw(st.floats(-2.0, 2.0))]
+    for kind in draw(st.permutations(kinds)):
+        if kind == "rise":
+            step = draw(st.floats(0.05, 1.0))
+        elif kind == "fall":
+            step = -draw(st.floats(0.05, 1.0))
+        else:
+            top = FLAT_RISE / 2.0 if kind == "flat" else _SERIES_RISE / 2.0
+            bottom = 0.0 if kind == "flat" else 2.0 * FLAT_RISE
+            step = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(bottom, top)) * sigma
+        values.append(values[-1] + step)
+    return TransferFunction(np.linspace(0.0, 1.0, len(values)), np.array(values)), sigma
+
+
 class TestSegmentMasses:
     """The closed-form Phi-difference kernel against midpoint quadrature."""
 
@@ -208,10 +233,10 @@ class TestSegmentMasses:
             mu = _gp_transfer(rng, n_knots)
             y = np.linspace(mu.lo - 8 * sigma, mu.hi + 8 * sigma, 257)
             t = mu((np.arange(m) + 0.5) / m).reshape(n_knots - 1, per_seg)
-            ref = np.exp(-0.5 * ((y[:, None, None] - t[None]) / sigma) ** 2).sum(axis=2)
+            ref = np.exp(-0.5 * ((y[None, :, None] - t[:, None]) / sigma) ** 2).sum(axis=2)
             ref /= m * math.sqrt(2.0 * math.pi) * sigma
             masses = segment_masses(mu, sigma, y)
-            assert masses.shape == (y.size, n_knots - 1)
+            assert masses.shape == (n_knots - 1, y.size)
             assert np.max(np.abs(masses - ref)) < 1e-6
 
     @settings(max_examples=40)
@@ -219,25 +244,41 @@ class TestSegmentMasses:
         values=st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=20),
         sigma=st.floats(0.05, 1.0),
     )
-    def test_rows_are_mixture_density(self, values, sigma):
+    def test_columns_are_mixture_density(self, values, sigma):
         # any path, rises and falls alike: masses are non-negative and each
-        # row sums to the mixture's value up to its normalization
+        # column sums to the mixture's value up to its normalization
         mu = TransferFunction(np.linspace(0.0, 1.0, len(values)), np.array(values))
         spec = GridSpec(mu.lo - 10.0 * sigma, mu.hi + 10.0 * sigma, 256)
         masses = segment_masses(mu, sigma, spec.points())
         assert np.all(masses >= 0.0)
-        rows = masses.sum(axis=1)
+        cols = masses.sum(axis=0)
         dens = mixture_density(mu, sigma, spec)
         np.testing.assert_allclose(
-            dens.values * trapezoid(rows, dx=spec.spacing), rows, rtol=1e-12, atol=0
+            dens.values * trapezoid(cols, dx=spec.spacing), cols, rtol=1e-12, atol=0
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=_mixed_transfers())
+    def test_column_sum_matches_exact_summation(self, case):
+        # stated tolerance: a float64 sum of at most 16 non-negative terms,
+        # in any order, is within 16 * 1.1e-16 < 2e-15 relative of their
+        # exact sum, so the mixture agrees with the math.fsum reference at
+        # rtol 1e-14 at every point, tails included
+        mu, sigma = case
+        spec = GridSpec(mu.lo - 12.0 * sigma, mu.hi + 12.0 * sigma, 2048)
+        masses = segment_masses(mu, sigma, spec.points())
+        ref = np.array([math.fsum(col) for col in masses.T])
+        dens = mixture_density(mu, sigma, spec)
+        np.testing.assert_allclose(
+            dens.values, GridDensity(spec.lo, spec.hi, ref).values, rtol=1e-14, atol=0
         )
 
     def test_flat_segment_is_its_normal_limit(self):
         mu = TransferFunction(np.array([0.0, 0.25, 0.5, 1.0]), np.array([0.0, 1.0, 1.0, 1.0 + 1e-9]))
         y = np.linspace(-1.0, 2.0, 31)
         masses = segment_masses(mu, 0.2, y)
-        np.testing.assert_allclose(masses[:, 1], 0.25 * norm.pdf(y, 1.0, 0.2), rtol=1e-12)
-        np.testing.assert_allclose(masses[:, 2], 0.5 * norm.pdf(y, 1.0 + 5e-10, 0.2), rtol=1e-10)
+        np.testing.assert_allclose(masses[1], 0.25 * norm.pdf(y, 1.0, 0.2), rtol=1e-12)
+        np.testing.assert_allclose(masses[2], 0.5 * norm.pdf(y, 1.0 + 5e-10, 0.2), rtol=1e-10)
 
     def test_tail_keeps_relative_accuracy(self):
         # y at least 10 sigma beyond range(mu): both Phi values of every
@@ -252,20 +293,20 @@ class TestSegmentMasses:
         t = mu((np.arange(m) + 0.5) / m)
         log_ref = logsumexp(-0.5 * ((y[:, None] - t[None, :]) / sigma) ** 2, axis=1)
         log_ref -= math.log(m * math.sqrt(2.0 * math.pi) * sigma)
-        dens = segment_masses(mu, sigma, y).sum(axis=1)
+        dens = segment_masses(mu, sigma, y).sum(axis=0)
         assert np.all(dens > 0)
         np.testing.assert_allclose(np.log(dens), log_ref, rtol=0, atol=1e-6)
 
-    def test_mixture_is_the_row_sum_of_segment_masses(self):
+    def test_mixture_is_the_column_sum_of_segment_masses(self):
         # the window reaches 60 sigma past range(mu), where the mixture
         # skips evaluation; the skipped points must be the exact zeros
         mu = _gp_transfer(np.random.default_rng(9), 33)
         sigma = 0.05
         spec = GridSpec(mu.lo - 60 * sigma, mu.hi + 60 * sigma, 1500)
-        rows = segment_masses(mu, sigma, spec.points()).sum(axis=1)
-        assert np.sum(rows == 0.0) > 300
+        cols = segment_masses(mu, sigma, spec.points()).sum(axis=0)
+        assert np.sum(cols == 0.0) > 300
         out = mixture_density(mu, sigma, spec)
-        np.testing.assert_array_equal(out.values, GridDensity(spec.lo, spec.hi, rows).values)
+        np.testing.assert_array_equal(out.values, GridDensity(spec.lo, spec.hi, cols).values)
 
     def test_mass_conserved_on_minimal_window(self):
         rng = np.random.default_rng(5)
@@ -313,7 +354,7 @@ class TestMixtureVjp:
 
         def weighted(p):
             path = TransferFunction(mu.knots, p[:-1])
-            return segment_masses(path, p[-1], spec.points()).sum(axis=1) @ r
+            return segment_masses(path, p[-1], spec.points()).sum(axis=0) @ r
 
         y = spec.points()
         grad_v, grad_sigma = mixture_vjp(mu, sigma, y, segment_masses(mu, sigma, y), r)
@@ -330,3 +371,24 @@ class TestMixtureVjp:
         ])
         err = np.abs(np.append(grad_v, grad_sigma) - fd)
         assert np.max(err) <= 1e-6 * np.max(np.abs(fd))
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=_mixed_transfers(), seed=st.integers(0, 2**32 - 1))
+    def test_agrees_with_extended_precision(self, case, seed):
+        # the same closed forms and series in np.longdouble (64-bit
+        # mantissa; the knot gradient is rounded to float64 only as it is
+        # stored) on the same masses isolate the rounding of the float64
+        # contractions, masses @ r among them.  Stated tolerance: each
+        # contraction over the grid rounds at about 1e-16 * sqrt(n) of its
+        # terms, and the divided differences divide by rises no smaller than
+        # _SERIES_RISE, so every component stays within 1e-12 of the largest
+        mu, sigma = case
+        y = GridSpec(mu.lo - 10.0 * sigma, mu.hi + 10.0 * sigma, 400).points()
+        r = np.random.default_rng(seed).standard_normal(y.size)
+        masses = segment_masses(mu, sigma, y)
+        grad_v, grad_sigma = mixture_vjp(mu, sigma, y, masses, r)
+        ld = np.longdouble
+        ref_v, ref_sigma = mixture_vjp(mu, ld(sigma), y.astype(ld), masses.astype(ld), r.astype(ld))
+        ref = np.append(ref_v, ref_sigma)
+        err = np.abs(np.append(grad_v, grad_sigma) - ref)
+        assert np.max(err) <= 1e-12 * np.max(np.abs(ref))
