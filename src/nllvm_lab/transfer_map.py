@@ -125,6 +125,10 @@ def segment_masses(mu: TransferFunction, sigma: float, y: np.ndarray) -> np.ndar
     so a difference of two values near 1 never cancels in the tail.
     Segments rising less than ``FLAT_RISE`` sigma take the limit
     ``dx_k * phi_sigma(y_i - mid_k)``.
+
+    The Phi values fill one K x n table, which is differenced, scaled and
+    taken absolute in place; the result is its first K - 1 rows, a
+    C-contiguous view, so one call allocates one table, not two.
     """
     if not (0 < sigma < np.inf):
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
@@ -137,7 +141,7 @@ def segment_masses(mu: TransferFunction, sigma: float, y: np.ndarray) -> np.ndar
     cdf = y[None, :] - v[:, None]
     cdf *= side
     special.ndtr(cdf, out=cdf)
-    out = cdf[:-1] - cdf[1:]
+    out = np.subtract(cdf[:-1], cdf[1:], out=cdf[:-1])
     np.abs(out, out=out)
     out *= (dx / (sigma * np.where(flat, 1.0, rise)))[:, None]
     if flat.any():

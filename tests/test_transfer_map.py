@@ -9,6 +9,7 @@ against direct convolution).
 from __future__ import annotations
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -16,11 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import trapezoid
-from scipy.special import logsumexp
+from scipy.special import logsumexp, ndtr
 from scipy.stats import norm
 
 from nllvm_lab.cli import _truth_density
-from nllvm_lab.grid_density import GridDensity, GridSpec, convolve_gaussian
+from nllvm_lab.grid_density import _SQRT_2PI, GridDensity, GridSpec, convolve_gaussian
 from nllvm_lab.transfer_map import (
     _SERIES_RISE,
     FLAT_RISE,
@@ -326,6 +327,49 @@ class TestSegmentMasses:
         mu = TransferFunction(np.linspace(0.0, 1.0, len(values)), np.array(values))
         spec = GridSpec(mu.lo - 8.0 * sigma, mu.hi + 8.0 * sigma, 2048)
         assert abs(mixture_density(mu, sigma, spec).mass_loss) < 1e-9
+
+    def test_one_table_per_call(self):
+        # stated bound: the K x n Phi table plus at most a quarter table of
+        # temporaries; a second table for the difference would give about 2
+        n_knots, n = 65, 4096
+        mu = TransferFunction(np.linspace(0.0, 1.0, n_knots), np.linspace(-1.0, 1.0, n_knots))
+        y = np.linspace(-2.0, 2.0, n)
+        segment_masses(mu, 0.3, y)  # warm caches outside the traced call
+        tracemalloc.start()
+        try:
+            segment_masses(mu, 0.3, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * n_knots * n * 8
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=_mixed_transfers())
+    def test_in_place_difference_is_the_two_table_difference(self, case):
+        # tolerance 0: every entry keeps the bits of the expression that
+        # differences the Phi table into a second table
+        mu, sigma = case
+        y = np.linspace(mu.lo - 12.0 * sigma, mu.hi + 12.0 * sigma, 1024)
+        masses = segment_masses(mu, sigma, y)
+        assert masses.flags.c_contiguous
+        assert masses.shape == (mu.values.size - 1, y.size)
+        np.testing.assert_array_equal(masses, _two_table_masses(mu, sigma, y))
+
+
+def _two_table_masses(mu, sigma, y):
+    """:func:`segment_masses` with its difference in a second table."""
+    v = mu.values
+    dx = np.diff(mu.knots)
+    rise = np.abs(np.diff(v)) / sigma
+    flat = rise < FLAT_RISE
+    side = np.where(y > np.median(v), -1.0 / sigma, 1.0 / sigma)
+    cdf = ndtr((y[None, :] - v[:, None]) * side)
+    out = np.abs(cdf[:-1] - cdf[1:])
+    out *= (dx / (sigma * np.where(flat, 1.0, rise)))[:, None]
+    mid = 0.5 * (v[:-1] + v[1:])[flat]
+    z = (y[None, :] - mid[:, None]) / sigma
+    out[flat] = np.exp(-0.5 * z * z) * (dx[flat] / (_SQRT_2PI * sigma))[:, None]
+    return out
 
 
 def _vjp_path(rng, n_knots, sigma):
