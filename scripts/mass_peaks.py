@@ -49,7 +49,7 @@ def peak_kib(call) -> float:
 
 def wavy(n_knots: int) -> TransferFunction:
     t = np.linspace(0.0, 1.0, n_knots)
-    return TransferFunction(t, 2.0 * t - 1.0 + 0.3 * np.sin(7.0 * t))
+    return TransferFunction(2.0 * t - 1.0 + 0.3 * np.sin(7.0 * t))
 
 
 def cases():

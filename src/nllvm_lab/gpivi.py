@@ -104,7 +104,7 @@ def normal_quantile_transfer(m: float, tau: float, *, n_knots: int = 513) -> Tra
         raise ValueError(f"tau must be positive, got {tau}")
     knots = np.linspace(0.0, 1.0, n_knots)
     levels = np.clip(knots, QUANTILE_CLIP, 1.0 - QUANTILE_CLIP)
-    return TransferFunction(knots, m + tau * ndtri(levels))
+    return TransferFunction(m + tau * ndtri(levels))
 
 
 def q_density(params: VariationalParams, spec: GridSpec) -> GridDensity:
@@ -216,7 +216,7 @@ def _work_window(init: VariationalParams, n_grid: int = 1024) -> GridSpec:
 class _FeasibleMap:
     """Unconstrained coordinates of the members whose mass stays in [lo, hi].
 
-    A point x holds ``knots + 1`` increment logits and log sigma; its knot
+    A point x holds K + 1 increment logits and log sigma; its K knot
     values lo + z sigma + (hi - lo - 2 z sigma) * cumsum(softmax(logits))[:-1]
     increase inside [lo + z sigma, hi - z sigma] with z = ``_MARGIN_Z``, so
     every x whose log sigma lies in ``log_sigma_bounds`` passes both the
@@ -228,7 +228,6 @@ class _FeasibleMap:
     """
 
     spec: GridSpec
-    knots: np.ndarray
     lo: float
     hi: float
     points: np.ndarray
@@ -248,7 +247,6 @@ class _FeasibleMap:
         prior = np.maximum(model.prior_density.pdf_at(points), DENSITY_FLOOR)
         return cls(
             spec,
-            init.mu.knots,
             max(spec.lo, lo),
             min(spec.hi, hi),
             points,
@@ -270,7 +268,7 @@ class _FeasibleMap:
         margin = _MARGIN_Z * math.exp(x[-1])
         steps = np.cumsum(softmax(x[:-1]))[:-1]
         values = self.lo + margin + (self.hi - self.lo - 2.0 * margin) * steps
-        return VariationalParams(TransferFunction(self.knots, values), float(x[-1]))
+        return VariationalParams(TransferFunction(values), float(x[-1]))
 
     def pullback(self, x: np.ndarray, grad_v: np.ndarray, grad_sigma: float) -> np.ndarray:
         """Gradient in x of a function with gradient (grad_v, grad_sigma) at params(x)."""

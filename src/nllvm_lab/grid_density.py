@@ -95,12 +95,13 @@ class GridDensity:
     mass_loss: float = field(default=0.0, compare=False)
     """Mass lost prior to the construction-time renormalization (diagnostic;
     populated by operations such as :func:`convolve_gaussian`)."""
+    spec: GridSpec = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.values, dtype=float)
         if vals.ndim != 1:
             raise ValueError(f"values must be 1-D, got shape {vals.shape}")
-        GridSpec(self.lo, self.hi, vals.size)  # checks the window and the size
+        self.spec = GridSpec(self.lo, self.hi, vals.size)  # checks the window and the size
         if not np.all(np.isfinite(vals)):
             bad = int(np.argmin(np.isfinite(vals)))
             raise ValueError(f"non-finite density value at index {bad}")
@@ -109,7 +110,7 @@ class GridDensity:
             raise ValueError(
                 f"negative density value {vals[bad]:.3e} at index {bad}"
             )
-        total = trapezoid(vals, dx=(self.hi - self.lo) / (vals.size - 1))
+        total = trapezoid(vals, dx=self.spec.spacing)
         if total <= 0:
             raise ValueError("density has zero total mass")
         self.values = vals / total
@@ -120,15 +121,11 @@ class GridDensity:
 
     @property
     def spacing(self) -> float:
-        return (self.hi - self.lo) / (self.n - 1)
-
-    @property
-    def spec(self) -> GridSpec:
-        return GridSpec(self.lo, self.hi, self.n)
+        return self.spec.spacing
 
     @property
     def grid(self) -> np.ndarray:
-        return np.linspace(self.lo, self.hi, self.n)
+        return self.spec.points()
 
     def pdf_at(self, x: np.ndarray | float) -> np.ndarray:
         """Linear interpolation of the density (0 outside the window)."""
@@ -146,7 +143,7 @@ class GridDensity:
 
 
 def _same_grid(p: GridDensity, q: GridDensity) -> None:
-    if p.n != q.n or p.lo != q.lo or p.hi != q.hi:
+    if p.spec != q.spec:
         raise ValueError(
             "densities must share a grid: "
             f"[{p.lo}, {p.hi}] n={p.n} vs [{q.lo}, {q.hi}] n={q.n}"

@@ -6,7 +6,9 @@ eps_i ~ N(0, sigma^2).  Conditioning on the latents restores conjugacy for
 mu (a GP regression update), the latents have tractable one-dimensional
 full conditionals, and 1/sigma is drawn from its log-concave full
 conditional by rejection from a gamma proposal.  Every step draws exactly
-from its full conditional; no step is tuned.
+from its full conditional, with one exception: a datum whose segment masses
+all underflow to 0.0 (about 38.5 sigma or more from range(mu)) gets a
+uniform latent and a logged warning (ROADMAP item 14).  No step is tuned.
 
 One Gibbs cycle is update_latents -> update_transfer -> update_sigma; each
 step takes the blocks it conditions on and returns the block it draws.  The
@@ -81,7 +83,7 @@ class PosteriorSamples:
 def update_latents(
     mu: TransferFunction, sigma: float, data: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
-    """Draw every latent from its exact full conditional on [0,1] given mu and sigma.
+    """Draw the latents from their full conditionals on [0,1] given mu and sigma.
 
     The conditional density of eta_i is proportional to
     phi_sigma(y_i - mu(eta_i)).  With mu linear between knots it is a
@@ -137,6 +139,7 @@ def update_latents(
 def _tridiagonal_gram(eta: np.ndarray, data: np.ndarray, n_knots: int) -> tuple:
     """W^T W and W^T y for the linear-interpolation design W of the latents.
 
+    The knots are :class:`TransferFunction`'s, j / (n_knots - 1) for knot j.
     Row i of W holds 1 - t_i and t_i at the knots left and right of eta_i,
     so W^T W is tridiagonal; both are summed per knot with bincount.
     """
@@ -211,13 +214,14 @@ def fit_mcmc(
 
     The chain runs ``iters`` cycles and keeps every ``thin``-th state after
     the first ``burn_in``.  Every step draws from its exact full
-    conditional, so the burn-in serves convergence from the start state
-    only; nothing is tuned.  The chain sorts the data once and runs on the
-    sorted copy, so any order of the same data gives the same states;
-    ``eta`` comes back in the order of ``data``.  A failure in any cycle,
-    the checks on a kept state included, aborts the chain with a
-    ``RuntimeError``; data that are not a finite 1-D array of at least 10
-    points raise before the first draw.
+    conditional, except the uniform fallback of :func:`update_latents` for
+    a datum whose segment masses all underflow (ROADMAP item 14), so the
+    burn-in serves convergence from the start state only; nothing is tuned.
+    The chain sorts the data once and runs on the sorted copy, so any order
+    of the same data gives the same states; ``eta`` comes back in the order
+    of ``data``.  A failure in any cycle, the checks on a kept state
+    included, aborts the chain with a ``RuntimeError``; data that are not a
+    finite 1-D array of at least 10 points raise before the first draw.
     """
     if burn_in < 0 or iters <= burn_in:
         raise ValueError(f"need iters > burn_in >= 0, got ({iters}, {burn_in})")
@@ -247,12 +251,12 @@ def fit_mcmc(
     j = 0
 
     # empirical quantiles put the transfer near the truth-quantile map
-    mu = TransferFunction(knots, np.quantile(data, knots))
+    mu = TransferFunction(np.quantile(data, knots))
     sigma = max(0.5 * float(np.std(data)), 1e-3)
     for it in range(1, iters + 1):
         try:
             eta = update_latents(mu, sigma, data, rng)
-            mu = TransferFunction(knots, update_transfer(eta, sigma, data, rng, k_inv))
+            mu = TransferFunction(update_transfer(eta, sigma, data, rng, k_inv))
             resid = data - mu(eta)
             sigma = update_sigma(resid, rng)
             if it in kept:
@@ -279,10 +283,9 @@ def predictive_density(samples: PosteriorSamples, spec: GridSpec) -> GridDensity
     :func:`mixture_density`, so the only error left is the Monte Carlo
     spread of the ensemble average.
     """
-    knots = np.linspace(0.0, 1.0, samples.mu_values.shape[1])
     acc = np.zeros(spec.n)
     for values, sigma in zip(samples.mu_values, samples.sigma):
-        acc += mixture_density(TransferFunction(knots, values), sigma, spec).values
+        acc += mixture_density(TransferFunction(values), sigma, spec).values
     return GridDensity(spec.lo, spec.hi, acc / samples.sigma.size)
 
 

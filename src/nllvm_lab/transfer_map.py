@@ -1,8 +1,9 @@
 """Transfer functions on [0,1] and the latent-mixture marginal density.
 
 A transfer function mu maps a uniform latent x in [0,1] to the data scale by
-piecewise-linear interpolation between knots.  Pushing the uniform latent
-through mu and adding Gaussian noise of bandwidth sigma gives the marginal
+piecewise-linear interpolation between uniform knots.  Pushing the uniform
+latent through mu and adding Gaussian noise of bandwidth sigma gives the
+marginal
 
     f_{mu,sigma}(y) = int_0^1 phi_sigma(y - mu(x)) dx.
 
@@ -17,7 +18,7 @@ f_0.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special
@@ -46,23 +47,18 @@ class CoverageError(ValueError):
 
 @dataclass(eq=False)
 class TransferFunction:
-    """Piecewise-linear map [0,1] -> R through strictly increasing knots."""
+    """Piecewise-linear map [0,1] -> R through its values at np.linspace(0, 1, K)."""
 
-    knots: np.ndarray
     values: np.ndarray
+    knots: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        k = np.asarray(self.knots, dtype=float)
         v = np.asarray(self.values, dtype=float)
-        if k.ndim != 1 or k.shape != v.shape:
-            raise ValueError("knots and values must be 1-D arrays of equal length")
-        if k.size < 2 or k[0] != 0.0 or k[-1] != 1.0:
-            raise ValueError("knots must run from 0 to 1 inclusive")
-        if np.any(np.diff(k) <= 0):
-            raise ValueError("knots must be strictly increasing")
+        if v.ndim != 1 or v.size < 2:
+            raise ValueError(f"transfer values need a 1-D array of >= 2, got shape {v.shape}")
         if not np.all(np.isfinite(v)):
             raise ValueError("transfer values must be finite")
-        self.knots, self.values = k, v
+        self.values, self.knots = v, np.linspace(0.0, 1.0, v.size)
 
     def __call__(self, x: np.ndarray | float) -> np.ndarray:
         return np.interp(x, self.knots, self.values)
@@ -108,7 +104,7 @@ def quantile_of(
     t = np.linspace(0.0, 1.0, n_knots)
     levels = np.clip(t, clip, 1.0 - clip)
     mu_vals = np.interp(levels, uniq, f.grid[first])
-    return TransferFunction(t, np.clip(mu_vals, f.lo, f.hi))
+    return TransferFunction(np.clip(mu_vals, f.lo, f.hi))
 
 
 def segment_masses(mu: TransferFunction, sigma: float, y: np.ndarray) -> np.ndarray:

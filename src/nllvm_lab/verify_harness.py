@@ -56,6 +56,10 @@ from .reports import CheckReport, SlopeReport, sample_sizes, slope_fit
 from .transfer_map import TransferFunction, mixture_density, quantile_of
 
 _QUAD_SLACK = 1e-6
+# check_logsup_bound's budget for the constant in its bound
+_LOGSUP_SLACK = 0.5
+# the quantile clip of l1_support_search's transfer
+_L1_CLIP = 1e-4
 # the conjugate Gaussian model of chi2_limit_experiment
 _CHI2_THETA_STAR = 0.3
 _CHI2_PRIOR_SIGMA = 0.3
@@ -118,8 +122,8 @@ def check_hellinger_bound(trials: int = 200, seed: int = 0) -> CheckReport:
     for _ in range(trials):
         a = rng.uniform(2.0, 15.0)
         chol = _chol_with_escalation(se_kernel(knots, knots, variance, a))
-        mu1 = TransferFunction(knots, chol @ rng.standard_normal(n_knots))
-        mu2 = TransferFunction(knots, chol @ rng.standard_normal(n_knots))
+        mu1 = TransferFunction(chol @ rng.standard_normal(n_knots))
+        mu2 = TransferFunction(chol @ rng.standard_normal(n_knots))
         s1, s2 = rng.uniform(0.05, 0.5, size=2)
         f1 = mixture_density(mu1, s1, spec)
         f2 = mixture_density(mu2, s2, spec)
@@ -169,9 +173,7 @@ def check_logsup_bound(
     baseline = divergence(
         SUP_LOG_RATIO, f0, mixture_density(mu0, sigma, f0.spec)
     )
-    n_knots = mu0.knots.size
-    knots = mu0.knots
-    chol = _chol_with_escalation(se_kernel(knots, knots, 1.0, 2.0))
+    chol = _chol_with_escalation(se_kernel(mu0.knots, mu0.knots, 1.0, 2.0))
 
     worst = -math.inf
     violations = 0
@@ -179,13 +181,13 @@ def check_logsup_bound(
     for delta in deltas:
         slrs = []
         for _ in range(trials):
-            path = chol @ rng.standard_normal(n_knots)
+            path = chol @ rng.standard_normal(mu0.values.size)
             path *= delta / np.max(np.abs(path))
-            mu = TransferFunction(knots, mu0.values + path)
+            mu = TransferFunction(mu0.values + path)
             f = mixture_density(mu, sigma, f0.spec)
             slr = divergence(SUP_LOG_RATIO, f0, f)
             slrs.append(slr)
-            margin = slr - delta**2 / sigma**2 - baseline - 0.5
+            margin = slr - delta**2 / sigma**2 - baseline - _LOGSUP_SLACK
             worst = max(worst, margin)
             violations += margin > 0
         mean_slr[f"{delta:g}"] = float(np.mean(slrs))
@@ -199,7 +201,7 @@ def check_logsup_bound(
             "sigma": sigma,
             "deltas": [float(d) for d in deltas],
             "baseline": float(baseline),
-            "slack": 0.5,
+            "slack": _LOGSUP_SLACK,
             "mean_sup_log_ratio": mean_slr,
         },
     )
@@ -309,7 +311,7 @@ def l1_support_search(f0: GridDensity, eps: float) -> CheckReport:
     if not (0 < eps < math.inf):
         raise ValueError(f"eps must be positive and finite, got {eps}")
 
-    mu0 = quantile_of(f0, n_knots=_L1_KNOTS, clip=1e-4)
+    mu0 = quantile_of(f0, n_knots=_L1_KNOTS, clip=_L1_CLIP)
     wide = _widened(f0, 8.0 * float(_L1_SIGMAS[0]))
 
     best_l1 = math.inf
@@ -337,7 +339,7 @@ def l1_support_search(f0: GridDensity, eps: float) -> CheckReport:
             "sigma": best_sigma,
             "l1": best_l1,
             "delta_bookkeeping": delta,
-            "clip": 1e-4,
+            "clip": _L1_CLIP,
             "n_knots": _L1_KNOTS,
         },
     )
@@ -390,8 +392,8 @@ def risk_bound_experiment(
     ``kl1``, ``v1``, ``renyi1`` and ``sample_data`` hooks and its prior.
     """
     n_arr = sorted(sample_sizes(n_list, reps, 2))
-    for n in n_arr:
-        eps = eps_scale / math.sqrt(n)
+    eps_of = {n: eps_scale / math.sqrt(n) for n in n_arr}
+    for n, eps in eps_of.items():
         if not (0 < eps < math.inf):
             raise ValueError(
                 f"eps_scale / sqrt({n}) must be positive and finite, got {eps}"
@@ -401,8 +403,7 @@ def risk_bound_experiment(
     worst = -math.inf
     violations = 0
     trials = 0
-    for n in n_arr:
-        eps = eps_scale / math.sqrt(n)
+    for n, eps in eps_of.items():
         reg, mass = _witness_regularization(model, eps)
         witness_bound = 1.1 * math.log(1.0 / mass)
         trials += 1

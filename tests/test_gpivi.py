@@ -429,7 +429,7 @@ class TestOptimize:
         assert feasible.hi == 1.0 < feasible.spec.hi
         # a start whose top knot sits on the flat prior's edge
         shifted = VariationalParams(
-            TransferFunction(init.mu.knots, init.mu.values + (1.0 - init.mu.hi)),
+            TransferFunction(init.mu.values + (1.0 - init.mu.hi)),
             init.log_sigma,
         )
         with pytest.raises(ValueError, match="infeasible"):

@@ -57,7 +57,7 @@ from nllvm_lab.nllvm_posterior import (
 )
 from nllvm_lab.transfer_map import TransferFunction, mixture_density
 
-_IDENTITY = TransferFunction(np.linspace(0.0, 1.0, 16), np.linspace(0.0, 1.0, 16))
+_IDENTITY = TransferFunction(np.linspace(0.0, 1.0, 16))
 
 
 def _samples(mu_values, sigma, eta=None, log_post=None) -> PosteriorSamples:
@@ -156,7 +156,7 @@ class TestUpdateLatents:
         # phi_sigma(y - mu(x)), scaled by its maximum so it cannot underflow
         sigma = 0.1
         n = 20000
-        mu = TransferFunction(np.linspace(0.0, 1.0, values.size), values)
+        mu = TransferFunction(values)
         eta = update_latents(mu, sigma, np.full(n, y), np.random.default_rng(11))
         edges = np.linspace(0.0, 1.0, (1 << 18) + 1)
         logw = -0.5 * ((y - mu(0.5 * (edges[:-1] + edges[1:]))) / sigma) ** 2
@@ -186,9 +186,9 @@ class TestUpdateTransfer:
     @pytest.mark.parametrize("n_knots", [2, 3, 16, 64])
     def test_tridiagonal_gram_matches_dense_design(self, n_knots):
         # random latents plus the edge cases: exactly 0, exactly 1 and
-        # exactly on an interior knot
+        # exactly on an interior knot, the knots being a transfer's own
         rng = np.random.default_rng(n_knots)
-        knots = np.linspace(0.0, 1.0, n_knots)
+        knots = TransferFunction(np.zeros(n_knots)).knots
         eta = np.r_[rng.random(200), 0.0, 1.0, knots[n_knots // 2], knots[1]]
         data = rng.normal(0.0, 1.0, eta.size)
         # dense reference: row i interpolates the knot values at eta_i
@@ -302,7 +302,7 @@ class TestGibbsKernel:
         mu = np.empty((cycles, len(pick)))
         with caplog.at_level("WARNING"):
             for c in range(cycles):
-                transfer = TransferFunction(knots, values)
+                transfer = TransferFunction(values)
                 y = transfer(eta) + s * rng.standard_normal(n)
                 eta = update_latents(transfer, s, y, rng)
                 values = update_transfer(eta, s, y, rng, k_inv)
@@ -380,7 +380,7 @@ class TestPredictiveDensity:
         samples = _samples([knots], [0.3])
         spec = GridSpec(-3.0, 4.0, 1024)
         pred = predictive_density(samples, spec)
-        direct = mixture_density(TransferFunction(knots, knots), 0.3, spec)
+        direct = mixture_density(TransferFunction(knots), 0.3, spec)
         np.testing.assert_array_equal(pred.values, direct.values)
 
     def test_two_states_average(self):
@@ -389,8 +389,8 @@ class TestPredictiveDensity:
         samples = _samples([m1, m2], [0.3, 0.4])
         spec = GridSpec(-4.0, 4.0, 1024)
         pred = predictive_density(samples, spec)
-        d1 = mixture_density(TransferFunction(knots, m1), 0.3, spec)
-        d2 = mixture_density(TransferFunction(knots, m2), 0.4, spec)
+        d1 = mixture_density(TransferFunction(m1), 0.3, spec)
+        d2 = mixture_density(TransferFunction(m2), 0.4, spec)
         np.testing.assert_allclose(
             pred.values, 0.5 * (d1.values + d2.values), atol=1e-15
         )
@@ -402,7 +402,7 @@ class TestPredictiveDensity:
         assert (lo, hi) == (-0.5 - 8 * 0.4, 1.0 + 8 * 0.4)
         spec = GridSpec(lo, hi, 2048)
         for values, sigma in ((m1, 0.3), (m2, 0.4)):
-            assert mixture_density(TransferFunction(knots, values), sigma, spec).mass_loss < 1e-12
+            assert mixture_density(TransferFunction(values), sigma, spec).mass_loss < 1e-12
 
 
 class TestContractionScaffolding:

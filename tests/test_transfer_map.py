@@ -35,36 +35,32 @@ from nllvm_lab.transfer_map import (
 
 
 class TestTransferFunction:
-    """Knot validation and piecewise-linear evaluation."""
+    """Value validation, the uniform knot grid and piecewise-linear evaluation."""
 
     def test_evaluates_by_linear_interpolation(self):
-        mu = TransferFunction(np.array([0.0, 0.5, 1.0]), np.array([0.0, 2.0, 3.0]))
+        mu = TransferFunction(np.array([0.0, 2.0, 3.0]))
         assert mu(0.25) == pytest.approx(1.0)
         assert mu(0.75) == pytest.approx(2.5)
         np.testing.assert_allclose(mu(np.array([0.0, 1.0])), [0.0, 3.0])
 
-    def test_knots_must_span_unit_interval(self):
-        with pytest.raises(ValueError, match="0 to 1"):
-            TransferFunction(np.array([0.1, 1.0]), np.array([0.0, 1.0]))
-        with pytest.raises(ValueError, match="0 to 1"):
-            TransferFunction(np.array([0.0, 0.9]), np.array([0.0, 1.0]))
-
-    def test_knots_must_increase(self):
-        with pytest.raises(ValueError, match="strictly increasing"):
-            TransferFunction(np.array([0.0, 0.5, 0.5, 1.0]), np.zeros(4))
+    def test_knots_are_the_uniform_grid(self):
+        # bit for bit np.linspace(0, 1, K), the grid that the Gibbs transfer
+        # step's design matrix assumes
+        for k in (2, 3, 16, 64, 513):
+            knots = TransferFunction(np.random.default_rng(k).normal(size=k)).knots
+            assert knots.tobytes() == np.linspace(0.0, 1.0, k).tobytes()
+        for bad in (np.zeros((2, 3)), np.array(0.5), np.array([0.5])):
+            with pytest.raises(ValueError, match="1-D array of >= 2"):
+                TransferFunction(bad)
 
     def test_values_must_be_finite(self):
         with pytest.raises(ValueError, match="finite"):
-            TransferFunction(np.array([0.0, 1.0]), np.array([0.0, np.inf]))
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="equal length"):
-            TransferFunction(np.array([0.0, 0.5, 1.0]), np.array([0.0, 1.0]))
+            TransferFunction(np.array([0.0, np.inf]))
 
     def test_sup_distance_exact_on_union_of_knots(self):
         # gap maximized at x = 0.5, a knot of one function only
-        a = TransferFunction(np.array([0.0, 0.5, 1.0]), np.array([0.0, 1.0, 0.0]))
-        b = TransferFunction(np.array([0.0, 1.0]), np.array([0.0, 0.0]))
+        a = TransferFunction(np.array([0.0, 1.0, 0.0]))
+        b = TransferFunction(np.array([0.0, 0.0]))
         assert a.sup_distance(b) == pytest.approx(1.0)
         assert b.sup_distance(a) == pytest.approx(1.0)
 
@@ -124,7 +120,7 @@ class TestMixtureDensity:
     """Marginal density of the noisy latent pushforward."""
 
     def test_constant_transfer_gives_exact_normal(self):
-        flat = TransferFunction(np.linspace(0.0, 1.0, 16), np.full(16, 0.4))
+        flat = TransferFunction(np.full(16, 0.4))
         out = mixture_density(flat, 0.3, GridSpec(-3.0, 4.0, 2048))
         exact = norm.pdf(out.grid, 0.4, 0.3)
         assert np.max(np.abs(out.values - exact)) < 1e-12
@@ -147,27 +143,25 @@ class TestMixtureDensity:
         assert fine < coarse / 3.0
 
     def test_coverage_error_reports_lost_mass(self):
-        mu = TransferFunction(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
+        mu = TransferFunction(np.array([0.0, 1.0]))
         with pytest.raises(CoverageError, match="lost mass"):
             mixture_density(mu, 0.5, GridSpec(0.0, 1.0, 256))
 
     def test_wide_window_always_covered(self):
-        mu = TransferFunction(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
+        mu = TransferFunction(np.array([0.0, 1.0]))
         out = mixture_density(mu, 0.2, GridSpec(-1.7, 2.7, 1024))
         assert trapezoid(out.values, dx=out.spacing) == pytest.approx(1.0, abs=1e-12)
         assert out.mass_loss < 1e-4
 
     def test_sigma_must_be_positive(self):
         # NaN fails every comparison, so it must not read as "not <= 0"
-        mu = TransferFunction(np.array([0.0, 1.0]), np.zeros(2))
+        mu = TransferFunction(np.zeros(2))
         for bad in (-0.1, 0.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="positive and finite"):
                 mixture_density(mu, bad, GridSpec(-2.0, 2.0, 256))
 
     def test_exact_kernel_agrees_with_fixed_quadrature(self):
-        mu = TransferFunction(
-            np.linspace(0.0, 1.0, 17), np.sin(np.linspace(0.0, 2.5, 17))
-        )
+        mu = TransferFunction(np.sin(np.linspace(0.0, 2.5, 17)))
         spec = GridSpec(-3.0, 4.0, 1024)
         fixed = _midpoint_mixture(mu, 0.2, spec.points(), 8192)
         exact = mixture_density(mu, 0.2, spec)
@@ -193,7 +187,7 @@ def _gp_transfer(rng, n_knots):
     k = n_knots // 4
     v[k : k + 3] = v[k]  # two flat segments
     v[2 * k + 1] = v[2 * k] + 1e-9  # a near-flat segment
-    return TransferFunction(knots, v)
+    return TransferFunction(v)
 
 
 @st.composite
@@ -217,7 +211,7 @@ def _mixed_transfers(draw):
             bottom = 0.0 if kind == "flat" else 2.0 * FLAT_RISE
             step = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(bottom, top)) * sigma
         values.append(values[-1] + step)
-    return TransferFunction(np.linspace(0.0, 1.0, len(values)), np.array(values)), sigma
+    return TransferFunction(np.array(values)), sigma
 
 
 class TestSegmentMasses:
@@ -248,7 +242,7 @@ class TestSegmentMasses:
     def test_columns_are_mixture_density(self, values, sigma):
         # any path, rises and falls alike: masses are non-negative and each
         # column sums to the mixture's value up to its normalization
-        mu = TransferFunction(np.linspace(0.0, 1.0, len(values)), np.array(values))
+        mu = TransferFunction(np.array(values))
         spec = GridSpec(mu.lo - 10.0 * sigma, mu.hi + 10.0 * sigma, 256)
         masses = segment_masses(mu, sigma, spec.points())
         assert np.all(masses >= 0.0)
@@ -275,19 +269,18 @@ class TestSegmentMasses:
         )
 
     def test_flat_segment_is_its_normal_limit(self):
-        mu = TransferFunction(np.array([0.0, 0.25, 0.5, 1.0]), np.array([0.0, 1.0, 1.0, 1.0 + 1e-9]))
+        # segment 1 is flat and segment 2 rises 5e-9 sigma, both of width 1/4
+        mu = TransferFunction(np.array([0.0, 1.0, 1.0, 1.0 + 1e-9, 2.0]))
         y = np.linspace(-1.0, 2.0, 31)
         masses = segment_masses(mu, 0.2, y)
         np.testing.assert_allclose(masses[1], 0.25 * norm.pdf(y, 1.0, 0.2), rtol=1e-12)
-        np.testing.assert_allclose(masses[2], 0.5 * norm.pdf(y, 1.0 + 5e-10, 0.2), rtol=1e-10)
+        np.testing.assert_allclose(masses[2], 0.25 * norm.pdf(y, 1.0 + 5e-10, 0.2), rtol=1e-10)
 
     def test_tail_keeps_relative_accuracy(self):
         # y at least 10 sigma beyond range(mu): both Phi values of every
         # segment are within 1e-23 of 1 (or of 0), and the density is
         # compared in log space with a log-sum-exp midpoint reference
-        mu = TransferFunction(
-            np.linspace(0.0, 1.0, 17), 0.5 * np.sin(np.linspace(0.0, 2.5, 17))
-        )
+        mu = TransferFunction(0.5 * np.sin(np.linspace(0.0, 2.5, 17)))
         sigma = 0.2
         y = np.array([mu.hi + 10 * sigma, mu.hi + 25 * sigma, mu.lo - 10 * sigma, mu.lo - 25 * sigma])
         m = 1 << 16
@@ -324,7 +317,7 @@ class TestSegmentMasses:
     )
     def test_mass_conserved_on_any_minimal_window(self, values, sigma):
         # the window is exactly range(mu) +- 8 sigma, at least 16 points per sigma
-        mu = TransferFunction(np.linspace(0.0, 1.0, len(values)), np.array(values))
+        mu = TransferFunction(np.array(values))
         spec = GridSpec(mu.lo - 8.0 * sigma, mu.hi + 8.0 * sigma, 2048)
         assert abs(mixture_density(mu, sigma, spec).mass_loss) < 1e-9
 
@@ -332,7 +325,7 @@ class TestSegmentMasses:
         # stated bound: the K x n Phi table plus at most a quarter table of
         # temporaries; a second table for the difference would give about 2
         n_knots, n = 65, 4096
-        mu = TransferFunction(np.linspace(0.0, 1.0, n_knots), np.linspace(-1.0, 1.0, n_knots))
+        mu = TransferFunction(np.linspace(-1.0, 1.0, n_knots))
         y = np.linspace(-2.0, 2.0, n)
         segment_masses(mu, 0.3, y)  # warm caches outside the traced call
         tracemalloc.start()
@@ -379,7 +372,7 @@ def _vjp_path(rng, n_knots, sigma):
     k = n_knots // 4
     for j, rise in ((3 * k, 2e-4), (3 * k + 1, -8e-3), (3 * k + 3, 1e-3)):
         v[j + 1] = v[j] + rise * sigma
-    return TransferFunction(np.linspace(0.0, 1.0, n_knots), v)
+    return TransferFunction(v)
 
 
 class TestMixtureVjp:
@@ -397,7 +390,7 @@ class TestMixtureVjp:
         r = rng.standard_normal(spec.n)
 
         def weighted(p):
-            path = TransferFunction(mu.knots, p[:-1])
+            path = TransferFunction(p[:-1])
             return segment_masses(path, p[-1], spec.points()).sum(axis=0) @ r
 
         y = spec.points()
