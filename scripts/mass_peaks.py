@@ -34,7 +34,7 @@ from nllvm_lab.gpivi import (
 )
 from nllvm_lab.grid_density import GridSpec
 from nllvm_lab.nllvm_posterior import PosteriorSamples, predictive_density, update_latents
-from nllvm_lab.transfer_map import TransferFunction, mixture_density, segment_masses
+from nllvm_lab.transfer_map import TransferFunction, knot_grid, mixture_density, segment_masses
 
 
 def peak_kib(call) -> float:
@@ -48,7 +48,7 @@ def peak_kib(call) -> float:
 
 
 def wavy(n_knots: int) -> TransferFunction:
-    t = np.linspace(0.0, 1.0, n_knots)
+    t = knot_grid(n_knots)
     return TransferFunction(2.0 * t - 1.0 + 0.3 * np.sin(7.0 * t))
 
 

@@ -51,7 +51,6 @@ SCHEMA_VERSION = "1"
 MIN_GRID_N = 64
 MAX_GRID_N = 65536
 
-_COMMANDS = ("estimate", "vi", "verify", "contract")
 _TRUTHS = ("bump", "bimodal", "normal")
 _MODELS = ("normal-mean", "normal-normal", "logistic")
 
@@ -72,9 +71,9 @@ class RunConfig:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.command not in _COMMANDS:
+        if self.command not in _HANDLERS:
             raise ValueError(
-                f"unknown command {self.command!r}; choose from {_COMMANDS}"
+                f"unknown command {self.command!r}; choose from {tuple(_HANDLERS)}"
             )
         if self.grid_n is not None and not (MIN_GRID_N <= self.grid_n <= MAX_GRID_N):
             raise ValueError(

@@ -9,10 +9,11 @@ and the noise scale sigma an inverse-gamma prior with (shape, rate)
 ``SIGMA_PRIOR``.  Pushing a (mu, sigma) draw through the location-mixture
 map yields one draw from the induced prior on densities.
 
-Paths are sampled on a uniform knot grid via Cholesky factorization.  SE
-kernels are badly conditioned for large knot counts, so the factorization
-adds a diagonal ``JITTER``, negligible against the marginal variance, and
-escalates it (doubling, at most three times) before failing loudly.
+Paths are sampled on the transfer's own knots, ``transfer_map.knot_grid``,
+via Cholesky factorization (:func:`knot_cholesky`).  SE kernels are badly
+conditioned for large knot counts, so the factorization adds a diagonal
+``JITTER``, negligible against the marginal variance, and escalates it
+(doubling, at most three times) before failing loudly.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ import math
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky
+
+from .transfer_map import knot_grid
 
 MIN_PATH_KNOTS = 16
 MAX_PATH_KNOTS = 1024
@@ -55,6 +58,12 @@ def _chol_with_escalation(k: np.ndarray) -> np.ndarray:
     )
 
 
+def knot_cholesky(n_knots: int, variance: float, a: float) -> np.ndarray:
+    """Jitter-escalated Cholesky factor of the SE covariance on ``knot_grid(n_knots)``."""
+    knots = knot_grid(n_knots)
+    return _chol_with_escalation(se_kernel(knots, knots, variance, a))
+
+
 def sample_path_conditional(
     rescale: float,
     n_knots: int,
@@ -85,7 +94,7 @@ def sample_path_conditional(
     anchor_values = np.asarray(anchor_values, dtype=float)
     if anchor_idx.size == 0 or anchor_idx.size != anchor_values.size:
         raise ValueError("anchor indices and values must be non-empty and matched")
-    knots = np.linspace(0.0, 1.0, n_knots)
+    knots = knot_grid(n_knots)
     free = np.setdiff1d(np.arange(n_knots), anchor_idx)
 
     k_aa = se_kernel(knots[anchor_idx], knots[anchor_idx], VARIANCE, rescale)

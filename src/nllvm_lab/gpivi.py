@@ -34,7 +34,7 @@ from .grid_density import (
     trapezoid,
     trapezoid_weights,
 )
-from .transfer_map import QUANTILE_CLIP, TransferFunction, _live_masses
+from .transfer_map import QUANTILE_CLIP, TransferFunction, _live_masses, knot_grid
 from .transfer_map import mixture_density, mixture_vjp
 
 D_CONST = 2.0
@@ -102,8 +102,7 @@ def normal_quantile_transfer(m: float, tau: float, *, n_knots: int = 513) -> Tra
     """
     if not (tau > 0):
         raise ValueError(f"tau must be positive, got {tau}")
-    knots = np.linspace(0.0, 1.0, n_knots)
-    levels = np.clip(knots, QUANTILE_CLIP, 1.0 - QUANTILE_CLIP)
+    levels = np.clip(knot_grid(n_knots), QUANTILE_CLIP, 1.0 - QUANTILE_CLIP)
     return TransferFunction(m + tau * ndtri(levels))
 
 

@@ -29,10 +29,10 @@ from scipy import special
 from scipy.linalg import cho_solve, solve_triangular
 
 from ._runtime import parallel_map, seeded_rng
-from .gp_prior import RESCALE, SIGMA_PRIOR, VARIANCE, _chol_with_escalation, se_kernel
+from .gp_prior import RESCALE, SIGMA_PRIOR, VARIANCE, _chol_with_escalation, knot_cholesky
 from .grid_density import HELLINGER_SQ, GridDensity, GridSpec, divergence
 from .reports import SlopeReport, sample_sizes, slope_fit
-from .transfer_map import FLAT_RISE, TransferFunction, mixture_density, segment_masses
+from .transfer_map import FLAT_RISE, TransferFunction, knot_grid, mixture_density, segment_masses
 
 logger = logging.getLogger(__name__)
 
@@ -139,7 +139,7 @@ def update_latents(
 def _tridiagonal_gram(eta: np.ndarray, data: np.ndarray, n_knots: int) -> tuple:
     """W^T W and W^T y for the linear-interpolation design W of the latents.
 
-    The knots are :class:`TransferFunction`'s, j / (n_knots - 1) for knot j.
+    The knots are the transfer's, ``knot_grid(n_knots)``: j / (n_knots - 1) for knot j.
     Row i of W holds 1 - t_i and t_i at the knots left and right of eta_i,
     so W^T W is tridiagonal; both are summed per knot with bincount.
     """
@@ -241,8 +241,7 @@ def fit_mcmc(
     data = data[order]
 
     rng = seeded_rng(seed, "mcmc")
-    knots = np.linspace(0.0, 1.0, n_knots)
-    kernel_chol = _chol_with_escalation(se_kernel(knots, knots, VARIANCE, RESCALE))
+    kernel_chol = knot_cholesky(n_knots, VARIANCE, RESCALE)
     k_inv = cho_solve((kernel_chol, True), np.eye(n_knots))
 
     kept = range(burn_in + 1, iters + 1, thin)
@@ -251,7 +250,7 @@ def fit_mcmc(
     j = 0
 
     # empirical quantiles put the transfer near the truth-quantile map
-    mu = TransferFunction(np.quantile(data, knots))
+    mu = TransferFunction(np.quantile(data, knot_grid(n_knots)))
     sigma = max(0.5 * float(np.std(data)), 1e-3)
     for it in range(1, iters + 1):
         try:

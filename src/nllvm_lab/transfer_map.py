@@ -45,9 +45,14 @@ class CoverageError(ValueError):
     narrow or its spacing too coarse for sigma."""
 
 
+def knot_grid(n_knots: int) -> np.ndarray:
+    """The K uniform knots of [0, 1] on which every transfer lives."""
+    return np.linspace(0.0, 1.0, n_knots)
+
+
 @dataclass(eq=False)
 class TransferFunction:
-    """Piecewise-linear map [0,1] -> R through its values at np.linspace(0, 1, K)."""
+    """Piecewise-linear map [0,1] -> R through its values at ``knot_grid(K)``."""
 
     values: np.ndarray
     knots: np.ndarray = field(init=False, repr=False)
@@ -58,7 +63,7 @@ class TransferFunction:
             raise ValueError(f"transfer values need a 1-D array of >= 2, got shape {v.shape}")
         if not np.all(np.isfinite(v)):
             raise ValueError("transfer values must be finite")
-        self.values, self.knots = v, np.linspace(0.0, 1.0, v.size)
+        self.values, self.knots = v, knot_grid(v.size)
 
     def __call__(self, x: np.ndarray | float) -> np.ndarray:
         return np.interp(x, self.knots, self.values)
@@ -101,8 +106,7 @@ def quantile_of(
             "left-continuous inverse",
             stacklevel=2,
         )
-    t = np.linspace(0.0, 1.0, n_knots)
-    levels = np.clip(t, clip, 1.0 - clip)
+    levels = np.clip(knot_grid(n_knots), clip, 1.0 - clip)
     mu_vals = np.interp(levels, uniq, f.grid[first])
     return TransferFunction(np.clip(mu_vals, f.lo, f.hi))
 

@@ -23,12 +23,7 @@ import numpy as np
 from scipy.special import chdtr
 
 from ._runtime import parallel_map, seeded_rng
-from .gp_prior import (
-    VARIANCE,
-    _chol_with_escalation,
-    sample_path_conditional,
-    se_kernel,
-)
+from .gp_prior import VARIANCE, knot_cholesky, sample_path_conditional
 from .gpivi import (
     D_CONST,
     BayesModel,
@@ -53,7 +48,7 @@ from .grid_density import (
 )
 from .hi_order_kernel import fbeta_iterative
 from .reports import CheckReport, SlopeReport, sample_sizes, slope_fit
-from .transfer_map import TransferFunction, mixture_density, quantile_of
+from .transfer_map import TransferFunction, knot_grid, mixture_density, quantile_of
 
 _QUAD_SLACK = 1e-6
 # check_logsup_bound's budget for the constant in its bound
@@ -114,14 +109,13 @@ def check_hellinger_bound(trials: int = 200, seed: int = 0) -> CheckReport:
     rng = seeded_rng(seed, "hellinger-bound")
     spec = GridSpec(-8.0, 8.0, 2048)
     n_knots = 64
-    knots = np.linspace(0.0, 1.0, n_knots)
     variance = 0.5
 
     worst = -math.inf
     violations = 0
     for _ in range(trials):
         a = rng.uniform(2.0, 15.0)
-        chol = _chol_with_escalation(se_kernel(knots, knots, variance, a))
+        chol = knot_cholesky(n_knots, variance, a)
         mu1 = TransferFunction(chol @ rng.standard_normal(n_knots))
         mu2 = TransferFunction(chol @ rng.standard_normal(n_knots))
         s1, s2 = rng.uniform(0.05, 0.5, size=2)
@@ -173,7 +167,7 @@ def check_logsup_bound(
     baseline = divergence(
         SUP_LOG_RATIO, f0, mixture_density(mu0, sigma, f0.spec)
     )
-    chol = _chol_with_escalation(se_kernel(mu0.knots, mu0.knots, 1.0, 2.0))
+    chol = knot_cholesky(mu0.values.size, 1.0, 2.0)
 
     worst = -math.inf
     violations = 0
@@ -291,11 +285,8 @@ def _widened(f0: GridDensity, pad: float) -> GridDensity:
     """f0 re-gridded onto a window padded by ``pad`` on both sides."""
     spacing = f0.spacing
     extra = int(math.ceil(pad / spacing))
-    n = f0.n + 2 * extra
-    lo = f0.lo - extra * spacing
-    hi = f0.hi + extra * spacing
-    grid = np.linspace(lo, hi, n)
-    return GridDensity(lo, hi, f0.pdf_at(grid))
+    spec = GridSpec(f0.lo - extra * spacing, f0.hi + extra * spacing, f0.n + 2 * extra)
+    return GridDensity(spec.lo, spec.hi, f0.pdf_at(spec.points()))
 
 
 def l1_support_search(f0: GridDensity, eps: float) -> CheckReport:
@@ -583,9 +574,8 @@ def gp_support_probe(
             raise ValueError(f"{name} must be at least 1, got {count}")
     rng = seeded_rng(seed, "gp-support")
     coarse = quantile_of(f0, n_knots=(_PROBE_KNOTS + 1) // 2)
-    knots = np.linspace(0.0, 1.0, _PROBE_KNOTS)
     center = float(np.mean(coarse.values))
-    target = coarse(knots) - center  # GP prior is centered; probe the shape
+    target = coarse(knot_grid(_PROBE_KNOTS)) - center  # GP prior is centered; probe the shape
     anchor_idx = np.arange(0, _PROBE_KNOTS, 2)
 
     worst = -math.inf
@@ -593,7 +583,7 @@ def gp_support_probe(
     per_delta = {}
     for delta in deltas:
         rescale = 1.0 / delta
-        chol = _chol_with_escalation(se_kernel(knots, knots, VARIANCE, rescale))
+        chol = knot_cholesky(_PROBE_KNOTS, VARIANCE, rescale)
         draws = chol @ rng.standard_normal((_PROBE_KNOTS, n_draws))
         mc_fraction = float(
             np.mean(np.max(np.abs(draws - target[:, None]), axis=0) < delta)

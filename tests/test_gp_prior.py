@@ -10,6 +10,8 @@ Oracles
 * The batched conditional equals draws built one at a time from the same
   generator: the kernel blocks, Choleskys and solves of one draw, repeated
   per draw, as the support probe computed them before batching.
+* ``knot_cholesky`` is, byte for byte, the escalated factor of the kernel on
+  a transfer's own knots, so every GP draw lives on the transfer's grid.
 """
 
 from __future__ import annotations
@@ -29,9 +31,11 @@ from nllvm_lab.gp_prior import (
     VARIANCE,
     ConditioningError,
     _chol_with_escalation,
+    knot_cholesky,
     sample_path_conditional,
     se_kernel,
 )
+from nllvm_lab.transfer_map import TransferFunction
 
 
 class TestConfigValidation:
@@ -83,6 +87,23 @@ class TestCholeskyEscalation:
         k = se_kernel(x, x, 1.0, 20.0)
         chol = _chol_with_escalation(k)
         np.testing.assert_allclose(chol @ chol.T, k, atol=1e-6)
+
+
+class TestKnotCholesky:
+    """The GP factor is built on the knots a transfer of the same size has."""
+
+    # the Gibbs chain's test size, the Hellinger check, the support probe and
+    # the logsup check, each with a (variance, rescale) its caller uses
+    @pytest.mark.parametrize(
+        "n_knots, variance, a",
+        [(16, VARIANCE, RESCALE), (64, 0.5, 15.0), (65, VARIANCE, 10.0), (256, 1.0, 2.0)],
+    )
+    def test_is_the_factor_on_the_transfer_knots(self, n_knots, variance, a):
+        x = TransferFunction(np.zeros(n_knots)).knots
+        want = _chol_with_escalation(se_kernel(x, x, variance, a))
+        got = knot_cholesky(n_knots, variance, a)
+        assert got.shape == want.shape == (n_knots, n_knots)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestSamplePath:
