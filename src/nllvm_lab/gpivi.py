@@ -46,6 +46,8 @@ MIN_OPT_KNOTS = 8
 MAX_OPT_KNOTS = 256
 # the prior grid of the models with a Gaussian prior
 PRIOR_WINDOW = (-8.0, 8.0)
+# normal_mean_model's flat prior lives on [-_FLAT_HALFWIDTH, _FLAT_HALFWIDTH]
+_FLAT_HALFWIDTH = 1.0
 
 
 class SupportError(ValueError):
@@ -69,7 +71,6 @@ class BayesModel:
     """
 
     loglik_sum: Callable[[Any, Any], Any]
-    theta_star: float
     prior_density: GridDensity
     kl1: Callable[[Any], Any]
     v1: Callable[[Any], Any]
@@ -447,7 +448,6 @@ class RiskBound:
     rhs: float
     remainder: float
     ball_mass: float
-    complexity: float
     a1_holds: bool
 
 
@@ -480,7 +480,6 @@ def risk_bound_rhs(model: BayesModel, n: int, alpha: float, eps: float) -> RiskB
         rhs=rhs,
         remainder=remainder,
         ball_mass=mass,
-        complexity=complexity,
         a1_holds=log_inv_mass <= n * eps**2,
     )
 
@@ -536,27 +535,19 @@ def normal_mean_model(
     sigma: float = 0.3,
     theta_star: float = 0.3,
     *,
-    prior_halfwidth: float = 1.0,
     grid_n: int = 2048,
 ) -> BayesModel:
     """Known-variance Gaussian location model with a flat prior.
 
-    The prior is uniform on [-prior_halfwidth, prior_halfwidth], which makes
-    KL-neighborhood masses exact length ratios — convenient for checking the
-    complexity term by hand.
+    The prior is uniform on [-1, 1], which makes KL-neighborhood masses
+    exact length ratios — convenient for checking the complexity term by
+    hand.
     """
-    _check_params(
-        {"sigma": sigma, "prior_halfwidth": prior_halfwidth}, {"theta_star": theta_star}
-    )
-    if abs(theta_star) >= prior_halfwidth:
+    _check_params({"sigma": sigma}, {"theta_star": theta_star})
+    if abs(theta_star) >= _FLAT_HALFWIDTH:
         raise ValueError("theta_star must lie inside the prior support")
-    prior_spec = GridSpec(-prior_halfwidth, prior_halfwidth, grid_n)
-    prior = GridDensity(prior_spec.lo, prior_spec.hi, np.ones(grid_n))
-    return BayesModel(
-        theta_star=theta_star,
-        prior_density=prior,
-        **_gaussian_hooks(sigma, theta_star),
-    )
+    prior = GridDensity(-_FLAT_HALFWIDTH, _FLAT_HALFWIDTH, np.ones(grid_n))
+    return BayesModel(prior_density=prior, **_gaussian_hooks(sigma, theta_star))
 
 
 def normal_normal_model(
@@ -579,11 +570,7 @@ def normal_normal_model(
         prior_spec.hi,
         np.exp(-((grid - prior_mu) ** 2) / (2.0 * prior_sigma**2)),
     )
-    return BayesModel(
-        theta_star=theta_star,
-        prior_density=prior,
-        **_gaussian_hooks(sigma, theta_star),
-    )
+    return BayesModel(prior_density=prior, **_gaussian_hooks(sigma, theta_star))
 
 
 def logistic_model(
@@ -644,7 +631,6 @@ def logistic_model(
 
     return BayesModel(
         loglik_sum=loglik_sum,
-        theta_star=theta_star,
         prior_density=prior,
         kl1=kl1,
         v1=v1,

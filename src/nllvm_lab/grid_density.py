@@ -284,9 +284,7 @@ def divergence(kind: str, p: GridDensity, q: GridDensity) -> float:
     raise ValueError(f"unknown divergence kind {kind!r}; choose from {DIVERGENCE_KINDS}")
 
 
-def smooth_bump(
-    spec: GridSpec, lo: float = 0.1, hi: float = 0.9, sharpness: float = 2.0
-) -> GridDensity:
+def smooth_bump(spec: GridSpec, lo: float, hi: float, sharpness: float) -> GridDensity:
     """Infinitely smooth bump density supported on [lo, hi].
 
     The unnormalized profile is exp(-sharpness / (1 - u^2)) with

@@ -15,11 +15,13 @@ The iterate also has the closed form
 where the i-fold smoothing phi_sigma^(i) * f_0 collapses to a single
 convolution at bandwidth sigma * sqrt(i).
 
-Iterates can dip negative for large sigma; the public constructors floor and
-renormalize, returning the pre-floor negative mass as a diagnostic.  The
-rate experiments consume the raw signed iterate instead: flooring perturbs
-the density by O(negative mass), which would swamp the O(sigma^(2 beta))
-signal at the large end of a bandwidth ladder.
+Iterates can dip negative for large sigma.  The public constructors raise
+``SigmaTooLargeError`` when the negative mass (:func:`negative_mass`)
+exceeds ``NEGATIVE_MASS_LIMIT``; otherwise they floor and renormalize, and
+return the signed pre-floor iterate as ``raw`` beside the density.  The rate
+experiments consume the raw signed iterate: flooring perturbs the density
+by O(negative mass), which would swamp the O(sigma^(2 beta)) signal at the
+large end of a bandwidth ladder.
 """
 
 from __future__ import annotations
@@ -69,14 +71,13 @@ def negative_mass(raw: np.ndarray, spacing: float) -> float:
 
 @dataclass(eq=False)
 class FbetaResult:
-    """Floored-and-renormalized kernel iterate plus diagnostics.
+    """Floored-and-renormalized kernel iterate and its signed pre-floor values.
 
-    ``raw`` keeps the signed pre-floor values (the object the rate lemmas
-    are about); ``negative_mass`` is the mass clipped away by the floor.
+    ``raw`` keeps the signed values (the object the rate lemmas are about);
+    ``negative_mass(raw, spacing)`` is the mass the floor clipped away.
     """
 
     density: GridDensity
-    negative_mass: float
     raw: np.ndarray
 
 
@@ -87,8 +88,7 @@ def _finalize(f0: GridDensity, raw: np.ndarray) -> FbetaResult:
             f"negative mass {neg:.3e} exceeds {NEGATIVE_MASS_LIMIT:.0e}; "
             "shrink sigma"
         )
-    density = GridDensity(f0.lo, f0.hi, np.maximum(raw, 0.0))
-    return FbetaResult(density=density, negative_mass=neg, raw=raw)
+    return FbetaResult(GridDensity(f0.lo, f0.hi, np.maximum(raw, 0.0)), raw)
 
 
 def fbeta_iterative(f0: GridDensity, sigma: float, j: int) -> FbetaResult:

@@ -32,7 +32,8 @@ from ._runtime import parallel_map, seeded_rng
 from .gp_prior import RESCALE, SIGMA_PRIOR, VARIANCE, _chol_with_escalation, knot_cholesky
 from .grid_density import HELLINGER_SQ, GridDensity, GridSpec, divergence
 from .reports import SlopeReport, sample_sizes, slope_fit
-from .transfer_map import FLAT_RISE, TransferFunction, knot_grid, mixture_density, segment_masses
+from .transfer_map import TransferFunction, _flat_segments, knot_grid, mixture_density
+from .transfer_map import segment_masses
 
 logger = logging.getLogger(__name__)
 
@@ -43,11 +44,11 @@ _RATE_Q = 0.0
 _CONTRACT_KNOTS = 32
 
 
-def _check_states(sigma, eta, log_post) -> None:
-    """Raise unless each sigma > 0, each latent lies in [0, 1] and each log_post is finite."""
+def _check_states(sigma, log_post, eta=None) -> None:
+    """Raise unless each sigma > 0, each log_post is finite and each latent given is in [0, 1]."""
     if not np.all(sigma > 0):
         raise ValueError(f"sigma must be positive, got {np.min(sigma)}")
-    if eta.size and not (np.min(eta) >= 0.0 and np.max(eta) <= 1.0):
+    if eta is not None and not (np.min(eta) >= 0.0 and np.max(eta) <= 1.0):
         raise ValueError("all latents must lie in [0, 1]")
     bad = np.extract(~np.isfinite(log_post), log_post)
     if bad.size:
@@ -56,23 +57,20 @@ def _check_states(sigma, eta, log_post) -> None:
 
 @dataclass(eq=False)
 class PosteriorSamples:
-    """Kept post-burn-in states of one chain, one row per state."""
+    """Kept post-burn-in states of one chain, one row per state; no latents."""
 
     mu_values: np.ndarray  # (S, K): the transfer on the uniform knot grid of [0, 1]
     sigma: np.ndarray  # (S,)
-    eta: np.ndarray  # (S, n): the latents
     log_post: np.ndarray  # (S,): the unnormalized log posterior
 
     def __post_init__(self) -> None:
-        arrays = [
-            np.asarray(a, float) for a in (self.mu_values, self.sigma, self.eta, self.log_post)
-        ]
-        self.mu_values, self.sigma, self.eta, self.log_post = arrays
+        arrays = [np.asarray(a, float) for a in (self.mu_values, self.sigma, self.log_post)]
+        self.mu_values, self.sigma, self.log_post = arrays
         if not self.sigma.size:
             raise ValueError("no kept states")
-        if [a.ndim for a in arrays] != [2, 1, 2, 1] or len({len(a) for a in arrays}) > 1:
-            raise ValueError(f"need (S, K), (S,), (S, n), (S,), got {[a.shape for a in arrays]}")
-        _check_states(self.sigma, self.eta, self.log_post)
+        if [a.ndim for a in arrays] != [2, 1, 1] or len({len(a) for a in arrays}) > 1:
+            raise ValueError(f"need (S, K), (S,), (S,), got {[a.shape for a in arrays]}")
+        _check_states(self.sigma, self.log_post)
 
     def covering_window(self) -> tuple:
         """(min mu - 8 sigma_max, max mu + 8 sigma_max): holds every kept mixture's mass."""
@@ -120,7 +118,7 @@ def update_latents(
     side = np.where(za + zb > 0.0, -1.0, 1.0)
     pa, pb = special.ndtr(side * za), special.ndtr(side * zb)
     z = side * special.ndtri(pa + w * (pb - pa))
-    flat = (np.abs(np.diff(mu.values)) / sigma < FLAT_RISE)[seg]
+    flat = _flat_segments(mu, sigma)[seg]
     frac = np.where(flat, w, (za - z) / np.where(flat, 1.0, za - zb))
     eta = mu.knots[seg] + np.clip(frac, 0.0, 1.0) * np.diff(mu.knots)[seg]
 
@@ -218,10 +216,11 @@ def fit_mcmc(
     a datum whose segment masses all underflow (ROADMAP item 14), so the
     burn-in serves convergence from the start state only; nothing is tuned.
     The chain sorts the data once and runs on the sorted copy, so any order
-    of the same data gives the same states; ``eta`` comes back in the order
-    of ``data``.  A failure in any cycle, the checks on a kept state
-    included, aborts the chain with a ``RuntimeError``; data that are not a
-    finite 1-D array of at least 10 points raise before the first draw.
+    of the same data gives the same states.  The latents are data
+    augmentation: a kept state's are checked to lie in [0, 1], not kept.
+    A failure in any cycle, the checks on a kept state included, aborts the
+    chain with a ``RuntimeError``; data that are not a finite 1-D array of
+    at least 10 points raise before the first draw.
     """
     if burn_in < 0 or iters <= burn_in:
         raise ValueError(f"need iters > burn_in >= 0, got ({iters}, {burn_in})")
@@ -236,16 +235,15 @@ def fit_mcmc(
         raise ValueError(f"need at least 10 observations, got {data.size}")
 
     # the chain runs on the sorted data, where the knot-major normal CDFs of
-    # segment_masses stay branch-predictable; kept latents return in data order
-    order = np.argsort(data, kind="stable")
-    data = data[order]
+    # segment_masses stay branch-predictable
+    data = np.sort(data, kind="stable")
 
     rng = seeded_rng(seed, "mcmc")
     kernel_chol = knot_cholesky(n_knots, VARIANCE, RESCALE)
     k_inv = cho_solve((kernel_chol, True), np.eye(n_knots))
 
     kept = range(burn_in + 1, iters + 1, thin)
-    mus, etas = np.empty((len(kept), n_knots)), np.empty((len(kept), data.size))
+    mus = np.empty((len(kept), n_knots))
     sigmas, log_posts = np.empty(len(kept)), np.empty(len(kept))
     j = 0
 
@@ -262,9 +260,8 @@ def fit_mcmc(
                 v = solve_triangular(kernel_chol, mu.values, lower=True)
                 ss = float(resid @ resid)
                 log_post = float(-0.5 * (v @ v)) + _sigma_logtarget(sigma, ss, data.size)
-                _check_states(sigma, eta, log_post)
+                _check_states(sigma, log_post, eta)
                 mus[j], sigmas[j], log_posts[j] = mu.values, sigma, log_post
-                etas[j, order] = eta
                 j += 1
         except (ValueError, ArithmeticError) as exc:
             raise RuntimeError(
@@ -272,7 +269,7 @@ def fit_mcmc(
                 f"(kept {j} states, sigma={sigma:.4g}): {exc}"
             ) from exc
 
-    return PosteriorSamples(mus, sigmas, etas, log_posts)
+    return PosteriorSamples(mus, sigmas, log_posts)
 
 
 def predictive_density(samples: PosteriorSamples, spec: GridSpec) -> GridDensity:

@@ -111,6 +111,11 @@ def quantile_of(
     return TransferFunction(np.clip(mu_vals, f.lo, f.hi))
 
 
+def _flat_segments(mu: TransferFunction, sigma: float) -> np.ndarray:
+    """The segments rising less than ``FLAT_RISE`` sigma, which take the flat limit."""
+    return np.abs(np.diff(mu.values)) / sigma < FLAT_RISE
+
+
 def segment_masses(mu: TransferFunction, sigma: float, y: np.ndarray) -> np.ndarray:
     """Exact latent mass of every knot segment at every point of ``y``.
 
@@ -136,7 +141,7 @@ def segment_masses(mu: TransferFunction, sigma: float, y: np.ndarray) -> np.ndar
     v = mu.values
     dx = np.diff(mu.knots)
     rise = np.abs(np.diff(v)) / sigma
-    flat = rise < FLAT_RISE
+    flat = _flat_segments(mu, sigma)
     side = np.where(y > np.median(v), -1.0 / sigma, 1.0 / sigma)
     cdf = y[None, :] - v[:, None]
     cdf *= side
@@ -175,7 +180,7 @@ def mixture_vjp(
     scale = np.diff(mu.knots) / sigma**2
     delta = np.diff(v) / sigma
     series = np.abs(delta) < _SERIES_RISE
-    delta[np.abs(delta) < FLAT_RISE] = 0.0
+    delta[_flat_segments(mu, sigma)] = 0.0
 
     z = (y[:, None] - v[None, :]) / sigma
     phi = np.exp(-0.5 * z * z) / _SQRT_2PI

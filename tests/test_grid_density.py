@@ -373,9 +373,9 @@ class TestSmoothBump:
     def test_support_must_sit_inside_window(self):
         spec = GridSpec(0.0, 1.0, 256)
         with pytest.raises(ValueError, match="strictly inside"):
-            smooth_bump(spec, 0.0, 0.9)
+            smooth_bump(spec, 0.0, 0.9, 2.0)
         with pytest.raises(ValueError, match="strictly inside"):
-            smooth_bump(spec, 0.5, 0.4)
+            smooth_bump(spec, 0.5, 0.4, 2.0)
 
     def test_sharpness_must_be_positive(self):
         with pytest.raises(ValueError, match="sharpness"):

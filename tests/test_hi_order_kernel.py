@@ -71,7 +71,7 @@ class TestClosedFormCoefficients:
     def test_order_zero_is_f0_itself(self, wide_bump):
         res = fbeta_closed_form(wide_bump, self.SIGMA, 0)
         np.testing.assert_array_equal(res.raw, wide_bump.values)
-        assert res.negative_mass == 0.0
+        assert negative_mass(res.raw, wide_bump.spacing) == 0.0
 
     def test_negative_order_rejected(self, wide_bump):
         with pytest.raises(ValueError, match="non-negative"):
@@ -128,7 +128,7 @@ class TestNegativeMassDiagnostics:
 
     def test_negative_mass_grows_with_bandwidth(self, wide_bump):
         negs = [
-            fbeta_iterative(wide_bump, sigma, 1).negative_mass
+            negative_mass(fbeta_iterative(wide_bump, sigma, 1).raw, wide_bump.spacing)
             for sigma in (0.02, 0.05, 0.08)
         ]
         assert all(n >= 0 for n in negs)

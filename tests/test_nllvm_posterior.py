@@ -60,12 +60,10 @@ from nllvm_lab.transfer_map import TransferFunction, mixture_density
 _IDENTITY = TransferFunction(np.linspace(0.0, 1.0, 16))
 
 
-def _samples(mu_values, sigma, eta=None, log_post=None) -> PosteriorSamples:
-    """Kept states with the given rows; each latent 0.5 and each log_post 0.0 unless given."""
-    s = len(sigma)
-    eta = np.full((s, 1), 0.5) if eta is None else eta
-    log_post = np.zeros(s) if log_post is None else log_post
-    return PosteriorSamples(mu_values, sigma, eta, log_post)
+def _samples(mu_values, sigma, log_post=None) -> PosteriorSamples:
+    """Kept states with the given rows; each log_post 0.0 unless given."""
+    log_post = np.zeros(len(sigma)) if log_post is None else log_post
+    return PosteriorSamples(mu_values, sigma, log_post)
 
 
 class TestConfigAndState:
@@ -118,8 +116,6 @@ class TestConfigAndState:
         mu = np.linspace(0.0, 1.0, 16)[None, :]
         with pytest.raises(ValueError, match="sigma must be positive, got 0.0"):
             _samples(mu, [0.0])
-        with pytest.raises(ValueError, match="latents"):
-            _samples(mu, [0.1], eta=np.array([[0.5, 1.2]]))
         with pytest.raises(ValueError, match="log_post must be finite, got inf"):
             _samples(mu, [0.1], log_post=[np.inf])
 
@@ -334,11 +330,31 @@ class TestFitMcmc:
         # multiple of thin (40) or not (39)
         for iters in (60, 59):
             out = fit_mcmc(data, iters=iters, burn_in=20, thin=4, seed=5, n_knots=16)
-            shapes = [a.shape for a in (out.mu_values, out.sigma, out.eta, out.log_post)]
-            assert shapes == [(10, 16), (10,), (10, 80), (10,)]
+            shapes = [a.shape for a in (out.mu_values, out.sigma, out.log_post)]
+            assert shapes == [(10, 16), (10,), (10,)]
             assert np.all(out.sigma > 0)
-            assert np.all((out.eta >= 0) & (out.eta <= 1))
             assert np.all(np.isfinite(out.log_post))
+
+    def test_output_holds_no_array_of_length_n(self):
+        # the latents are data augmentation: a kept state is (mu, sigma)
+        # and its log posterior, so no output array grows with the data
+        data = np.random.default_rng(42).normal(0.5, 0.2, 80)
+        out = fit_mcmc(data, iters=60, burn_in=20, thin=4, seed=5, n_knots=16)
+        arrays = {name: a for name, a in vars(out).items() if isinstance(a, np.ndarray)}
+        assert sorted(arrays) == ["log_post", "mu_values", "sigma"]
+        assert all(data.size not in a.shape for a in arrays.values())
+
+    def test_latent_outside_unit_interval_aborts_the_chain(self, monkeypatch):
+        # the kept-state check still reads each kept state's latents
+        monkeypatch.setattr(
+            "nllvm_lab.nllvm_posterior.update_latents",
+            lambda mu, sigma, data, rng: np.full(data.size, 1.5),
+        )
+        with pytest.raises(
+            RuntimeError,
+            match=r"^chain aborted at iteration 3 \(kept 0 states, .*latents must lie in",
+        ):
+            fit_mcmc(np.linspace(0.0, 1.0, 20), iters=5, burn_in=2, n_knots=16)
 
     def test_failed_kept_state_check_aborts_the_chain(self, monkeypatch):
         # kept states are checked inside the cycle, so a failed check aborts
@@ -355,12 +371,12 @@ class TestFitMcmc:
         data = rng.normal(0.5, 0.2, 80)
         a = fit_mcmc(data, iters=60, burn_in=20, thin=4, seed=5, n_knots=16)
         b = fit_mcmc(data, iters=60, burn_in=20, thin=4, seed=5, n_knots=16)
-        for name in ("mu_values", "sigma", "eta", "log_post"):
+        for name in ("mu_values", "sigma", "log_post"):
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
-    def test_data_order_permutes_only_the_latents(self):
+    def test_any_data_order_gives_the_same_states(self):
         # the chain runs on the sorted data, so any order of distinct data
-        # gives the same states, with each latent returned at its datum
+        # gives the same states
         rng = np.random.default_rng(42)
         data = rng.normal(0.5, 0.2, 80)
         perm = rng.permutation(data.size)
@@ -368,8 +384,6 @@ class TestFitMcmc:
         b = fit_mcmc(data[perm], iters=60, burn_in=20, thin=4, seed=5, n_knots=16)
         for name in ("mu_values", "sigma", "log_post"):
             np.testing.assert_array_equal(getattr(b, name), getattr(a, name))
-        np.testing.assert_array_equal(b.eta, a.eta[:, perm])
-        assert not np.array_equal(b.eta, a.eta)
 
 
 class TestPredictiveDensity:
