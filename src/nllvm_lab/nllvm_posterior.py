@@ -88,16 +88,14 @@ def update_latents(
     mixture over knot segments with the masses of :func:`segment_masses`,
     and within a segment a normal truncated to [v_k, v_{k+1}] in mu-space,
     mapped back to x linearly.  One uniform per datum picks the segment by
-    inverse CDF, counting the knot-major cumulative masses below it, and,
-    rescaled, inverts the truncated normal on the side of the segment where
-    the normal CDF is small; a flat segment is uniform in x.  If every
-    segment mass underflows to zero the draw falls back to a uniform with a
-    logged warning.
+    inverse CDF, counting the cumulative masses below it, and, rescaled,
+    inverts the truncated normal on the side of the segment where the
+    normal CDF is small; a flat segment is uniform in x.  The masses are
+    summed over segments in place, so the step holds one K x n table.  If
+    every segment mass underflows to zero the draw falls back to a uniform
+    with a logged warning.
     """
-    masses = segment_masses(mu, sigma, data)
-    # the running sum over segments, row by row: the same bits as
-    # np.cumsum(masses, axis=0), which does not vectorize along this axis
-    cum = masses.copy()
+    cum = segment_masses(mu, sigma, data)
     for k in range(1, cum.shape[0]):
         cum[k] += cum[k - 1]
     total = cum[-1]
@@ -106,10 +104,10 @@ def update_latents(
     u = rng.random(data.size)
     r = u * total
     idx = np.arange(data.size)
-    seg = np.minimum(np.count_nonzero(cum < r, axis=0), masses.shape[0] - 1)
+    seg = np.minimum(np.count_nonzero(cum < r, axis=0), cum.shape[0] - 1)
     prev = np.where(seg > 0, cum[np.maximum(seg - 1, 0), idx], 0.0)
-    mass = masses[seg, idx]
-    w = np.clip((r - prev) / np.maximum(mass, 1e-300), 0.0, 1.0)
+    # prev <= r <= cum[seg] puts w in [0, 1]; the floor keeps 0 / 0 finite
+    w = (r - prev) / np.maximum(cum[seg, idx] - prev, 1e-300)
 
     # standardized residuals at the chosen segment's ends; where both sit
     # above zero, work with -z so that the CDF values stay small

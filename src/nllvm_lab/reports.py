@@ -97,7 +97,6 @@ class CheckReport:
     worst_margin: float
     passed: bool
     params: dict[str, Any] = field(default_factory=dict)
-    note: str = ""
 
     def __post_init__(self) -> None:
         if self.violations > self.trials:

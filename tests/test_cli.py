@@ -38,7 +38,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # the report's top-level keys, with "pass" only where the command has a verdict
 _REPORT_KEYS = {"schema_version", "command", "config", "metrics", "runtime_ms", "seed"}
 _PLOT_KEYS = {"plot_csv", "plot_columns"}
-_CHECK_METRICS = {"name", "trials", "violations", "worst_margin", "params", "note"} | _PLOT_KEYS
+_CHECK_METRICS = {"name", "trials", "violations", "worst_margin", "params"} | _PLOT_KEYS
 _SLOPE_METRICS = {"xs", "ys", "slope", "r2", "target", "note"} | _PLOT_KEYS
 
 

@@ -26,6 +26,7 @@ Oracles
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import cumulative_trapezoid
 from scipy.linalg import cho_solve
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
 from scipy.stats import kstest
 
 from nllvm_lab.gp_prior import (
@@ -55,7 +56,12 @@ from nllvm_lab.nllvm_posterior import (
     update_sigma,
     update_transfer,
 )
-from nllvm_lab.transfer_map import TransferFunction, mixture_density
+from nllvm_lab.transfer_map import (
+    TransferFunction,
+    _flat_segments,
+    mixture_density,
+    segment_masses,
+)
 
 _IDENTITY = TransferFunction(np.linspace(0.0, 1.0, 16))
 
@@ -120,6 +126,42 @@ class TestConfigAndState:
             _samples(mu, [0.1], log_post=[np.inf])
 
 
+# transfers and one datum each, at sigma = 0.1: inside range(mu), 4 and 15
+# sigma above it, and just above a flat stretch
+_CONDITIONAL_CASES = [
+    (np.sin(np.linspace(0.0, 4.0, 16)), 0.3),
+    (np.sin(np.linspace(0.0, 4.0, 16)), 1.0 + 4 * 0.1),
+    (np.sin(np.linspace(0.0, 4.0, 16)), 1.0 + 15 * 0.1),
+    (np.r_[np.linspace(0.0, 0.5, 6), np.full(5, 0.5), np.linspace(0.5, 1.0, 5)], 0.52),
+]
+_CONDITIONAL_IDS = ["inside", "above", "far-above", "flat"]
+
+
+def _two_table_latents(mu, sigma, data, rng):
+    """:func:`update_latents` with its running sum in a copy of the masses,
+    taking each segment's mass from the masses; returns eta and the segments."""
+    masses = segment_masses(mu, sigma, data)
+    cum = masses.copy()
+    for k in range(1, cum.shape[0]):
+        cum[k] += cum[k - 1]
+    total = cum[-1]
+    u = rng.random(data.size)
+    r = u * total
+    idx = np.arange(data.size)
+    seg = np.minimum(np.count_nonzero(cum < r, axis=0), masses.shape[0] - 1)
+    prev = np.where(seg > 0, cum[np.maximum(seg - 1, 0), idx], 0.0)
+    w = np.clip((r - prev) / np.maximum(masses[seg, idx], 1e-300), 0.0, 1.0)
+    za = (data - mu.values[seg]) / sigma
+    zb = (data - mu.values[seg + 1]) / sigma
+    side = np.where(za + zb > 0.0, -1.0, 1.0)
+    pa, pb = ndtr(side * za), ndtr(side * zb)
+    z = side * ndtri(pa + w * (pb - pa))
+    flat = _flat_segments(mu, sigma)[seg]
+    frac = np.where(flat, w, (za - z) / np.where(flat, 1.0, za - zb))
+    eta = mu.knots[seg] + np.clip(frac, 0.0, 1.0) * np.diff(mu.knots)[seg]
+    return np.where(total <= 0.0, u, eta), seg
+
+
 class TestUpdateLatents:
     """Inverse-CDF resampling of the latent positions."""
 
@@ -136,16 +178,7 @@ class TestUpdateLatents:
         b = update_latents(_IDENTITY, 0.1, data, np.random.default_rng(3))
         np.testing.assert_array_equal(a, b)
 
-    @pytest.mark.parametrize(
-        "values, y",
-        [
-            (np.sin(np.linspace(0.0, 4.0, 16)), 0.3),  # inside range(mu)
-            (np.sin(np.linspace(0.0, 4.0, 16)), 1.0 + 4 * 0.1),  # 4 sigma above
-            (np.sin(np.linspace(0.0, 4.0, 16)), 1.0 + 15 * 0.1),  # 15 sigma above
-            (np.r_[np.linspace(0.0, 0.5, 6), np.full(5, 0.5), np.linspace(0.5, 1.0, 5)], 0.52),
-        ],
-        ids=["inside", "above", "far-above", "flat"],
-    )
+    @pytest.mark.parametrize("values, y", _CONDITIONAL_CASES, ids=_CONDITIONAL_IDS)
     def test_exact_conditional_passes_ks(self, values, y):
         # one call draws 20000 independent latents for the same y; the
         # analytic conditional CDF is a fine-grid cumulative sum of
@@ -160,6 +193,44 @@ class TestUpdateLatents:
         cdf /= cdf[-1]
         result = kstest(eta, lambda x: np.interp(x, edges, cdf))
         assert result.pvalue > 0.01
+
+    @pytest.mark.parametrize("values, y", _CONDITIONAL_CASES, ids=_CONDITIONAL_IDS)
+    def test_matches_the_two_table_step(self, values, y):
+        # the cumulative table keeps its bits, so the segment is the same;
+        # only the segment's mass, cum[seg] - cum[seg - 1], moves w and eta
+        # at rounding level
+        sigma = 0.1
+        mu = TransferFunction(values)
+        data = y + 0.5 * sigma * np.random.default_rng(7).standard_normal(4000)
+        eta = update_latents(mu, sigma, data, np.random.default_rng(11))
+        ref, seg = _two_table_latents(mu, sigma, data, np.random.default_rng(11))
+        assert np.all((mu.knots[seg] <= eta) & (eta <= mu.knots[seg + 1]))
+        np.testing.assert_allclose(eta, ref, rtol=0.0, atol=1e-12)
+
+    def test_dead_column_returns_the_two_table_uniform(self, caplog):
+        data = np.array([0.5, 50.0, 0.3, -40.0])
+        dead = np.array([False, True, False, True])
+        with caplog.at_level("WARNING"):
+            eta = update_latents(_IDENTITY, 0.01, data, np.random.default_rng(5))
+        ref, _ = _two_table_latents(_IDENTITY, 0.01, data, np.random.default_rng(5))
+        np.testing.assert_array_equal(eta[dead], ref[dead])
+        np.testing.assert_allclose(eta[~dead], ref[~dead], rtol=0.0, atol=1e-12)
+
+    def test_one_table_per_call(self):
+        # stated bound: the K x n mass table, summed in place, plus the byte
+        # table cum < r and the n-sized arrays; a copy for the running sum
+        # would give about 2.3 tables
+        n_knots, n = 65, 4096
+        mu = TransferFunction(np.linspace(-1.0, 1.0, n_knots))
+        data = np.linspace(-2.0, 2.0, n)
+        update_latents(mu, 0.3, data, np.random.default_rng(0))  # warm caches
+        tracemalloc.start()
+        try:
+            update_latents(mu, 0.3, data, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * n_knots * n * 8
 
     def test_underflow_falls_back_to_uniform(self, caplog):
         # data 40 sigma away from the whole transfer range underflows

@@ -1,9 +1,10 @@
 """Every script under ``scripts/`` imports and runs its smallest case.
 
 The scripts import private names of the package and read the fields of its
-results, so a change to either breaks them; these tests catch that.  They
-run no subprocess: ``criteria_digest``'s pytest run and ``same_output``'s
-digest runs are replaced by fakes that return fixed output.
+results, so a change to either breaks them; these tests catch that.  The
+one subprocess they run is ``fresh_faults``' smallest ``estimate`` (about
+0.5 s): ``criteria_digest``'s pytest run and ``same_output``'s digest runs
+are replaced by fakes that return fixed output.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ def test_every_script_is_covered():
     assert sorted(p.stem for p in SCRIPTS.glob("*.py")) == [
         "criteria_digest",
         "fit_digest",
+        "fresh_faults",
         "kept_state_digest",
         "mass_peaks",
         "report_digest",
@@ -63,6 +65,18 @@ def test_mass_peaks_builds_and_runs_every_case():
     assert len(names) == 6 and names[-1] == "predictive_density 40x1024"
     # the smallest of five traced peaks holds at least the array each call keeps
     assert mass_peaks.peak_kib(lambda: np.ones(4096)) >= 32.0
+
+
+def test_fresh_faults_smallest_case(tmp_path):
+    fresh_faults = _load("fresh_faults")
+    line = fresh_faults.per_call(2, n_knots=8, n=50)
+    assert re.fullmatch(
+        r"update_latents 8x50 calls=2 minflt_per_call=\S+ sys_ms_per_call=\S+ "
+        r"wall_ms_per_call=\S+",
+        line,
+    ), line
+    line = fresh_faults.estimate_child(tmp_path, n=50, iters=30, burn=10)
+    assert re.fullmatch(r"estimate n=50 iters=30 minflt=\d+ sys_s=\S+ wall_s=\S+", line), line
 
 
 def test_report_digest_smallest_case(tmp_path, monkeypatch):
